@@ -47,7 +47,6 @@ from .reflection import (
     build_extension,
     build_tower,
     certify_quadratic_domain,
-    evaluate_extension,
     schwarz_reflect,
 )
 from .expansion import (

@@ -65,6 +65,13 @@ class JobConfig:
     series: str | None = None
     angle_class: str | None = None
 
+    def validate(self) -> None:
+        """Raise ValueError naming the limit a field breaks."""
+        if self.K < 0:
+            raise ValueError(f"--K must be >= 0, got {self.K}")
+        if self.precision < 1:
+            raise ValueError(f"--precision must be >= 1, got {self.precision}")
+
     def hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
@@ -106,6 +113,7 @@ def run(config: JobConfig) -> int:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
+        config.validate()
         return handler(config)
     except FailedCertificate as exc:
         _emit(config, {"status": "certificate-failed", "certificate": exc.certificate.to_json()})
@@ -280,14 +288,20 @@ def _run_verify(config: JobConfig) -> int:
     else:
         g = LogPowerSeries.monomial(1.0, alpha)
     plan = SamplingPlan(rho0=0.25 * cert.quad.c, n_shells=config.shells)
-    cert_a = verify_asymptotic(lambda p: ext.evaluate(p), g, R, cert.quad, plan=plan, tol=config.tol)
+    evaluated = []  # (point, value) in the order verify_asymptotic samples them
+
+    def f(p):
+        value = complex(ext.evaluate(p))
+        evaluated.append((p, value))
+        return value
+
+    cert_a = verify_asymptotic(f, g, R, cert.quad, plan=plan, tol=config.tol)
     report = {"status": "ok", "certificate": cert_a.to_json()}
     g_R = g.truncate(R)
     samples = [["abs_z", "arg_z", "remainder_over_absz_R"]]
-    for rho, pts in plan.points(cert_a.domain):
-        for p in pts:
-            rem = abs(complex(ext.evaluate(p)) - g_R.eval_finite(p))
-            samples.append([p.r, p.phi, rem / p.r ** float(R)])
+    for p, value in evaluated:
+        rem = abs(value - g_R.eval_finite(p))
+        samples.append([p.r, p.phi, rem / p.r ** float(R)])
     plot = svg_plot(
         [("remainder ratio", [s.rho for s in cert_a.shells], [max(s.ratio, 1e-300) for s in cert_a.shells])],
         title="remainder ratios per shell",

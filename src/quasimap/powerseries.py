@@ -140,7 +140,8 @@ class PowerSeries:
         m = min(len(inner.coeffs) - 1, order)
         w[1 : m + 1] = inner.coeffs[1 : m + 1] / self.scale
         acc = np.zeros(order + 1, dtype=complex)
-        for c in self.coeffs[::-1]:
+        # exact-zero top coefficients would only convolve zeros
+        for c in np.trim_zeros(self.coeffs, "b")[::-1]:
             acc = np.convolve(acc, w)[: order + 1]
             acc[0] += c
         return PowerSeries(acc, inner.scale, inner.radius)
@@ -148,34 +149,43 @@ class PowerSeries:
     def reversion(self, order: int | None = None, out_scale: float | None = None) -> "PowerSeries":
         """Series g with f(g(w)) = w + O(w^(order+1)); needs f(0)=0, f'(0) != 0.
 
+        Lagrange inversion (Henrici, Applied and Computational Complex
+        Analysis I, 1.9) on the normalized chart F(x) = f(scale lam x)/out_abs
+        = x + ..., lam = out_abs/c_1: with h = x/F(x), the reversion has
+        coefficients lam [x^(n-1)] h^n / n.  One triangular recurrence gives
+        h and one running product gives its powers, so the cost is about
+        ``order`` convolutions of length ``order``.  Exact-zero top
+        coefficients are dropped first, so a linear chart skips the recurrence.
+
         ``out_scale`` defaults to |f'(0)| * scale / 4, the Koebe-guaranteed
         image radius for normalized univalent charts.
         """
+        order = self.order if order is None else order
+        if min(self.order, order) < 1:
+            raise ValueError("reversion requires a series and an output of order >= 1")
         if abs(self.coeffs[0]) > 0:
             raise ValueError("reversion requires f(0) = 0")
         c1 = complex(self.coeffs[1])
         if c1 == 0:
             raise InversionFailure("reversion requires f'(0) != 0")
-        order = self.order if order is None else order
         out_abs = abs(c1) / 4.0 if out_scale is None else float(out_scale)
-        # Normalized unknown G(v) = g(w)/scale in v = w/out_abs, satisfying
-        #   c1 G + sum_{n>=2} c_n G^n = out_abs * v   (fixed point, one order per sweep).
-        rhs = np.zeros(order + 1, dtype=complex)
-        rhs[1] = out_abs
+        # numpy's complex division, so that lam matches array arithmetic bit for bit
+        lam = np.complex128(out_abs) / c1
+        # F(x)/x = 1 + sum_j b_j x^j with b_j = (c_(j+1)/c_1) lam^j
+        b = np.trim_zeros(self.coeffs[2 : order + 1], "b") / c1
+        b *= lam ** np.arange(1, len(b) + 1)
+        # h = 1/(F(x)/x) to order x^(order-1); it stays a constant for linear charts
+        h = np.zeros(order if len(b) else 1, dtype=complex)
+        h[0] = 1.0
+        for m in range(1, len(h)):
+            j = min(m, len(b))
+            h[m] = -np.dot(b[:j], h[m - 1 :: -1][:j])
+        # G(v) = g(w)/scale in v = w/out_abs; p runs through h^n
         g = np.zeros(order + 1, dtype=complex)
-        g[1] = out_abs / c1
-        head = self.coeffs[2 : order + 1]
-        for _ in range(order):
-            inner = np.zeros(order + 1, dtype=complex)
-            for c in head[::-1]:
-                inner = np.convolve(inner, g)[: order + 1]
-                inner[0] += c
-            tail = np.convolve(np.convolve(inner, g)[: order + 1], g)[: order + 1]
-            g_new = (rhs - tail) / c1
-            g_new[0] = 0.0
-            if np.array_equal(g_new, g):
-                break
-            g = g_new
+        p = h
+        for n in range(1, len(h) + 1):
+            g[n] = lam * p[n - 1] / n
+            p = np.convolve(p, h)[: len(h)]
         return PowerSeries(g * self.scale, out_abs, out_abs)
 
     def newton_inverse(self, w: complex, z0: complex | None = None, tol: float = 1e-14, maxiter: int = 60) -> complex:
@@ -259,10 +269,6 @@ class AnalyticFunc:
             inner = self.exact
             ex = lambda z: np.conj(inner(np.conj(z)))
         return AnalyticFunc(self.series.conjugated(), ex, label=self.label + "~")
-
-    def inverse_at(self, w: complex, rev: PowerSeries | None = None) -> complex:
-        z0 = rev(w) if rev is not None else None
-        return self.series.newton_inverse(w, z0=z0)
 
 
 def require_in_disk(value: complex, radius: float, what: str) -> None:

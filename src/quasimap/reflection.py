@@ -314,20 +314,9 @@ class Extension:
         mirrored = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
         return self.negative.evaluate(mirrored, use_exact).conjugate()
 
-    def max_level_needed(self, phi: float) -> int:
-        from .surface import sector_index
-
-        return sector_index(phi if phi >= 0 else math.pi - phi)
-
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:
     return Extension(build_tower(germ, K, order), build_tower(germ.mirrored(), K, order))
-
-
-def evaluate_extension(ext, z: LPoint, use_exact: bool = True) -> complex:
-    if isinstance(ext, ReflectionTower):
-        return ext.evaluate(z, use_exact)
-    return ext.evaluate(z, use_exact)
 
 
 def validate_koebe(tower: ReflectionTower, n_angles: int = 16, tol: float = 1e-9) -> dict:

@@ -20,6 +20,9 @@ from fractions import Fraction
 from .errors import OutOfSector, ProjectionError
 
 
+_ZERO = Fraction(0)
+
+
 class LPoint:
     """Point (r, phi) on the log surface; phi = phi_pi*pi + phi_rem exactly."""
 
@@ -27,15 +30,18 @@ class LPoint:
 
     def __init__(self, r: float, phi=None, *, phi_pi=None, phi_rem=0.0):
         r = float(r)
-        if not r > 0:
-            raise ValueError("log-surface points need r > 0")
-        self.r = r
-        if phi_pi is not None:
-            self.phi_pi = Fraction(phi_pi)
-            self.phi_rem = float(phi_rem)
+        if phi_pi is None:
+            self.phi_pi = _ZERO
+            phi_rem = phi
         else:
-            self.phi_pi = Fraction(0)
-            self.phi_rem = float(phi)
+            self.phi_pi = Fraction(phi_pi)
+        phi_rem = float(phi_rem)
+        if not (0 < r < math.inf and -math.inf < phi_rem < math.inf):
+            raise ValueError(
+                f"log-surface points need 0 < r < inf and a finite argument, got r = {r}, phi = {phi_rem}"
+            )
+        self.r = r
+        self.phi_rem = phi_rem
 
     @classmethod
     def from_pi_multiple(cls, r: float, phi_pi) -> "LPoint":
@@ -159,13 +165,6 @@ def in_Tp(k: int, z: LPoint) -> bool:
     return Sector("Tp", k).contains(z)
 
 
-def sector_index(phi: float) -> int:
-    """Smallest k with phi <= 2^k pi (for phi >= 0)."""
-    if phi <= math.pi:
-        return 0
-    return max(1, math.ceil(math.log2(phi / math.pi - 1e-15)))
-
-
 def sector_index_point(z: LPoint, k_max: int = 64) -> int:
     """Exact sector index from the pi-multiple representation."""
     k = 0
@@ -240,11 +239,3 @@ def quad_intersect(w1: QuadraticDomain, w2: QuadraticDomain) -> QuadraticDomain:
     return QuadraticDomain(
         min(w1.c, w2.c), max(w1.C, w2.C), mirrored=w1.mirrored and w2.mirrored
     )
-
-
-# -- vectorized helpers (bulk identity checks; plain float arguments) ----------------
-
-
-def tau_arg_array(k: int, phi):
-    """Vectorized tau_k on argument arrays (no sector checking)."""
-    return -phi + (2 ** (k + 1)) * math.pi

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quasimap.exponents import Exponent
 from quasimap.series import LogPolynomial, LogPowerSeries
 from quasimap.surface import LPoint
 
+# Property tests draw the same examples on every run and keep no example database.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 EXPONENT_POOL = [
     Exponent(Fraction(p, q)) for p, q in [(0, 1), (1, 2), (1, 3), (2, 3), (1, 1), (3, 2), (2, 1), (5, 2)]

@@ -77,6 +77,22 @@ class TestVerifyCommand:
         code = run(JobConfig(command="verify", alpha="1/2", K=5, out=str(out), tol=1e-8))
         assert code == EXIT_OK
 
+    def test_each_sample_evaluated_once(self, tmp_path, monkeypatch):
+        from quasimap.reflection import Extension
+
+        calls = []
+        evaluate = Extension.evaluate
+
+        def counted(self, z, use_exact=True):
+            calls.append(z)
+            return evaluate(self, z, use_exact)
+
+        monkeypatch.setattr(Extension, "evaluate", counted)
+        out = tmp_path / "out"
+        assert run(JobConfig(command="verify", alpha="1/2", K=5, shells=4, out=str(out), tol=1e-8)) == EXIT_OK
+        rows = (out / "samples.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(rows) == 4 * 64
+
 
 class TestDichotomyCommand:
     def test_planted_log_term_flags(self, tmp_path):
@@ -114,6 +130,15 @@ class TestPlumbing:
 
     def test_missing_input(self):
         assert run(JobConfig(command="analyze")) == EXIT_BAD_INPUT
+
+    def test_negative_depth_exits_4(self, tmp_path, capsys):
+        assert main(["expand", "--alpha", "1/2", "--K", "-1", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert "--K must be >= 0" in capsys.readouterr().err
+
+    def test_zero_precision_exits_4(self, tmp_path, capsys):
+        code = run(JobConfig(command="continue", alpha="1/2", K=2, precision=0, out=str(tmp_path / "out")))
+        assert code == EXIT_BAD_INPUT
+        assert "--precision must be >= 1" in capsys.readouterr().err
 
     def test_main_argv_roundtrip(self, tmp_path):
         out = tmp_path / "out"

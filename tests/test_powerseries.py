@@ -59,6 +59,12 @@ class TestComposeRevert:
         with pytest.raises(InversionFailure):
             PowerSeries.from_unscaled([0, 0, 1]).reversion()
 
+    def test_reversion_rejects_order_zero(self):
+        with pytest.raises(ValueError, match="order >= 1"):
+            PowerSeries([0.0]).reversion()
+        with pytest.raises(ValueError, match="order >= 1"):
+            PowerSeries.from_unscaled([0, 1, 0.5]).reversion(order=0)
+
     def test_newton_inverse(self):
         f = PowerSeries.from_unscaled([0, 1, 0.3j, -0.05], radius=1.0)
         w = 0.1 - 0.04j

@@ -1,0 +1,101 @@
+"""Property tests for series reversion and composition.
+
+The fixed-point sweep that reversion used before Lagrange inversion is kept
+here as the reference, and so is composition without dropping exact-zero top
+coefficients.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from quasimap.powerseries import PowerSeries
+
+
+def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = None) -> PowerSeries:
+    """Fixed point c1 G + sum_(n>=2) c_n G^n = out_abs v, one order per sweep."""
+    c1 = complex(f.coeffs[1])
+    out_abs = abs(c1) / 4.0 if out_scale is None else float(out_scale)
+    rhs = np.zeros(order + 1, dtype=complex)
+    rhs[1] = out_abs
+    g = np.zeros(order + 1, dtype=complex)
+    g[1] = out_abs / c1
+    head = f.coeffs[2 : order + 1]
+    for _ in range(order):
+        inner = np.zeros(order + 1, dtype=complex)
+        for c in head[::-1]:
+            inner = np.convolve(inner, g)[: order + 1]
+            inner[0] += c
+        tail = np.convolve(np.convolve(inner, g)[: order + 1], g)[: order + 1]
+        g_new = (rhs - tail) / c1
+        g_new[0] = 0.0
+        if np.array_equal(g_new, g):
+            break
+        g = g_new
+    return PowerSeries(g * f.scale, out_abs, out_abs)
+
+
+def compose_untrimmed(outer: PowerSeries, inner: PowerSeries, order: int) -> np.ndarray:
+    """Horner over every stored coefficient of ``outer``, zeros included."""
+    w = np.zeros(order + 1, dtype=complex)
+    m = min(len(inner.coeffs) - 1, order)
+    w[1 : m + 1] = inner.coeffs[1 : m + 1] / outer.scale
+    acc = np.zeros(order + 1, dtype=complex)
+    for c in outer.coeffs[::-1]:
+        acc = np.convolve(acc, w)[: order + 1]
+        acc[0] += c
+    return acc
+
+
+small = st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def charts(draw, kind=None):
+    """Charts c_1 x + ... with |c_1| in [0.5, 2] and |c_n| <= 0.3 above it.
+
+    ``kind`` is 'linear' (no higher term), 'nonlinear' (no zero tail) or
+    'zero-tailed' (exact zeros above the last nonzero term).
+    """
+    kind = draw(st.sampled_from(["linear", "nonlinear", "zero-tailed"])) if kind is None else kind
+    head = [] if kind == "linear" else draw(st.lists(small, min_size=1, max_size=24))
+    if head and kind == "nonlinear" and head[-1] == 0:
+        head[-1] = 0.1
+    zeros = draw(st.integers(1, 12)) if kind != "nonlinear" else 0
+    c1 = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    scale = draw(st.floats(0.01, 100.0))
+    return PowerSeries([0.0, c1] + head + [0.0] * zeros, scale=scale)
+
+
+kinds = st.sampled_from(["linear", "nonlinear", "zero-tailed"])
+
+
+@given(kind=kinds, data=st.data(), order=st.integers(1, 36))
+def test_reversion_roundtrip(kind, data, order):
+    f = data.draw(charts(kind))
+    g = f.reversion(order=order)
+    fg = f.compose(g, order=order)
+    want = np.zeros(order + 1, dtype=complex)
+    want[1] = g.scale  # w on g's scale
+    assert np.max(np.abs(fg.coeffs - want)) <= 1e-13 * g.scale
+
+
+@given(kind=kinds, data=st.data(), order=st.integers(1, 30), koebe=st.booleans())
+def test_reversion_matches_fixed_point_sweep(kind, data, order, koebe):
+    f = data.draw(charts(kind))
+    out_scale = None if koebe else abs(f.coeffs[1]) / 2.0
+    got = f.reversion(order=order, out_scale=out_scale)
+    ref = reversion_by_sweep(f, order, out_scale)
+    assert (got.scale, got.radius) == (ref.scale, ref.radius)
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
+
+
+@given(outer=charts(), inner=charts(), order=st.integers(1, 36), zeros=st.integers(0, 8))
+def test_compose_ignores_zero_top_coefficients(outer, inner, order, zeros):
+    padded = PowerSeries(np.concatenate([outer.coeffs, np.zeros(zeros)]), outer.scale)
+    got = padded.compose(inner, order=order).coeffs
+    assert got.tobytes() == compose_untrimmed(padded, inner, order).tobytes()
+    assert got.tobytes() == outer.compose(inner, order=order).coeffs.tobytes()

@@ -28,6 +28,13 @@ from quasimap.surface import (
 )
 
 
+class TestPointValidation:
+    @pytest.mark.parametrize("r, phi", [(1e-4, math.nan), (1.0, math.inf), (math.inf, 0.0), (math.nan, 0.0)])
+    def test_rejects_non_finite(self, r, phi):
+        with pytest.raises(ValueError, match="0 < r < inf and a finite argument"):
+            LPoint(r, phi)
+
+
 class TestLog:
     def test_unit_point(self):
         assert log_L(LPoint(1.0, phi_pi=0)) == 0
