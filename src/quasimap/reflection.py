@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,13 @@ import numpy as np
 from .errors import (
     GermTooSmall,
     ImageEscapesChart,
+    InversionFailure,
     NormalizationError,
     OutsideExtensionDomain,
 )
 from .exponents import Exponent
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
-from .surface import LPoint, QuadraticDomain, sector_index_point
+from .surface import LPoint, QuadraticDomain, sector_index_point, sheet_walk
 
 DEFAULT_ORDER = 40
 
@@ -109,8 +111,6 @@ def reflect_across(chart: AnalyticFunc, F, chart_radius: float | None = None):
     chart's invertibility disk; values escaping that disk raise
     :class:`ImageEscapesChart`.
     """
-    from .errors import InversionFailure
-
     radius = chart_radius or chart.radius
     rev = chart.series.reversion(order=chart.series.order)
 
@@ -218,18 +218,16 @@ class ReflectionTower:
         return self._unwind(z, k, use_exact)
 
     def _unwind(self, z: LPoint, k: int, use_exact: bool) -> complex:
-        if k == 0:
-            return self.germ.at(z)
-        from .surface import reflect_tau, in_Tp
-
-        if not in_Tp(k, z):
-            return self._unwind(z, k - 1, use_exact)
-        back = reflect_tau(k - 1, z)
-        w = self._unwind(back, k - 1, use_exact)
-        chi = self.levels[k - 1].chi
-        require_in_disk(w, self.levels[k - 1].r / 8.0, f"chi_{k - 1} argument")
-        val = chi(w) if (use_exact and chi.exact is not None) else chi.via_series(w)
-        return complex(val).conjugate()
+        """Phi_k(z): walk the argument down to T_0, evaluate the germ, apply each chi back up."""
+        reflected, n, rem = sheet_walk(z, k)
+        w = self.germ.at(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
+        for j in reversed(reflected):
+            lv = self.levels[j]
+            require_in_disk(w, lv.r / 8.0, f"chi_{j} argument")
+            chi = lv.chi
+            val = chi(w) if (use_exact and chi.exact is not None) else chi.via_series(w)
+            w = complex(val).conjugate()
+        return w
 
 
 def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float | None = None) -> ReflectionTower:
@@ -250,6 +248,14 @@ def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float 
     r0 = min(r_bar, 16.0 * E * germ.t_bar**alpha)
     if r0 <= 0:
         raise GermTooSmall("no admissible seed radius r0")
+    k_max = _max_tower_depth(r0, E, alpha)
+    if k_max < 0:
+        raise GermTooSmall(f"t_0 of this germ is not a positive normal double (r0 = {r0!r})")
+    if K > k_max:
+        raise ValueError(
+            f"K = {K} is too deep for this germ: its ladder r_K, t_K = t_0 128^(-K/alpha) leaves the "
+            f"positive normal doubles; the largest admissible K is {k_max}"
+        )
 
     levels = []
     phi_k = arc2
@@ -276,6 +282,21 @@ def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float 
             phi_k = AnalyticFunc(phi_next_series, exact=exact, label=f"phi_{k + 1}")
             r_k = r_next
     return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, order=order)
+
+
+def _max_tower_depth(r0: float, E: float, alpha: float) -> int:
+    """Largest K whose closed-form ladder stays in the positive normal doubles.
+
+    In logs: r_K = r0 32^(-K), x_K = r_K / (16 E_K) = x_0 128^(-K) and
+    t_K = x_K^(1/alpha) must all stay at or above the smallest normal double.
+    """
+    floor = math.log(sys.float_info.min)
+    log_x0 = math.log(r0 / (16.0 * E))
+    depth = min(
+        (math.log(r0) - floor) / math.log(32.0),
+        (log_x0 - min(1.0, alpha) * floor) / math.log(128.0),
+    )
+    return math.floor(depth)
 
 
 def _normalize_chart(arc: AnalyticFunc) -> AnalyticFunc:
@@ -327,8 +348,6 @@ def validate_koebe(tower: ReflectionTower, n_angles: int = 16, tol: float = 1e-9
     disk; the reflector chi_k obeys the same growth on its half disk.
     Returns the worst measured ratios; raises nothing, callers assert.
     """
-    import cmath
-
     worst_roundtrip = 0.0
     worst_growth = 0.0
     worst_chi_growth = 0.0
@@ -424,7 +443,17 @@ def certify_quadratic_domain(ext, safety: float = 1.0 - 1e-12, k_horizon: int = 
 
 
 def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_arg: float, r_frac=(0.05, 0.95)):
-    """Deterministic member sample of the quadratic domain up to |arg| <= cap."""
+    """Deterministic member sample of the quadratic domain up to |arg| <= cap.
+
+    Radii are fractions of c exp(-C sqrt|phi|); a cap at which the smallest
+    of them leaves the positive normal doubles raises ValueError.
+    """
+    arg_limit = quad.max_arg_at(sys.float_info.min / r_frac[0])
+    if max_abs_arg > arg_limit:
+        raise ValueError(
+            f"sampling to |arg| = {max_abs_arg:.6g} is too wide: radii c exp(-C sqrt|arg|) underflow; "
+            f"the largest admissible |arg| is {arg_limit:.6g}"
+        )
     rng = np.random.default_rng(seed)
     phis = rng.uniform(-max_abs_arg if quad.mirrored else 0.0, max_abs_arg, size=n)
     fracs = rng.uniform(r_frac[0], r_frac[1], size=n)

@@ -3,8 +3,10 @@
 Points are (r, phi) with r > 0 and unbounded real argument phi.  To keep
 sector membership and the dyadic reflections exact on the rays where they are
 decided, arguments are stored as an exact rational multiple of pi plus a float
-remainder: phi = phi_pi * pi + phi_rem.  The reflections and sector tests only
-ever touch the exact part.
+remainder: phi = phi_pi * pi + phi_rem.  The multiple is a Python int whenever
+it is integral (every float input and everything the reflections make of it)
+and a Fraction otherwise.  The reflections and sector tests only ever touch
+the exact part.
 
 Sectors follow the dyadic ladder: T_k = {0 <= phi <= 2^k pi}, and for k >= 1
 T'_k = {2^(k-1) pi <= phi <= 2^k pi}.  The reflection tau_k maps T'_(k+1) onto
@@ -20,7 +22,13 @@ from fractions import Fraction
 from .errors import OutOfSector, ProjectionError
 
 
-_ZERO = Fraction(0)
+def _cmp_pi(n, rem: float, q) -> int:
+    """Sign of (n pi + rem) - q pi for exact n, q; on the ray itself the remainder decides."""
+    d = n - q
+    if d == 0:
+        return (rem > 0) - (rem < 0)
+    approx = float(d) * math.pi + rem
+    return (approx > 0) - (approx < 0)
 
 
 class LPoint:
@@ -31,10 +39,13 @@ class LPoint:
     def __init__(self, r: float, phi=None, *, phi_pi=None, phi_rem=0.0):
         r = float(r)
         if phi_pi is None:
-            self.phi_pi = _ZERO
+            self.phi_pi = 0
             phi_rem = phi
+        elif type(phi_pi) is int:
+            self.phi_pi = phi_pi
         else:
-            self.phi_pi = Fraction(phi_pi)
+            q = Fraction(phi_pi)
+            self.phi_pi = int(q.numerator) if q.denominator == 1 else q
         phi_rem = float(phi_rem)
         if not (0 < r < math.inf and -math.inf < phi_rem < math.inf):
             raise ValueError(
@@ -42,10 +53,6 @@ class LPoint:
             )
         self.r = r
         self.phi_rem = phi_rem
-
-    @classmethod
-    def from_pi_multiple(cls, r: float, phi_pi) -> "LPoint":
-        return cls(r, phi_pi=Fraction(phi_pi))
 
     @property
     def phi(self) -> float:
@@ -73,17 +80,8 @@ class LPoint:
             and self.phi_rem == other.phi_rem
         )
 
-    # exact comparison of phi against q*pi, resolving ties by the remainder
-    def _phi_cmp_pi(self, q: Fraction) -> int:
-        d = self.phi_pi - q
-        if d == 0:
-            return (self.phi_rem > 0) - (self.phi_rem < 0)
-        approx = float(d) * math.pi + self.phi_rem
-        if approx > 0:
-            return 1
-        if approx < 0:
-            return -1
-        return 0
+    def _phi_cmp_pi(self, q) -> int:
+        return _cmp_pi(self.phi_pi, self.phi_rem, q)
 
 
 def log_L(z: LPoint) -> complex:
@@ -124,7 +122,7 @@ def embed(w: complex) -> LPoint:
 
 def project(z: LPoint) -> complex:
     """Back to the slit plane; errors when |phi| >= pi."""
-    if z._phi_cmp_pi(Fraction(1)) >= 0 or z._phi_cmp_pi(Fraction(-1)) <= 0:
+    if z._phi_cmp_pi(1) >= 0 or z._phi_cmp_pi(-1) <= 0:
         raise ProjectionError(f"|arg| >= pi: {z!r}")
     return cmath.rect(z.r, z.phi)
 
@@ -146,11 +144,8 @@ class Sector:
         self.k = int(k)
 
     def contains(self, z: LPoint) -> bool:
-        hi = Fraction(2**self.k)
-        if self.kind == "T":
-            return z._phi_cmp_pi(Fraction(0)) >= 0 and z._phi_cmp_pi(hi) <= 0
-        lo = Fraction(2 ** (self.k - 1))
-        return z._phi_cmp_pi(lo) >= 0 and z._phi_cmp_pi(hi) <= 0
+        lo = 0 if self.kind == "T" else 2 ** (self.k - 1)
+        return z._phi_cmp_pi(lo) >= 0 and z._phi_cmp_pi(2**self.k) <= 0
 
     def __repr__(self):
         tag = "T" if self.kind == "T" else "T'"
@@ -167,8 +162,9 @@ def in_Tp(k: int, z: LPoint) -> bool:
 
 def sector_index_point(z: LPoint, k_max: int = 64) -> int:
     """Exact sector index from the pi-multiple representation."""
+    n, rem = z.phi_pi, z.phi_rem
     k = 0
-    while k <= k_max and z._phi_cmp_pi(Fraction(2**k)) > 0:
+    while k <= k_max and _cmp_pi(n, rem, 2**k) > 0:
         k += 1
     return k
 
@@ -177,7 +173,25 @@ def reflect_tau(k: int, z: LPoint) -> LPoint:
     """tau_k: T'_(k+1) -> T_k, (r, phi) -> (r, -phi + 2^(k+1) pi)."""
     if not in_Tp(k + 1, z):
         raise OutOfSector(f"{z!r} is not in T'_{k + 1}")
-    return LPoint(z.r, phi_pi=Fraction(2 ** (k + 1)) - z.phi_pi, phi_rem=-z.phi_rem)
+    return LPoint(z.r, phi_pi=2 ** (k + 1) - z.phi_pi, phi_rem=-z.phi_rem)
+
+
+def sheet_walk(z: LPoint, k: int) -> tuple[list, object, float]:
+    """Walk phi = n pi + rem down the ladder from level k to level 0.
+
+    At each level j = k, ..., 1 a point in T'_j is reflected by tau_(j-1)
+    (n -> 2^j - n, rem -> -rem), as ``reflect_tau`` would.  Returns the
+    levels j - 1 of the reflections made, from the top down, and the final
+    (n, rem).
+    """
+    n, rem = z.phi_pi, z.phi_rem
+    reflected = []
+    for j in range(k, 0, -1):
+        top = 2**j
+        if _cmp_pi(n, rem, top >> 1) >= 0 and _cmp_pi(n, rem, top) <= 0:
+            reflected.append(j - 1)
+            n, rem = top - n, -rem
+    return reflected, n, rem
 
 
 def tau_log_identity(k: int, z: LPoint) -> tuple[complex, complex]:

@@ -140,6 +140,16 @@ class TestPlumbing:
         assert code == EXIT_BAD_INPUT
         assert "--precision must be >= 1" in capsys.readouterr().err
 
+    def test_depth_beyond_the_ladder_exits_4(self, tmp_path, capsys):
+        # t_K of the alpha = 1/2 ladder leaves the normal doubles after K = 72
+        assert main(["expand", "--alpha", "1/2", "--K", "80", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert "the largest admissible K is 72" in capsys.readouterr().err
+
+    def test_sample_radii_underflow_exits_4(self, tmp_path, capsys):
+        assert main(["continue", "--alpha", "1/2", "--K", "13", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "radii c exp(-C sqrt|arg|) underflow" in err and "the largest admissible |arg| is" in err
+
     def test_main_argv_roundtrip(self, tmp_path):
         out = tmp_path / "out"
         assert main(["continue", "--alpha", "1/2", "--K", "4", "--out", str(out)]) == EXIT_OK
