@@ -43,6 +43,7 @@ from .reflection import (
     Extension,
     MapGerm,
     ReflectionTower,
+    Reflector,
     build_chi,
     build_extension,
     build_tower,

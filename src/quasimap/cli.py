@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .errors import (
     InvalidAngles,
     NonConvergence,
     QuasimapError,
+    malformed,
 )
 from .corners import DomainSpec, singular_points
 from .expansion import (
@@ -39,7 +41,7 @@ from .expansion import (
     verify_asymptotic,
 )
 from .exponents import Exponent, parse_exponent, rationality_class
-from .reflection import build_extension, certify_quadratic_domain, sample_quadratic_domain
+from .reflection import build_extension, certify_quadratic_domain, max_sample_arg, sample_quadratic_domain
 from .scmap import model_corner_germ, solve_sc
 from .series import LogPowerSeries
 from .svg import svg_plot
@@ -71,6 +73,12 @@ class JobConfig:
             raise ValueError(f"--K must be >= 0, got {self.K}")
         if self.precision < 1:
             raise ValueError(f"--precision must be >= 1, got {self.precision}")
+        if self.shells < 1:
+            raise ValueError(f"--shells must be >= 1, got {self.shells}")
+        if self.R is not None and not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"--R must be finite and > 0, got {self.R}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"--tol must be finite and > 0, got {self.tol}")
 
     def hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
@@ -144,7 +152,30 @@ def run(config: JobConfig) -> int:
 def _load_json(path: str | None) -> dict:
     if path is None:
         raise ValueError("--input is required for this command")
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(), parse_constant=_finite_float, parse_float=_finite_float)
+
+
+def _finite_float(text: str) -> float:
+    """A JSON number, or NaN / Infinity, that must be a finite double."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"JSON input holds {text}, which is not a finite double")
+    return value
+
+
+def _polygon_input(data) -> tuple[list, list]:
+    """Vertices and exact angles/pi of an sc-solve input; ValueError names a malformed field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"polygon JSON must be an object, got {type(data).__name__}")
+    key = "polygon" if "polygon" in data else "vertices"
+    with malformed(key):
+        vertices = [complex(x, y) for x, y in data[key]]
+    angles = data.get("angles_over_pi")
+    if angles is None:
+        raise ValueError("polygon input needs angles_over_pi")
+    with malformed("angles_over_pi"):
+        angles = [Fraction(a) if not isinstance(a, list) else Fraction(a[0], a[1]) for a in angles]
+    return vertices, angles
 
 
 def _run_analyze(config: JobConfig) -> int:
@@ -172,18 +203,8 @@ def _run_analyze(config: JobConfig) -> int:
 
 
 def _run_sc_solve(config: JobConfig) -> int:
-    data = _load_json(config.input)
-    if "polygon" in data:
-        vertices = [complex(x, y) for x, y in data["polygon"]]
-        angles = data.get("angles_over_pi")
-        if angles is None:
-            raise ValueError("polygon input needs angles_over_pi")
-    else:
-        vertices = [complex(x, y) for x, y in data["vertices"]]
-        angles = data["angles_over_pi"]
-    from fractions import Fraction
-
-    poly = solve_sc(vertices, [Fraction(a) if not isinstance(a, list) else Fraction(a[0], a[1]) for a in angles])
+    vertices, angles = _polygon_input(_load_json(config.input))
+    poly = solve_sc(vertices, angles)
     report = {
         "status": "ok",
         "prevertices": list(map(float, poly.prevertices)),
@@ -219,7 +240,9 @@ def _model_setup(config: JobConfig):
 def _run_continue(config: JobConfig) -> int:
     alpha, germ, ext, cert = _model_setup(config)
     av = alpha.value()
-    pts = sample_quadratic_domain(cert.quad, 512, config.seed, max_abs_arg=(2**config.K - 1) * math.pi * 0.98)
+    # the built sheets, but no wider than the sample radii stay normal doubles
+    cap = min((2**config.K - 1) * math.pi * 0.98, max_sample_arg(cert.quad))
+    pts = sample_quadratic_domain(cert.quad, 512, config.seed, max_abs_arg=cap)
     samples = [["r", "arg", "abs_error_vs_closed_form"]]
     worst = 0.0
     for p in pts:

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CuspAngleZero, InversionFailure, RequiresTranslation
+from .errors import CuspAngleZero, InversionFailure, RequiresTranslation, malformed
 from .exponents import Exponent
 from .powerseries import AnalyticFunc, PowerSeries
 from .series import LogPowerSeries, LogPolynomial
@@ -56,17 +56,6 @@ class PuiseuxArc:
         self.rho = float(rho)
         self.label = label
 
-    @classmethod
-    def from_graph(cls, d: int, chi_coeffs, vertex: complex = 0j, rotation: complex = 1.0, rho: float = 1.0) -> "PuiseuxArc":
-        """Arc { rotation^(-1) (t^d + i chi(t)) } from a real Puiseux branch graph."""
-        n = max(d + 1, len(chi_coeffs))
-        cs = [0j] * n
-        cs[d] += 1.0
-        for j, c in enumerate(chi_coeffs):
-            cs[j] += 1j * complex(c)
-        inv = 1.0 / complex(rotation)
-        return cls([c * inv for c in cs], d=d, vertex=vertex, rho=rho)
-
     @property
     def multiplicity(self) -> int:
         for j, c in enumerate(self.coeffs):
@@ -82,20 +71,12 @@ class PuiseuxArc:
         """Direction in which the arc leaves the vertex."""
         return cmath.phase(self.leading)
 
-    def reduced(self) -> list[complex]:
-        """Coefficients of phi_hat with phi(t) = t^m phi_hat(t), phi_hat(0) != 0."""
-        m = self.multiplicity
-        return self.coeffs[m:]
-
     def eval(self, t):
         t = np.asarray(t, dtype=complex)
         acc = np.zeros_like(t)
         for c in self.coeffs[::-1]:
             acc = acc * t + c
         return acc + self.vertex
-
-    def series(self, radius: float | None = None) -> PowerSeries:
-        return PowerSeries.from_unscaled(self.coeffs, scale=1.0, radius=radius or self.rho)
 
     def reparametrized_power(self, p: int) -> "PuiseuxArc":
         """Same arc set, parametrized by t -> t^p."""
@@ -254,22 +235,28 @@ class DomainSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "DomainSpec":
+        """Domain from decoded JSON; a malformed section raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"domain JSON must be an object, got {type(data).__name__}")
         if "polygon" in data:
-            return cls.from_polygon(data["polygon"])
+            with malformed("polygon"):
+                return cls.from_polygon(data["polygon"])
         if "arcs" in data:
-            return cls._from_flat_arcs(data)
+            with malformed("arcs"):
+                return cls._from_flat_arcs(data)
         sites = []
-        for s in data["sites"]:
-            vertex = complex(s["vertex"][0], s["vertex"][1])
-            comps = []
-            for c in s["components"]:
-                arc1 = PuiseuxArc([complex(re, im) for re, im in c["arc1"]["coeffs"]], d=c["arc1"].get("d", 1), vertex=vertex)
-                arc2 = PuiseuxArc([complex(re, im) for re, im in c["arc2"]["coeffs"]], d=c["arc2"].get("d", 1), vertex=vertex)
-                ang = c.get("angle_over_pi")
-                if isinstance(ang, dict):
-                    ang = Exponent.from_json(ang)
-                comps.append(CornerSpec(arc1, arc2, vertex, ang))
-            sites.append(CornerSite(vertex, comps, at_infinity=s.get("at_infinity", False)))
+        with malformed("sites"):
+            for s in data["sites"]:
+                vertex = complex(s["vertex"][0], s["vertex"][1])
+                comps = []
+                for c in s["components"]:
+                    arc1 = PuiseuxArc([complex(re, im) for re, im in c["arc1"]["coeffs"]], d=c["arc1"].get("d", 1), vertex=vertex)
+                    arc2 = PuiseuxArc([complex(re, im) for re, im in c["arc2"]["coeffs"]], d=c["arc2"].get("d", 1), vertex=vertex)
+                    ang = c.get("angle_over_pi")
+                    if isinstance(ang, dict):
+                        ang = Exponent.from_json(ang)
+                    comps.append(CornerSpec(arc1, arc2, vertex, ang))
+                sites.append(CornerSite(vertex, comps, at_infinity=s.get("at_infinity", False)))
         return cls(bounded=data.get("bounded", True), sites=sites)
 
     @classmethod
@@ -527,22 +514,10 @@ class TransformChain:
 
     # series --------------------------------------------------------------------
 
-    def forward_series(self, g: LogPowerSeries, branch_arg: float | None = None) -> LogPowerSeries:
-        g1 = g.pow_rational(Fraction(1, self.m1), branch_arg=branch_arg)
-        outer = _integer_series(self.rev1)
-        g2 = outer.compose_power_substitute(g1).scale(-1.0)
-        g3 = g2.pow_rational(Fraction(1, self.m2), branch_arg=None if branch_arg is None else _stage2_arg(self, branch_arg))
-        return g3.scale(self.rho)
-
     def inverse_series(self, g3: LogPowerSeries) -> LogPowerSeries:
         h = g3.scale(1.0 / self.rho).power(self.m2).scale(-1.0)
         outer = _integer_series(self.phi1_root)
         return outer.compose_power_substitute(h).power(self.m1)
-
-
-def _stage2_arg(chain: TransformChain, branch_arg: float) -> float:
-    # leading value direction after steps 1-2: root then straighten then negate
-    return branch_arg / chain.m1 - chain.theta1 / chain.m1 + math.pi
 
 
 def _lifted_root(w: complex, lift: float, m: int) -> tuple[complex, float]:
@@ -555,7 +530,7 @@ def _lifted_root(w: complex, lift: float, m: int) -> tuple[complex, float]:
     return cmath.rect(mod, arg), arg
 
 
-def _integer_series(ps: PowerSeries, drop_below: float = 0.0) -> LogPowerSeries:
+def _integer_series(ps: PowerSeries) -> LogPowerSeries:
     terms = {}
     for n, a in enumerate(ps.unscaled()):
         if a != 0:

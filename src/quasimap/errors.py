@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class QuasimapError(Exception):
     """Base class for all package errors."""
@@ -91,3 +93,17 @@ class InvalidAngles(QuasimapError):
 
 class DegenerateTransform(QuasimapError):
     """Moebius transform has ad - bc = 0."""
+
+
+@contextmanager
+def malformed(field: str):
+    """Report a malformed input field as ValueError naming the field.
+
+    Wraps the type, shape and value errors that parsing decoded JSON raises
+    (a number where a list belongs, a pair of the wrong length, a zero
+    denominator, a string that is no number).
+    """
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {field!r}: {type(exc).__name__}: {exc}") from exc

@@ -29,6 +29,7 @@ eventually.  D and q are kept in log space; the recurrences are exact there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +157,14 @@ def fit_expansion(
     sampled radii (as are the matching tail terms) and are excluded rather
     than left to amplify rounding noise.
     """
+    # the lattice holds at least floor(R/alpha) exponents, j alpha for j = 1, 2, ...;
+    # checked before enumerating it, which takes that long (forever for R = inf)
+    n_samples = plan.n_shells * plan.points_per_shell
+    if not model.R / model.alpha.value() < n_samples + 1:
+        raise ValueError(
+            f"horizon R = {model.R:g} needs more than R/alpha = {model.R / model.alpha.value():.6g} lattice "
+            f"exponents; the sampling plan's {n_samples} samples cannot determine them"
+        )
     exps = model.lattice() + model.guard_band()
     basis = []
     for e in exps:
@@ -277,6 +286,12 @@ def verify_asymptotic(
     """
     if plan is None:
         plan = SamplingPlan(rho0=min(0.5 * domain.c, 0.1))
+    rho_min = plan.shells()[-1]
+    if rho_min ** float(R) < sys.float_info.min:
+        raise ValueError(
+            f"horizon R = {R:g} is too large for the sampling plan: rho^R underflows at its innermost shell "
+            f"rho = {rho_min:.3e}"
+        )
     sub = quad_intersect(domain, QuadraticDomain(min(domain.c, 2.0 * plan.rho0), domain.C, domain.mirrored))
     g_R = g.truncate(R)
     cert = AsymptoticCertificate(R=float(R), tol=tol, domain=sub)
@@ -307,10 +322,9 @@ def dichotomy_check(g: LogPowerSeries, angle_class: str, tol: float = 1e-8) -> d
     offenders = []
     worst = 0.0
     for e, q in g.terms.items():
-        for d, c in enumerate(q.coeffs):
-            if d >= 1 and abs(c) >= 0:
-                worst = max(worst, abs(c))
-            if d >= 1 and abs(c) >= tol:
+        for d, c in enumerate(q.coeffs[1:], start=1):
+            worst = max(worst, abs(c))
+            if abs(c) >= tol:
                 offenders.append((e, d, c))
     verdict = {
         "angle_class": angle_class,
@@ -354,11 +368,6 @@ class ErrorSchedule:
             if row["log_q"] != -(k**2) * self.M_log:
                 return False
         return True
-
-    def level_bound(self, k: int):
-        """(log D_k, log p_k): |eps_k| <= D_k |z|^T holds on T_k within p_k."""
-        row = self.levels[k]
-        return row["log_D"], row["log_p"]
 
 
 def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None = None, k_horizon: int = 200) -> ErrorSchedule:

@@ -35,13 +35,9 @@ def declare_generator(name: str, value) -> None:
     and mpmath values are kept at 50 digits for tie-breaking comparisons.
     """
     with mpmath.workdps(_MP_DPS):
-        mpval = mpmath.mpf(value) if not isinstance(value, str) else mpmath.mpf(value)
+        mpval = mpmath.mpf(value)
     _GENERATORS[name] = float(mpval)
     _GENERATOR_MP[name] = mpval
-
-
-def generator_value(name: str) -> float:
-    return _GENERATORS[name]
 
 
 def _builtin_generators():
@@ -214,18 +210,24 @@ class Exponent:
 
 
 def parse_exponent(text: str) -> Exponent:
-    """Parse '1/2', '3', 'sqrt2', 'golden', '2*sqrt2', '1/2+sqrt2'."""
+    """Parse '1/2', '3', 'sqrt2', 'golden', '2*sqrt2', '1/2+sqrt2'.
+
+    A zero denominator raises ValueError, as any other malformed text does.
+    """
     total = Exponent(0)
-    for raw in text.replace(" ", "").split("+"):
-        if not raw:
-            continue
-        if "*" in raw:
-            coeff, name = raw.split("*", 1)
-            total = total + Exponent.generator(name, Fraction(coeff))
-        elif raw in _GENERATORS:
-            total = total + Exponent.generator(raw)
-        else:
-            total = total + Exponent(Fraction(raw))
+    try:
+        for raw in text.replace(" ", "").split("+"):
+            if not raw:
+                continue
+            if "*" in raw:
+                coeff, name = raw.split("*", 1)
+                total = total + Exponent.generator(name, Fraction(coeff))
+            elif raw in _GENERATORS:
+                total = total + Exponent.generator(raw)
+            else:
+                total = total + Exponent(Fraction(raw))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in exponent {text!r}") from exc
     return total
 
 

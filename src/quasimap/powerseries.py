@@ -45,10 +45,6 @@ class PowerSeries:
         return cls(a * (float(scale) ** n), scale, radius)
 
     @classmethod
-    def identity(cls, scale: float = 1.0, radius: float = np.inf) -> "PowerSeries":
-        return cls([0.0, scale], scale, radius)
-
-    @classmethod
     def linear(cls, c1: complex, scale: float = 1.0, radius: float = np.inf) -> "PowerSeries":
         return cls([0.0, c1 * scale], scale, radius)
 
@@ -62,11 +58,6 @@ class PowerSeries:
         n = np.arange(len(self.coeffs))
         return self.coeffs / (self.scale**n)
 
-    def coefficient(self, n: int) -> complex:
-        if n > self.order:
-            return 0j
-        return complex(self.coeffs[n] / self.scale**n)
-
     def deriv0(self) -> complex:
         """f'(0)."""
         return complex(self.coeffs[1] / self.scale) if self.order >= 1 else 0j
@@ -75,9 +66,6 @@ class PowerSeries:
         ratio = float(new_scale) / self.scale
         n = np.arange(len(self.coeffs))
         return PowerSeries(self.coeffs * ratio**n, new_scale, self.radius)
-
-    def truncated(self, order: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs[: order + 1].copy(), self.scale, self.radius)
 
     def conjugated(self) -> "PowerSeries":
         """Series of z -> conj(f(conj z)): conjugate coefficients."""
@@ -118,17 +106,6 @@ class PowerSeries:
 
     def scaled_by(self, c: complex) -> "PowerSeries":
         return PowerSeries(self.coeffs * c, self.scale, self.radius)
-
-    def shift_constant(self, c: complex) -> "PowerSeries":
-        a = self.coeffs.copy()
-        a[0] += c
-        return PowerSeries(a, self.scale, self.radius)
-
-    def multiplied(self, other: "PowerSeries", order: int | None = None) -> "PowerSeries":
-        o = other.rescaled(self.scale) if other.scale != self.scale else other
-        order = self.order if order is None else order
-        full = np.convolve(self.coeffs, o.coeffs)[: order + 1]
-        return PowerSeries(full, self.scale, min(self.radius, o.radius))
 
     def compose(self, inner: "PowerSeries", order: int | None = None) -> "PowerSeries":
         """self(inner(z)); inner(0) must be 0.  Result lives on inner's scale."""
@@ -258,9 +235,6 @@ class AnalyticFunc:
     def __call__(self, z):
         if self.exact is not None:
             return self.exact(z)
-        return self.series(z)
-
-    def via_series(self, z):
         return self.series(z)
 
     def conjugated(self) -> "AnalyticFunc":

@@ -20,6 +20,12 @@ the Koebe quarter theorem and the growth theorem for normalized univalent
 functions; the Cauchy consequence |c_(k,l)| <= 4 (16/r_k)^(l-1) bounds the
 reflector coefficients.
 
+Each level is plain data: the chart series phi_k, its reversion and the series
+of chi_k.  Where both arcs have closed forms, chi_k is evaluated by one
+explicit descent instead of its series: unfolding the definitions gives
+chi_k = chi_(k-1) . arc1 . phi_k^(-1) for k >= 1 and
+chi_0 = conj . arc2 . conj . phi_0^(-1), one Newton solve per level.
+
 Negative arguments are reached by running the same construction on the
 mirrored germ  z -> conj(Phi(-conj z))  with the two arcs swapped and
 conjugated, gluing along (r, phi) -> (r, pi - phi).
@@ -146,7 +152,21 @@ def schwarz_reflect(f, chart: AnalyticFunc, chart_radius: float | None = None):
     return extended
 
 
-def build_chi(phi: AnalyticFunc, r: float, order: int = DEFAULT_ORDER) -> AnalyticFunc:
+@dataclass(frozen=True)
+class Reflector:
+    """chi = conj . phi . conj . phi^(-1) as plain data.
+
+    ``chart`` is phi on B(0, r), the target of the Newton solves for
+    phi^(-1); ``inverse`` is its reversion on B(0, r/4), their seed; and
+    ``series`` is chi itself on B(0, r/8).
+    """
+
+    chart: PowerSeries
+    inverse: PowerSeries
+    series: PowerSeries
+
+
+def build_chi(phi: AnalyticFunc, r: float, order: int = DEFAULT_ORDER) -> Reflector:
     """Reflector chi = conj . phi . conj . phi^(-1) on B(0, r/8).
 
     phi must be injective on B(0, r) with phi(0) = 0 and |phi'(0)| = 1; the
@@ -162,19 +182,7 @@ def build_chi(phi: AnalyticFunc, r: float, order: int = DEFAULT_ORDER) -> Analyt
     rev = ser.reversion(order=order, out_scale=r / 4.0)
     chi_series = ser.conjugated().compose(rev, order=order).rescaled(r / 8.0)
     chi_series.radius = r / 8.0
-
-    exact = None
-    if phi.exact is not None:
-        phi_exact = phi.exact
-
-        def exact(z: complex) -> complex:
-            z = complex(z)
-            if z == 0:
-                return 0j
-            pre = ser.newton_inverse(z, z0=rev(z))
-            return complex(phi_exact(complex(pre).conjugate())).conjugate()
-
-    return AnalyticFunc(chi_series, exact=None if phi.exact is None else exact, label="chi")
+    return Reflector(ser, rev, chi_series)
 
 
 @dataclass
@@ -184,50 +192,68 @@ class TowerLevel:
     E: float
     t: float
     s: float
-    phi: AnalyticFunc
-    chi: AnalyticFunc
+    chi: Reflector
 
 
 @dataclass
 class ReflectionTower:
-    """Positive-direction reflection ladder for one germ."""
+    """Positive-direction reflection ladder for one germ.
+
+    ``arc1`` and ``arc2`` are the germ's arcs normalized to unimodular
+    derivative; their closed forms, when present, drive :meth:`chi`.
+    """
 
     germ: MapGerm
     levels: list  # list[TowerLevel]
     r0: float
     alpha: float
     order: int
+    arc1: AnalyticFunc
+    arc2: AnalyticFunc
 
     @property
     def K(self) -> int:
         return len(self.levels) - 1
 
-    def level(self, k: int) -> TowerLevel:
-        return self.levels[k]
-
-    def t_of(self, k: int) -> float:
-        return self.levels[k].t if k <= self.K else 0.0
-
-    def evaluate(self, z: LPoint, use_exact: bool = True) -> complex:
+    def evaluate(self, z: LPoint) -> complex:
         """Unwind Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi))."""
         k = sector_index_point(z)
         if k > self.K:
             raise OutsideExtensionDomain(f"arg {z.phi:.3f} needs level {k} > built {self.K}")
         if z.r >= self.levels[k].t:
             raise OutsideExtensionDomain(f"|z| = {z.r:.3e} >= t_{k} = {self.levels[k].t:.3e}")
-        return self._unwind(z, k, use_exact)
+        return self._unwind(z, k)
 
-    def _unwind(self, z: LPoint, k: int, use_exact: bool) -> complex:
+    def _unwind(self, z: LPoint, k: int) -> complex:
         """Phi_k(z): walk the argument down to T_0, evaluate the germ, apply each chi back up."""
         reflected, n, rem = sheet_walk(z, k)
         w = self.germ.at(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
         for j in reversed(reflected):
-            lv = self.levels[j]
-            require_in_disk(w, lv.r / 8.0, f"chi_{j} argument")
-            chi = lv.chi
-            val = chi(w) if (use_exact and chi.exact is not None) else chi.via_series(w)
-            w = complex(val).conjugate()
+            require_in_disk(w, self.levels[j].r / 8.0, f"chi_{j} argument")
+            w = self.chi(j, w).conjugate()
         return w
+
+    def chi(self, j: int, w: complex) -> complex:
+        """chi_j(w) for w in B(0, r_j/8).
+
+        When both normalized arcs have a closed form, walk down the levels:
+        chi_i = chi_(i-1) . arc1 . phi_i^(-1) for i >= 1 and
+        chi_0 = conj . arc2 . conj . phi_0^(-1), each phi_i^(-1) one Newton
+        solve seeded by the stored inverse series; w = 0 is fixed by every
+        chi_i.  Otherwise chi_j's series, except that chi_0 keeps arc2's
+        closed form whenever arc2 has one.
+        """
+        arc1, arc2 = self.arc1.exact, self.arc2.exact
+        if arc2 is None or (j > 0 and arc1 is None):
+            return self.levels[j].chi.series(w)
+        for i in range(j, -1, -1):
+            if w == 0:
+                return 0j
+            ref = self.levels[i].chi
+            pre = ref.chart.newton_inverse(w, z0=ref.inverse(w))
+            if i == 0:
+                return complex(arc2(pre.conjugate())).conjugate()
+            w = complex(arc1(pre))
 
 
 def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float | None = None) -> ReflectionTower:
@@ -265,23 +291,16 @@ def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float 
         t_k = (r_k / (16.0 * E_k)) ** (1.0 / alpha)
         s_k = min(t_k, E_k ** (-2.0 / alpha))
         chi_k = build_chi(phi_k, r_k, order=order)
-        levels.append(TowerLevel(k, r_k, E_k, t_k, s_k, phi_k, chi_k))
+        levels.append(TowerLevel(k, r_k, E_k, t_k, s_k, chi_k))
         if k < K:
             r_next = r_k / 32.0
             phi_next_series = chi_k.series.conjugated().compose(
                 arc1.series.conjugated().rescaled(min(arc1.series.scale, r_next)), order=order
             )
             phi_next_series.radius = r_next
-            exact = None
-            if chi_k.exact is not None and arc1.exact is not None:
-                chi_ex, a1_ex = chi_k.exact, arc1.exact
-
-                def exact(z: complex, _c=chi_ex, _a=a1_ex) -> complex:
-                    return complex(_c(complex(_a(complex(z).conjugate())))).conjugate()
-
-            phi_k = AnalyticFunc(phi_next_series, exact=exact, label=f"phi_{k + 1}")
+            phi_k = AnalyticFunc(phi_next_series, label=f"phi_{k + 1}")
             r_k = r_next
-    return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, order=order)
+    return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, order=order, arc1=arc1, arc2=arc2)
 
 
 def _max_tower_depth(r0: float, E: float, alpha: float) -> int:
@@ -329,11 +348,11 @@ class Extension:
     def alpha(self) -> float:
         return self.positive.alpha
 
-    def evaluate(self, z: LPoint, use_exact: bool = True) -> complex:
+    def evaluate(self, z: LPoint) -> complex:
         if z._phi_cmp_pi(0) >= 0:
-            return self.positive.evaluate(z, use_exact)
+            return self.positive.evaluate(z)
         mirrored = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
-        return self.negative.evaluate(mirrored, use_exact).conjugate()
+        return self.negative.evaluate(mirrored).conjugate()
 
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:
@@ -352,11 +371,9 @@ def validate_koebe(tower: ReflectionTower, n_angles: int = 16, tol: float = 1e-9
     worst_growth = 0.0
     worst_chi_growth = 0.0
     for lv in tower.levels:
-        ser = lv.phi.series
-        d0 = abs(lv.phi.deriv0())
-        rev = ser.reversion(order=tower.order, out_scale=d0 * lv.r / 4.0)
+        ser, rev = lv.chi.chart, lv.chi.inverse
         for j in range(n_angles):
-            w = 0.9 * d0 * lv.r / 4.0 * cmath.exp(2j * math.pi * j / n_angles)
+            w = 0.9 * lv.r / 4.0 * cmath.exp(2j * math.pi * j / n_angles)
             pre = ser.newton_inverse(w, z0=rev(w))
             worst_roundtrip = max(worst_roundtrip, abs(ser(pre) - w) / max(abs(w), 1e-300))
             z = 0.5 * lv.r * cmath.exp(2j * math.pi * j / n_angles)
@@ -442,13 +459,19 @@ def certify_quadratic_domain(ext, safety: float = 1.0 - 1e-12, k_horizon: int = 
     return CertifiedExtension(ext, quad, K_growth, rate)
 
 
+def max_sample_arg(quad: QuadraticDomain, r_frac=(0.05, 0.95)) -> float:
+    """Largest |arg| at which the radii r_frac[0] c exp(-C sqrt|arg|) stay positive normal doubles."""
+    return quad.max_arg_at(sys.float_info.min / r_frac[0])
+
+
 def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_arg: float, r_frac=(0.05, 0.95)):
     """Deterministic member sample of the quadratic domain up to |arg| <= cap.
 
-    Radii are fractions of c exp(-C sqrt|phi|); a cap at which the smallest
-    of them leaves the positive normal doubles raises ValueError.
+    Radii are fractions of c exp(-C sqrt|phi|); a cap above
+    :func:`max_sample_arg`, where the smallest of them leaves the positive
+    normal doubles, raises ValueError.
     """
-    arg_limit = quad.max_arg_at(sys.float_info.min / r_frac[0])
+    arg_limit = max_sample_arg(quad, r_frac)
     if max_abs_arg > arg_limit:
         raise ValueError(
             f"sampling to |arg| = {max_abs_arg:.6g} is too wide: radii c exp(-C sqrt|arg|) underflow; "

@@ -148,11 +148,6 @@ def model_corner_germ(alpha) -> MapGerm:
     )
 
 
-def model_series(alpha, r_max=math.inf) -> LogPowerSeries:
-    """Exact one-term expansion of the sector model."""
-    return LogPowerSeries.monomial(1.0, Exponent.coerce(alpha) if not isinstance(alpha, Exponent) else alpha, r_max=r_max)
-
-
 # -- Schwarz-Christoffel -------------------------------------------------------------
 
 
@@ -170,37 +165,17 @@ class SCPolygon:
     def exponents(self) -> np.ndarray:
         return np.array([float(a) - 1.0 for a in self.angles])
 
-    def side_lengths(self) -> np.ndarray:
-        vs = np.asarray(self.vertices, dtype=complex)
-        return np.abs(np.roll(vs, -1) - vs)
 
-
-def _sc_integrand(t, prevertices, exponents):
-    t = np.atleast_1d(np.asarray(t, dtype=complex))
-    acc = np.ones_like(t)
-    for x, e in zip(prevertices, exponents):
-        if e != 0.0:
-            acc = acc * (t - x) ** e
-    return acc
-
-
-def _gauss_jacobi_segment(a: complex, b: complex, sing_at_a: float | None, prevertices, exponents, n: int):
-    """Integral over [a, b] with an optional endpoint singularity exponent at a.
+def _gauss_jacobi_segment(a: complex, b: complex, sing_at_a: float, prevertices, exponents, n: int):
+    """Integral over [a, b] with the endpoint singularity exponent ``sing_at_a`` at a.
 
     ``sing_at_a`` is the exponent e (> -1) of the factor (t - a)^e, which is
     pulled out of the integrand and absorbed by the Jacobi weight.
     """
-    if sing_at_a is None:
-        nodes, weights = roots_jacobi(n, 0.0, 0.0)
-    else:
-        nodes, weights = roots_jacobi(n, 0.0, sing_at_a)
+    nodes, weights = roots_jacobi(n, 0.0, sing_at_a)
     h = (b - a) / 2.0
-    t = a + h * (nodes + 1.0)
-    if sing_at_a is None:
-        vals = _sc_integrand(t, prevertices, exponents)
-        return h * np.dot(weights, vals)
+    t = (a + h * (nodes + 1.0)).astype(complex)
     # factor (t - a)^e = h^e (1+s)^e; the (1+s)^e part sits in the weight
-    t = t.astype(complex)
     vals = np.ones_like(t)
     for x, e in zip(prevertices, exponents):
         if x != a and e != 0.0:
@@ -235,12 +210,7 @@ def _side_integral_complex(prevertices, exponents, j: int) -> complex:
     return _adaptive(left) - _adaptive(right)
 
 
-def _side_integral_abs(prevertices, exponents, j: int) -> float:
-    """Side length up to |A|; the integrand phase is constant on each side."""
-    return abs(_side_integral_complex(prevertices, exponents, j))
-
-
-def _sc_integral_from(x_k: complex, sing_e: float | None, z: complex, prevertices, exponents) -> complex:
+def _sc_integral_from(x_k: complex, sing_e: float, z: complex, prevertices, exponents) -> complex:
     """Integral of the SC integrand from x_k straight to z (principal branches)."""
     if z == x_k:
         return 0j
@@ -267,6 +237,8 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
         raise InvalidAngles("angles must lie in (0, 2] (as multiples of pi)")
     if sum((1 - a) for a in als) != 2:
         raise InvalidAngles("angle sum rule sum(1 - alpha_k) = 2 violated")
+    if any(vs[j] == vs[j - 1] for j in range(n)):
+        raise InvalidAngles("consecutive vertices must be distinct")
     exponents = np.array([float(a) - 1.0 for a in als])
 
     if n == 3:
@@ -288,10 +260,10 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
 
         def residual_of(u: np.ndarray) -> np.ndarray:
             xs = prevertices_from(u)
-            base = _side_integral_abs(xs, exponents, 0)
+            base = abs(_side_integral_complex(xs, exponents, 0))
             res = np.empty(n - 3)
             for j in range(1, n - 2):
-                res[j - 1] = math.log(_side_integral_abs(xs, exponents, j) / base) - target[j - 1]
+                res[j - 1] = math.log(abs(_side_integral_complex(xs, exponents, j)) / base) - target[j - 1]
             return res
 
         u = np.zeros(n - 3)
@@ -321,7 +293,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
             else:
                 break
             it += 1
-        if norm > tol:
+        if not norm <= tol:  # a NaN residual fails too
             raise NonConvergence(norm)
         prev = prevertices_from(u)
         residual = float(norm)
@@ -339,7 +311,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
         w_hat = w_hat + A * _side_integral_complex(prev, exponents, j)
         worst = max(worst, abs(w_hat - vs[j + 1]))
     scale = max(abs(v) for v in vs)
-    if worst > 1e4 * tol * max(1.0, scale):
+    if not worst <= 1e4 * tol * max(1.0, scale):
         raise NonConvergence(worst, f"vertex placement error {worst:.3e}")
     poly.residual = max(poly.residual, worst)
     return poly
@@ -356,10 +328,6 @@ def sc_evaluate(poly: SCPolygon, z) -> complex:
     w_anchor = poly.vertices[k]
     val = _sc_integral_from(anchor, es[k], z, xs, es)
     return w_anchor + poly.A * val
-
-
-def sc_boundary_point(poly: SCPolygon, x: float) -> complex:
-    return sc_evaluate(poly, complex(x, 0.0))
 
 
 def sc_corner_germ(poly: SCPolygon, k: int, order: int = 24, t_frac: float = 0.5) -> MapGerm:
@@ -385,9 +353,6 @@ def sc_corner_germ(poly: SCPolygon, k: int, order: int = 24, t_frac: float = 0.5
         if j == k:
             continue
         base = complex(x_k - xs[j])
-        if xs[j] > x_k:
-            # principal branch approached from H: (negative real + u)^e
-            pass
         fac = np.zeros(order + 1, dtype=complex)
         fac[0] = base**es[j]
         # (base + u)^e = base^e * (1 + u/base)^e, binomial in u/base

@@ -94,19 +94,6 @@ class LogPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, offset: complex) -> "LogPolynomial":
-        """Return Q(l + offset) expanded in l."""
-        out = [0j] * max(1, len(self.coeffs))
-        for c in reversed(self.coeffs):  # Horner in (l + offset)
-            carry = [0j] * len(out)
-            for i, v in enumerate(out):
-                carry[i] += v * offset
-                if i + 1 < len(out):
-                    carry[i + 1] += v
-            out = carry
-            out[0] += c
-        return LogPolynomial(out)
-
     def conjugate(self) -> "LogPolynomial":
         return LogPolynomial([c.conjugate() for c in self.coeffs])
 

@@ -3,9 +3,17 @@
 import json
 import math
 
-from quasimap.cli import EXIT_BAD_INPUT, EXIT_CERTIFICATE, EXIT_OK, JobConfig, main, run
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quasimap.cli import EXIT_BAD_INPUT, EXIT_CERTIFICATE, EXIT_NONCONVERGENCE, EXIT_OK, JobConfig, main, run
 from quasimap.exponents import Exponent
+from quasimap.reflection import sample_quadratic_domain
 from quasimap.series import LogPowerSeries
+from quasimap.surface import QuadraticDomain
+
+SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
 
 
 def slit_disk_json() -> dict:
@@ -83,9 +91,9 @@ class TestVerifyCommand:
         calls = []
         evaluate = Extension.evaluate
 
-        def counted(self, z, use_exact=True):
+        def counted(self, z):
             calls.append(z)
-            return evaluate(self, z, use_exact)
+            return evaluate(self, z)
 
         monkeypatch.setattr(Extension, "evaluate", counted)
         out = tmp_path / "out"
@@ -145,9 +153,16 @@ class TestPlumbing:
         assert main(["expand", "--alpha", "1/2", "--K", "80", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         assert "the largest admissible K is 72" in capsys.readouterr().err
 
-    def test_sample_radii_underflow_exits_4(self, tmp_path, capsys):
-        assert main(["continue", "--alpha", "1/2", "--K", "13", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
-        err = capsys.readouterr().err
+    def test_continue_samples_within_the_sample_radii(self, tmp_path):
+        # at K = 13 the sheets reach past the |arg| where the sample radii underflow
+        out = tmp_path / "out"
+        assert main(["continue", "--alpha", "1/2", "--K", "13", "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["closed_form_check"]["max_abs_error"] < 1e-10
+        quad = QuadraticDomain(**report["tower"]["quad"])
+        with pytest.raises(ValueError) as info:
+            sample_quadratic_domain(quad, 8, 0, max_abs_arg=(2**13 - 1) * math.pi * 0.98)
+        err = str(info.value)
         assert "radii c exp(-C sqrt|arg|) underflow" in err and "the largest admissible |arg| is" in err
 
     def test_main_argv_roundtrip(self, tmp_path):
@@ -163,6 +178,92 @@ class TestPlumbing:
         assert run(cfg) == EXIT_OK
         for name, blob in first.items():
             assert (out / name).read_bytes() == blob
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["expand", "--alpha", "1/2", "--R", "inf"], "--R must be finite and > 0"),
+            (["expand", "--alpha", "1/2", "--R", "nan"], "--R must be finite and > 0"),
+            (["dichotomy", "--alpha", "sqrt2", "--R", "1e6"], "samples cannot determine them"),
+            (["verify", "--alpha", "1/2", "--R", "1e6"], "rho^R underflows"),
+            (["verify", "--alpha", "1/2", "--tol", "nan"], "--tol must be finite and > 0"),
+            (["verify", "--alpha", "1/2", "--tol", "-1"], "--tol must be finite and > 0"),
+            (["expand", "--alpha", "1/2", "--shells", "0"], "--shells must be >= 1"),
+            (["expand", "--alpha", "1/0"], "zero denominator in exponent '1/0'"),
+        ],
+    )
+    def test_bad_flag_exits_4(self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, data, message",
+        [
+            ("sc-solve", {"polygon": SQUARE, "angles_over_pi": ["1/2"] * 3 + [[1, 0]]}, "'angles_over_pi'"),
+            ("sc-solve", {"polygon": SQUARE, "angles_over_pi": ["1/2"] * 3 + [None]}, "'angles_over_pi'"),
+            ("sc-solve", {"polygon": [["a", 1]] + SQUARE[1:], "angles_over_pi": ["1/2"] * 4}, "'polygon'"),
+            ("sc-solve", [SQUARE], "polygon JSON must be an object"),
+            ("sc-solve", {"polygon": [[1, 1], [1, 1], [-1, -1], [1, -1]], "angles_over_pi": ["1/2"] * 4},
+             "consecutive vertices must be distinct"),
+            ("analyze", {"arcs": [{"vertex": [0, 0], "coeffs": 5}]}, "'arcs'"),
+            ("analyze", {"sites": [{"vertex": [0, 0], "components": [{"arc1": {"coeffs": 5}}]}]}, "'sites'"),
+            ("analyze", [{"polygon": SQUARE}], "domain JSON must be an object"),
+            ("analyze", {"polygon": [[math.nan, 1]] + SQUARE[1:]}, "holds NaN, which is not a finite double"),
+        ],
+    )
+    def test_malformed_json_exits_4(self, command, data, message, tmp_path, capsys):
+        inp = tmp_path / "input.json"
+        inp.write_text(json.dumps(data))
+        assert run(JobConfig(command=command, input=str(inp), out=str(tmp_path / "out"))) == EXIT_BAD_INPUT
+        assert message in capsys.readouterr().err
+
+
+# JSON-shaped inputs near the two schemas: real fields with fuzzed contents.
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/2", "3/2", "1/0", "sqrt2", "", "x"]),
+)
+_value = st.recursive(
+    _leaf, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_pair = st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3)), min_size=2, max_size=2)
+_points = st.one_of(st.lists(_pair, min_size=3, max_size=5), st.just(SQUARE), _value)
+_angle = st.one_of(st.sampled_from(["1/2", "3/2", "1/3", "2", "0", "-1"]), st.fractions(-2, 3).map(str),
+                   st.lists(st.integers(-3, 3), min_size=2, max_size=2), _leaf)
+_polygon = st.builds(
+    lambda key, vertices, angles: {key: vertices, "angles_over_pi": angles},
+    st.sampled_from(["polygon", "vertices"]),
+    _points,
+    st.one_of(st.lists(_angle, min_size=3, max_size=5), st.just(["1/2"] * 4), _value),
+)
+_arc = st.fixed_dictionaries(
+    {"coeffs": st.one_of(st.lists(_pair, min_size=1, max_size=3), _value)},
+    optional={"d": _value, "vertex": st.one_of(_pair, _value), "m": _value, "angle_over_pi": _angle},
+)
+_component = st.fixed_dictionaries({"arc1": _arc, "arc2": _arc}, optional={"angle_over_pi": _angle})
+_site = st.fixed_dictionaries({"vertex": st.one_of(_pair, _value), "components": st.lists(_component, max_size=2)})
+_domain = st.one_of(
+    st.fixed_dictionaries({"polygon": _points}),
+    st.fixed_dictionaries({"arcs": st.one_of(st.lists(_arc, max_size=4), _value)}),
+    st.fixed_dictionaries({"sites": st.lists(_site, max_size=2)}),
+    _value,
+)
+
+
+@settings(max_examples=150)
+@given(command=st.sampled_from(["analyze", "sc-solve"]), data=st.data())
+def test_fuzzed_json_ends_in_a_documented_exit_code(tmp_path_factory, command, data):
+    inp = tmp_path_factory.mktemp("fuzz") / "input.json"
+    inp.write_text(json.dumps(data.draw(_domain if command == "analyze" else _polygon)))
+    code = run(JobConfig(command=command, input=str(inp), out=str(inp.parent / "out")))
+    assert code in (EXIT_OK, EXIT_CERTIFICATE, EXIT_NONCONVERGENCE, EXIT_BAD_INPUT)
 
 
 class TestNonConvergenceExit:

@@ -83,7 +83,7 @@ class TestAnalyticFunc:
         ser = PowerSeries.from_unscaled([0, 1])
         f = AnalyticFunc(ser, exact=lambda z: 2 * np.asarray(z, dtype=complex))
         assert f(1.0) == 2.0
-        assert f.via_series(1.0) == 1.0
+        assert f.series(1.0) == 1.0
 
     def test_from_callable_fft(self):
         f = AnalyticFunc.from_callable(lambda z: z / (1 - z), radius=0.9, order=20)

@@ -165,7 +165,7 @@ class TestSectorTower:
             phi = rng.uniform(0, 2 ** (k - 1) * math.pi)
             r = rng.uniform(0.05, 0.5) * tw.levels[k].t
             z = LPoint(r, phi)
-            assert abs(tw._unwind(z, k, True) - tw._unwind(z, k - 1, True)) < 1e-12
+            assert abs(tw._unwind(z, k) - tw._unwind(z, k - 1)) < 1e-12
 
     def test_fixed_ray_well_defined(self, sqrt2_ext):
         # on the ray phi = 2^k pi the reflector fixes the values: conj(chi_k(w)) = w
@@ -185,9 +185,12 @@ class TestSectorTower:
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_series_path_matches_exact_path(self, sqrt2_ext, rng):
-        cert = certify_quadratic_domain(sqrt2_ext)
-        for p in sample_quadratic_domain(cert.quad, 60, 11, max_abs_arg=40 * math.pi):
-            assert abs(sqrt2_ext.evaluate(p, use_exact=False) - sqrt2_ext.evaluate(p, use_exact=True)) < 1e-12
+        # each level's chi series agrees with the closed-form descent on B(0, r_j/8)
+        for tw in (sqrt2_ext.positive, sqrt2_ext.negative):
+            for j, lv in enumerate(tw.levels):
+                for _ in range(8):
+                    w = cmath.rect(rng.uniform(0.05, 0.95) * lv.r / 8.0, rng.uniform(-math.pi, math.pi))
+                    assert abs(lv.chi.series(w) - tw.chi(j, w)) <= 1e-12 * abs(w)
 
     def test_outside_domain_raises(self, sqrt2_ext):
         with pytest.raises(OutsideExtensionDomain):

@@ -6,11 +6,12 @@ outside; a renamed or inlined name would silently read 0 in its metric.
 
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from quasimap import expansion, reflection
 from quasimap.exponents import parse_exponent
-from quasimap.scmap import model_corner_germ
+from quasimap.scmap import model_corner_germ, solve_sc
 from quasimap.series import zpow
 from quasimap.surface import LPoint, QuadraticDomain
 
@@ -33,9 +34,11 @@ def test_tracer_counts_every_layer(monkeypatch):
         model = expansion.ExpansionModel(alpha, R=2.0 * alpha.value())
         plan = expansion.SamplingPlan(rho0=0.2, n_shells=4, points_per_shell=12)
         expansion.fit_expansion(lambda p: zpow(p.log(), 0.5), model, plan, domain=QuadraticDomain(0.5, 0.5))
+        solve_sc([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], [Fraction(1, 2)] * 4)
     finally:
         tracer.uninstall()
     counts = tracer.counts
-    for key in ("reflection.levels", "surface.sector_calls", "surface.lpoints", "powerseries.newton_calls",
-                "expansion.samples"):
+    for key in ("reflection.levels", "reflection.evaluate_calls", "surface.sector_calls", "surface.lpoints",
+                "powerseries.newton_calls", "powerseries.reversion_calls", "expansion.samples", "scmap.quad_rules",
+                "scmap.quad_nodes"):
         assert counts[key] > 0, key
