@@ -42,7 +42,7 @@ from .series import LogPowerSeries, LogPolynomial
 class PuiseuxArc:
     """Arc germ phi(t) = sum c_j t^j at a vertex, with exact m and d."""
 
-    def __init__(self, coeffs, d: int = 1, vertex: complex = 0j, rho: float = 1.0, label: str = ""):
+    def __init__(self, coeffs, d: int = 1, vertex: complex = 0j, rho: float = 1.0):
         cs = [complex(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -54,7 +54,6 @@ class PuiseuxArc:
         self.d = int(d)
         self.vertex = complex(vertex)
         self.rho = float(rho)
-        self.label = label
 
     @property
     def multiplicity(self) -> int:
@@ -83,10 +82,10 @@ class PuiseuxArc:
         cs = [0j] * ((len(self.coeffs) - 1) * p + 1)
         for j, c in enumerate(self.coeffs):
             cs[j * p] = c
-        return PuiseuxArc(cs, d=self.d, vertex=self.vertex, rho=self.rho ** (1.0 / p), label=self.label)
+        return PuiseuxArc(cs, d=self.d, vertex=self.vertex, rho=self.rho ** (1.0 / p))
 
-    def same_germ(self, other: "PuiseuxArc", tol: float = 1e-12) -> bool:
-        """Same arc set with the same jet after leading-coefficient normalization."""
+    def same_germ(self, other: "PuiseuxArc") -> bool:
+        """Same arc set with the same jet, to 1e-12, after leading-coefficient normalization."""
         if self.d != other.d or self.multiplicity != other.multiplicity:
             return False
         a, b = np.array(self.coeffs), np.array(other.coeffs)
@@ -97,7 +96,7 @@ class PuiseuxArc:
         n = max(len(a), len(b))
         a = np.pad(a, (0, n - len(a)))
         b = np.pad(b, (0, n - len(b)))
-        return bool(np.max(np.abs(a - b)) <= tol * max(1.0, np.max(np.abs(b))))
+        return bool(np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b))))
 
     def __repr__(self):
         return f"PuiseuxArc(m={self.multiplicity}, d={self.d}, coeffs={self.coeffs!r})"
@@ -297,9 +296,9 @@ class DomainSpec:
         return cls(bounded=data.get("bounded", True), sites=sites)
 
 
-def _snap_rational_angle(gap: float, max_den: int = 720):
-    """Snap a measured angle/pi to a nearby small rational, else keep the float."""
-    fr = Fraction(gap).limit_denominator(max_den)
+def _snap_rational_angle(gap: float):
+    """Snap a measured angle/pi to a rational with denominator <= 720 within 1e-12, else keep the float."""
+    fr = Fraction(gap).limit_denominator(720)
     if abs(float(fr) - gap) < 1e-12:
         return Exponent(fr)
     return gap
@@ -327,12 +326,14 @@ def singular_points(domain: DomainSpec):
     return out
 
 
-def _arcs_glue_analytically(arc1: PuiseuxArc, arc2: PuiseuxArc, order: int = 8, tol: float = 1e-9) -> bool:
+def _arcs_glue_analytically(arc1: PuiseuxArc, arc2: PuiseuxArc) -> bool:
     """Do the two regular arcs form one analytic curve through the vertex?
 
     Rotate arc1's tangent onto the positive real axis; each arc becomes a graph
-    y = h(x) on its side of 0.  The curve is analytic iff the h-jets agree.
+    y = h(x) on its side of 0.  The curve is analytic iff the h-jets agree, to
+    order 8 and within 1e-9.
     """
+    order = 8
     if arc1.multiplicity != 1 or arc2.multiplicity != 1:
         return False
     rot = cmath.exp(-1j * arc1.tangent_arg())
@@ -350,24 +351,27 @@ def _arcs_glue_analytically(arc1: PuiseuxArc, arc2: PuiseuxArc, order: int = 8, 
         h = y.compose(t_of_x, order=order)
         jets.append(h.unscaled())
     scale = max(1.0, float(np.max(np.abs(jets[0]))), float(np.max(np.abs(jets[1]))))
-    return bool(np.max(np.abs(jets[0] - jets[1])) <= tol * scale)
+    return bool(np.max(np.abs(jets[0] - jets[1])) <= 1e-9 * scale)
 
 
 # -- inversion at infinity ----------------------------------------------------------
+
+# series order of every arc germ that z -> 1/z re-expands
+_INVERSION_ORDER = 12
 
 
 class ArcToInfinity:
     """Arc escaping to infinity: phi(t) = t^(-p) * (c_0 + c_1 t + ...), t -> 0+."""
 
-    def __init__(self, pole_order: int, coeffs, label: str = ""):
+    def __init__(self, pole_order: int, coeffs):
         self.pole_order = int(pole_order)
         self.coeffs = [complex(c) for c in coeffs]
         if self.pole_order < 1 or self.coeffs[0] == 0:
             raise ValueError("need a genuine pole: p >= 1 and c_0 != 0")
-        self.label = label
 
-    def inverted(self, order: int = 12) -> PuiseuxArc:
+    def inverted(self) -> PuiseuxArc:
         """Re-expansion of 1/phi as a Puiseux arc at 0."""
+        order = _INVERSION_ORDER
         denom = np.zeros(order + 1, dtype=complex)
         cs = np.array(self.coeffs[: order + 1], dtype=complex)
         denom[: len(cs)] = cs
@@ -385,11 +389,12 @@ def _series_reciprocal(c: np.ndarray, order: int) -> np.ndarray:
     return inv
 
 
-def _invert_finite_arc(arc: PuiseuxArc, order: int = 12) -> PuiseuxArc:
+def _invert_finite_arc(arc: PuiseuxArc) -> PuiseuxArc:
     """Arc germ of 1/Omega at 1/v from the germ phi(t) = v + ... at v != 0.
 
     1/(v + psi(t)) - 1/v = -psi(t) / (v (v + psi(t))), a series division.
     """
+    order = _INVERSION_ORDER
     v = arc.vertex
     if v == 0:
         raise RequiresTranslation("vertex at 0 cannot be inverted; translate first")
@@ -403,7 +408,7 @@ def _invert_finite_arc(arc: PuiseuxArc, order: int = 12) -> PuiseuxArc:
     return PuiseuxArc(new, d=arc.d, vertex=1.0 / v)
 
 
-def invert_at_infinity(domain: DomainSpec, infinity_arcs, min_boundary_distance: float | None = None, order: int = 12) -> DomainSpec:
+def invert_at_infinity(domain: DomainSpec, infinity_arcs, min_boundary_distance: float | None = None) -> DomainSpec:
     """Boundary model of 1/Omega: the germ at 0 realizes the angle at infinity.
 
     ``infinity_arcs`` lists (arc_out, arc_in) pairs of :class:`ArcToInfinity`
@@ -427,8 +432,8 @@ def invert_at_infinity(domain: DomainSpec, infinity_arcs, min_boundary_distance:
             continue
         mapped = []
         for c in site.components:
-            a1 = _invert_finite_arc(c.arc1, order)
-            a2 = _invert_finite_arc(c.arc2, order)
+            a1 = _invert_finite_arc(c.arc1)
+            a2 = _invert_finite_arc(c.arc2)
             mapped.append(CornerSpec(a1, a2, a1.vertex, c.interior_angle))
         sites.append(CornerSite(1.0 / site.vertex, mapped))
     return DomainSpec(bounded=True, sites=sites)
@@ -571,8 +576,8 @@ def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorne
     chain = TransformChain(m1, m2, phi1_root, rev1, rho, theta1, angle)
     final_angle = chain.final_angle
     theta2_final = math.pi + _angle_value(final_angle) * math.pi
-    arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius), exact=lambda z: -np.asarray(z, dtype=complex), label="neg-real-axis")
-    arc2_norm = AnalyticFunc(arc2_series, label="straightened-arc2")
+    arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius), exact=lambda z: -np.asarray(z, dtype=complex))
+    arc2_norm = AnalyticFunc(arc2_series)
     normalized = AnalyticCorner(arc1_norm, arc2_norm, final_angle, math.pi, theta2_final)
     return normalized, chain
 
@@ -617,7 +622,7 @@ def _series_root(ps: PowerSeries, m: int, theta_lift: float, order: int) -> Powe
     return PowerSeries.from_unscaled(full, scale=1.0, radius=ps.radius)
 
 
-def _check_reversion_converges(rev: PowerSeries, safety: float = 1e6) -> None:
+def _check_reversion_converges(rev: PowerSeries) -> None:
     cs = np.abs(rev.coeffs)
-    if len(cs) > 8 and np.max(cs[-4:]) > safety * max(1.0, np.max(cs[:4])):
+    if len(cs) > 8 and np.max(cs[-4:]) > 1e6 * max(1.0, np.max(cs[:4])):
         raise InversionFailure("inverse chart series diverges at working precision")

@@ -93,7 +93,6 @@ class SamplingPlan:
     n_shells: int = 12
     points_per_shell: int = 64
     arg_cap: float | None = None
-    arg_safety: float = 0.95
     one_sided: bool = False
 
     def shells(self) -> np.ndarray:
@@ -101,10 +100,10 @@ class SamplingPlan:
 
     def points(self, domain: QuadraticDomain | None):
         """Yield (rho_j, [LPoint...]) per shell, swept across the widest
-        admissible sector."""
+        admissible sector, or 95% of it inside a quadratic domain."""
         for rho in self.shells():
             if domain is not None:
-                cap = domain.max_arg_at(rho) * self.arg_safety
+                cap = domain.max_arg_at(rho) * 0.95
                 lo = -cap if (domain.mirrored and not self.one_sided) else 0.0
             else:
                 cap = self.arg_cap if self.arg_cap is not None else math.pi
@@ -143,19 +142,17 @@ def fit_expansion(
     model: ExpansionModel,
     plan: SamplingPlan,
     domain: QuadraticDomain | None = None,
-    cond_guard: float = 1e12,
-    visibility_floor: float = 1e-13,
 ) -> FitResult:
     """Least-squares fit of the expansion coefficients on shrinking shells.
 
     ``f`` maps :class:`LPoint` to complex.  The basis is the model lattice up
     to R plus a guard band past R (absorbing the first tail terms); only the
     terms up to R are reported.  Rows are weighted by |z|^(-nu) with nu the
-    smallest basis exponent, columns are normalized, and the condition number
-    of the scaled system is guarded.  Columns whose weighted norm falls below
-    ``visibility_floor`` times the largest are numerically invisible at the
-    sampled radii (as are the matching tail terms) and are excluded rather
-    than left to amplify rounding noise.
+    smallest basis exponent, columns are normalized, and a condition number
+    of the scaled system above 1e12 raises :class:`IllConditioned`.  Columns
+    whose weighted norm falls below 1e-13 times the largest are numerically
+    invisible at the sampled radii (as are the matching tail terms) and are
+    excluded rather than left to amplify rounding noise.
     """
     # the lattice holds at least floor(R/alpha) exponents, j alpha for j = 1, 2, ...;
     # checked before enumerating it, which takes that long (forever for R = inf)
@@ -187,14 +184,14 @@ def fit_expansion(
     A = A * weights[:, None]
     rhs = b * weights
     col = np.linalg.norm(A, axis=0)
-    keep = col > visibility_floor * np.max(col)
+    keep = col > 1e-13 * np.max(col)
     basis = [bd for bd, k in zip(basis, keep) if k]
     A = A[:, keep]
     col = col[keep]
     col[col == 0] = 1.0
     As = A / col
     cond = np.linalg.cond(As)
-    if cond > cond_guard:
+    if cond > 1e12:
         raise IllConditioned(cond)
     sol, res, *_ = np.linalg.lstsq(As, rhs, rcond=None)
     coeffs = sol / col
@@ -240,7 +237,6 @@ class AsymptoticCertificate:
     domain: QuadraticDomain
     shells: list = field(default_factory=list)
     passed: bool = False
-    monotone_window: int = 4
 
     @property
     def ratios(self) -> list[float]:
@@ -279,7 +275,7 @@ def verify_asymptotic(
     """Certify f(z) - sum_(alpha <= R) = o(|z|^R) on a quadratic subdomain.
 
     PASS requires the last-shell ratio below ``tol`` and the ratios either
-    monotonically decreasing over the final window or all below ``tol`` there
+    monotonically decreasing over the last four shells or all below ``tol`` there
     (the latter covers exact remainders sitting at the rounding floor).
     Failure raises :class:`FailedCertificate` carrying the witness unless
     ``strict=False``.
@@ -307,8 +303,7 @@ def verify_asymptotic(
     if not cert.shells:
         raise ValueError("sampling plan produced no shells inside the domain")
     ratios = cert.ratios
-    w = min(cert.monotone_window, len(ratios))
-    tail = ratios[-w:]
+    tail = ratios[-4:]
     monotone = all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
     floor = max(tail) < tol
     cert.passed = bool(ratios[-1] < tol) and bool(monotone or floor)
@@ -370,7 +365,7 @@ class ErrorSchedule:
         return True
 
 
-def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None = None, k_horizon: int = 200) -> ErrorSchedule:
+def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None = None) -> ErrorSchedule:
     """Concrete remainder ladder for a built tower at horizon R.
 
     ``series`` (the candidate expansion) sharpens the gap constant S_R; absent
@@ -433,11 +428,12 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
         row["log_q_bar"] = -(row["k"] ** 2) * M_log / (T - T_bar)
 
     # final quadratic domain: c_R e^(-C_R sqrt(phi)) <= q_bar_(k(phi)) for all
-    # phi, assembled in log space since q_bar underflows doubles quickly
+    # phi (levels up to 200), assembled in log space since q_bar underflows
+    # doubles quickly
     log_c_R = min(math.log(tower.levels[0].s), -M_log / (T - T_bar))
     C_R = 1e-9
     M_bar_log = 0.0
-    for k in range(1, k_horizon + 1):
+    for k in range(1, 201):
         log_q_bar_k = -(k**2) * M_log / (T - T_bar)
         phi_lo = (2 ** (k - 1)) * math.pi
         C_R = max(C_R, (log_c_R - log_q_bar_k) / math.sqrt(phi_lo))

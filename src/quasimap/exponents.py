@@ -23,7 +23,7 @@ from .errors import AmbiguousExponentOrder, UnknownClass
 
 _MP_DPS = 50
 
-# name -> (float value, lazy mpmath value factory)
+# name -> float value, and name -> 50-digit value
 _GENERATORS: dict[str, float] = {}
 _GENERATOR_MP: dict[str, "mpmath.mpf"] = {}
 
@@ -33,9 +33,17 @@ def declare_generator(name: str, value) -> None:
 
     ``value`` may be a float, an mpmath number, or a decimal string.  Strings
     and mpmath values are kept at 50 digits for tie-breaking comparisons.
+    Declaring a name again with the same 50-digit value changes nothing; a
+    different value raises ValueError, since exponents already built on the
+    name would change meaning.
     """
     with mpmath.workdps(_MP_DPS):
         mpval = mpmath.mpf(value)
+        if name in _GENERATOR_MP:
+            old, new = mpmath.nstr(_GENERATOR_MP[name], _MP_DPS), mpmath.nstr(mpval, _MP_DPS)
+            if new != old:
+                raise ValueError(f"irrational generator {name!r} is already declared as {old}, not {new}")
+            return
     _GENERATORS[name] = float(mpval)
     _GENERATOR_MP[name] = mpval
 

@@ -165,13 +165,13 @@ class PowerSeries:
             p = np.convolve(p, h)[: len(h)]
         return PowerSeries(g * self.scale, out_abs, out_abs)
 
-    def newton_inverse(self, w: complex, z0: complex | None = None, tol: float = 1e-14, maxiter: int = 60) -> complex:
-        """Solve f(z) = w near 0 by damped Newton, seeded by the reversion if needed."""
+    def newton_inverse(self, w: complex, z0: complex | None = None, maxiter: int = 60) -> complex:
+        """Solve f(z) = w near 0 by damped Newton to 1e-14 relative, seeded by w / f'(0) if no z0."""
         if z0 is None:
             z0 = w / self.deriv0()
         z = complex(z0)
         fz = self(z) - w
-        target = tol * max(abs(w), abs(self.coeffs[1]))
+        target = 1e-14 * max(abs(w), abs(self.coeffs[1]))
         for _ in range(maxiter):
             if abs(fz) <= target:
                 return z
@@ -204,18 +204,17 @@ class PowerSeries:
 class AnalyticFunc:
     """Analytic function data: certified series plus optional exact evaluator."""
 
-    __slots__ = ("series", "exact", "label")
+    __slots__ = ("series", "exact")
 
-    def __init__(self, series: PowerSeries, exact=None, label: str = ""):
+    def __init__(self, series: PowerSeries, exact=None):
         self.series = series
         self.exact = exact
-        self.label = label
 
     @classmethod
-    def from_callable(cls, fn, radius: float, order: int = 40, scale: float | None = None, label: str = "") -> "AnalyticFunc":
-        """Sample Taylor coefficients of ``fn`` on a circle by FFT."""
+    def from_callable(cls, fn, radius: float, order: int = 40) -> "AnalyticFunc":
+        """Sample Taylor coefficients of ``fn`` on the circle of radius/2 by FFT."""
         m = max(4 * (order + 1), 256)
-        rho = (scale or radius) * 0.5
+        rho = radius * 0.5
         theta = 2 * np.pi * np.arange(m) / m
         vals = fn(rho * np.exp(1j * theta))
         coeffs = np.fft.fft(vals) / m
@@ -223,7 +222,7 @@ class AnalyticFunc:
         # snap sampling noise to structural zeros (e.g. fn(0) = 0 exactly)
         floor = 1e-14 * np.max(np.abs(coeffs))
         coeffs[np.abs(coeffs) < floor] = 0.0
-        return cls(PowerSeries(coeffs, rho, radius), exact=fn, label=label)
+        return cls(PowerSeries(coeffs, rho, radius), exact=fn)
 
     @property
     def radius(self) -> float:
@@ -242,7 +241,7 @@ class AnalyticFunc:
         if self.exact is not None:
             inner = self.exact
             ex = lambda z: np.conj(inner(np.conj(z)))
-        return AnalyticFunc(self.series.conjugated(), ex, label=self.label + "~")
+        return AnalyticFunc(self.series.conjugated(), ex)
 
 
 def require_in_disk(value: complex, radius: float, what: str) -> None:

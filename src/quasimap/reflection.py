@@ -110,14 +110,13 @@ class MapGerm:
         )
 
 
-def reflect_across(chart: AnalyticFunc, F, chart_radius: float | None = None):
+def reflect_across(chart: AnalyticFunc, F):
     """The reflection operator  F  ->  chart o conj o chart^(-1) o F o conj.
 
     Applied twice it is the identity wherever the compositions stay inside the
     chart's invertibility disk; values escaping that disk raise
     :class:`ImageEscapesChart`.
     """
-    radius = chart_radius or chart.radius
     rev = chart.series.reversion(order=chart.series.order)
 
     def reflected(z: complex) -> complex:
@@ -128,20 +127,20 @@ def reflect_across(chart: AnalyticFunc, F, chart_radius: float | None = None):
             pre = chart.series.newton_inverse(w, z0=seed)
         except InversionFailure as exc:
             raise ImageEscapesChart(f"no chart preimage for |w| = {abs(w):.3e}") from exc
-        require_in_disk(pre, radius, "chart preimage")
+        require_in_disk(pre, chart.radius, "chart preimage")
         return complex(chart(pre.conjugate()))
 
     return reflected
 
 
-def schwarz_reflect(f, chart: AnalyticFunc, chart_radius: float | None = None):
+def schwarz_reflect(f, chart: AnalyticFunc):
     """Holomorphic extension of f below the axis across the arc chart([0,1)).
 
     Returns the piecewise map equal to f for Im z >= 0 and to the reflected
     values chart(conj(chart^(-1)(f(conj z)))) for Im z < 0; f must send [0, r)
     into the arc for the two halves to glue.
     """
-    lower = reflect_across(chart, f, chart_radius)
+    lower = reflect_across(chart, f)
 
     def extended(z: complex) -> complex:
         z = complex(z)
@@ -256,22 +255,20 @@ class ReflectionTower:
             w = complex(arc1(pre))
 
 
-def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float | None = None) -> ReflectionTower:
+def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> ReflectionTower:
     """Build the reflection ladder to depth K for a boundary-matched germ.
 
     The arcs are renormalized to unimodular derivative in-place (chart z ->
-    phi(z / |phi'(0)|)); r0 is the largest admissible seed radius: at most
-    r_bar (<= 1) and small enough that t_0 = (r0/(16E))^(1/alpha) <= t_bar.
+    phi(z / |phi'(0)|)); r0 is the largest admissible seed radius: at most 1
+    and both arc radii, and small enough that t_0 = (r0/(16E))^(1/alpha) <= t_bar.
     """
     alpha = germ.alpha_value
     E = germ.growth
     arc1 = _normalize_chart(germ.arc1)
     arc2 = _normalize_chart(germ.arc2)
-    if r_bar is None:
-        r_bar = min(1.0, arc1.radius, arc2.radius)
     if not (germ.t_bar > 0):
         raise GermTooSmall("germ has empty radius of validity")
-    r0 = min(r_bar, 16.0 * E * germ.t_bar**alpha)
+    r0 = min(1.0, arc1.radius, arc2.radius, 16.0 * E * germ.t_bar**alpha)
     if r0 <= 0:
         raise GermTooSmall("no admissible seed radius r0")
     k_max = _max_tower_depth(r0, E, alpha)
@@ -298,7 +295,7 @@ def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER, r_bar: float 
                 arc1.series.conjugated().rescaled(min(arc1.series.scale, r_next)), order=order
             )
             phi_next_series.radius = r_next
-            phi_k = AnalyticFunc(phi_next_series, label=f"phi_{k + 1}")
+            phi_k = AnalyticFunc(phi_next_series)
             r_k = r_next
     return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, order=order, arc1=arc1, arc2=arc2)
 
@@ -331,7 +328,7 @@ def _normalize_chart(arc: AnalyticFunc) -> AnalyticFunc:
     if arc.exact is not None:
         inner = arc.exact
         exact = lambda z: inner(np.asarray(z, dtype=complex) / lam)
-    return AnalyticFunc(scaled, exact=exact, label=arc.label + "-norm")
+    return AnalyticFunc(scaled, exact=exact)
 
 
 # -- two-sided extension -----------------------------------------------------------
@@ -359,32 +356,33 @@ def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extens
     return Extension(build_tower(germ, K, order), build_tower(germ.mirrored(), K, order))
 
 
-def validate_koebe(tower: ReflectionTower, n_angles: int = 16, tol: float = 1e-9) -> dict:
+def validate_koebe(tower: ReflectionTower) -> dict:
     """Sampling validation of the univalent-chart bounds behind every level.
 
-    For each stored chart phi_k on B(0, r_k): the inverse must reach the
-    quarter disk of the image and |phi_k(z)| <= 4|z| must hold on the half
-    disk; the reflector chi_k obeys the same growth on its half disk.
-    Returns the worst measured ratios; raises nothing, callers assert.
+    For each stored chart phi_k on B(0, r_k), at 16 angles: the inverse must
+    reach the quarter disk of the image and |phi_k(z)| <= 4|z| must hold on
+    the half disk; the reflector chi_k obeys the same growth on its half disk.
+    Returns the worst measured ratios, passed within 1e-9; raises nothing,
+    callers assert.
     """
     worst_roundtrip = 0.0
     worst_growth = 0.0
     worst_chi_growth = 0.0
     for lv in tower.levels:
         ser, rev = lv.chi.chart, lv.chi.inverse
-        for j in range(n_angles):
-            w = 0.9 * lv.r / 4.0 * cmath.exp(2j * math.pi * j / n_angles)
+        for j in range(16):
+            w = 0.9 * lv.r / 4.0 * cmath.exp(2j * math.pi * j / 16)
             pre = ser.newton_inverse(w, z0=rev(w))
             worst_roundtrip = max(worst_roundtrip, abs(ser(pre) - w) / max(abs(w), 1e-300))
-            z = 0.5 * lv.r * cmath.exp(2j * math.pi * j / n_angles)
+            z = 0.5 * lv.r * cmath.exp(2j * math.pi * j / 16)
             worst_growth = max(worst_growth, abs(complex(ser(z))) / (4.0 * abs(z)))
-            zc = 0.5 * (lv.r / 8.0) * cmath.exp(2j * math.pi * j / n_angles)
+            zc = 0.5 * (lv.r / 8.0) * cmath.exp(2j * math.pi * j / 16)
             worst_chi_growth = max(worst_chi_growth, abs(complex(lv.chi.series(zc))) / (4.0 * abs(zc)))
     return {
         "inverse_roundtrip": worst_roundtrip,
         "growth_ratio": worst_growth,
         "chi_growth_ratio": worst_chi_growth,
-        "passed": bool(worst_roundtrip < tol and worst_growth <= 1.0 + tol and worst_chi_growth <= 1.0 + tol),
+        "passed": bool(worst_roundtrip < 1e-9 and worst_growth <= 1.0 + 1e-9 and worst_chi_growth <= 1.0 + 1e-9),
     }
 
 
@@ -425,12 +423,13 @@ class CertifiedExtension:
         }
 
 
-def certify_quadratic_domain(ext, safety: float = 1.0 - 1e-12, k_horizon: int = 400) -> CertifiedExtension:
+def certify_quadratic_domain(ext) -> CertifiedExtension:
     """Constants (c, C) with {r < c exp(-C sqrt|phi|)} inside the sector-ball union.
 
     The ladder is exact (t_k = t_0 * 128^(-k/alpha)), so the containment is
-    checked against the closed-form schedule for every k, not only the built
-    levels; evaluation remains limited to |phi| <= 2^K pi of the built tower.
+    checked against the closed-form schedule for every k up to 400, not only
+    the built levels; evaluation remains limited to |phi| <= 2^K pi of the
+    built tower.
     """
     pos = ext.positive if isinstance(ext, Extension) else ext
     neg = ext.negative if isinstance(ext, Extension) else ext
@@ -439,11 +438,11 @@ def certify_quadratic_domain(ext, safety: float = 1.0 - 1e-12, k_horizon: int = 
 
     t0_pos, t0_neg = pos.levels[0].t, neg.levels[0].t
     t1_neg = t0_neg / rate
-    c = min(t0_pos, t1_neg) * safety
+    c = min(t0_pos, t1_neg) * (1.0 - 1e-12)
     log_rate = math.log(rate)
 
     C = 1e-9
-    for k in range(1, k_horizon + 1):
+    for k in range(1, 401):
         # positive side: phi in [2^(k-1) pi, 2^k pi] needs c e^(-C sqrt(2^(k-1) pi)) <= t_k,
         # with the exact schedule t_k = t_0 rate^(-k) (in logs to dodge underflow)
         need = (math.log(c / t0_pos) + k * log_rate) / math.sqrt(2 ** (k - 1) * math.pi)
@@ -459,19 +458,23 @@ def certify_quadratic_domain(ext, safety: float = 1.0 - 1e-12, k_horizon: int = 
     return CertifiedExtension(ext, quad, K_growth, rate)
 
 
-def max_sample_arg(quad: QuadraticDomain, r_frac=(0.05, 0.95)) -> float:
-    """Largest |arg| at which the radii r_frac[0] c exp(-C sqrt|arg|) stay positive normal doubles."""
-    return quad.max_arg_at(sys.float_info.min / r_frac[0])
+# radii of sample_quadratic_domain, as fractions of c exp(-C sqrt|phi|)
+_SAMPLE_R_FRAC = (0.05, 0.95)
 
 
-def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_arg: float, r_frac=(0.05, 0.95)):
+def max_sample_arg(quad: QuadraticDomain) -> float:
+    """Largest |arg| at which the radii 0.05 c exp(-C sqrt|arg|) stay positive normal doubles."""
+    return quad.max_arg_at(sys.float_info.min / _SAMPLE_R_FRAC[0])
+
+
+def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_arg: float):
     """Deterministic member sample of the quadratic domain up to |arg| <= cap.
 
-    Radii are fractions of c exp(-C sqrt|phi|); a cap above
+    Radii are fractions 0.05 to 0.95 of c exp(-C sqrt|phi|); a cap above
     :func:`max_sample_arg`, where the smallest of them leaves the positive
     normal doubles, raises ValueError.
     """
-    arg_limit = max_sample_arg(quad, r_frac)
+    arg_limit = max_sample_arg(quad)
     if max_abs_arg > arg_limit:
         raise ValueError(
             f"sampling to |arg| = {max_abs_arg:.6g} is too wide: radii c exp(-C sqrt|arg|) underflow; "
@@ -479,7 +482,7 @@ def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_ar
         )
     rng = np.random.default_rng(seed)
     phis = rng.uniform(-max_abs_arg if quad.mirrored else 0.0, max_abs_arg, size=n)
-    fracs = rng.uniform(r_frac[0], r_frac[1], size=n)
+    fracs = rng.uniform(*_SAMPLE_R_FRAC, size=n)
     pts = []
     for phi, u in zip(phis, fracs):
         pts.append(LPoint(u * quad.radius_at(phi), phi))

@@ -134,8 +134,8 @@ def model_corner_germ(alpha) -> MapGerm:
         return zpow(z.log(), av)
 
     rot = cmath.exp(1j * math.pi * av)
-    arc1 = AnalyticFunc(PowerSeries.linear(1.0, scale=1.0, radius=np.inf), exact=lambda z: np.asarray(z, dtype=complex) + 0j, label="ray-0")
-    arc2 = AnalyticFunc(PowerSeries.linear(rot, scale=1.0, radius=np.inf), exact=lambda z, r=rot: r * np.asarray(z, dtype=complex), label="ray-alpha-pi")
+    arc1 = AnalyticFunc(PowerSeries.linear(1.0, scale=1.0, radius=np.inf), exact=lambda z: np.asarray(z, dtype=complex) + 0j)
+    arc2 = AnalyticFunc(PowerSeries.linear(rot, scale=1.0, radius=np.inf), exact=lambda z, r=rot: r * np.asarray(z, dtype=complex))
     return MapGerm(
         eval_complex=on_H,
         t_bar=1.0,
@@ -166,59 +166,39 @@ class SCPolygon:
         return np.array([float(a) - 1.0 for a in self.angles])
 
 
-def _gauss_jacobi_segment(a: complex, b: complex, sing_at_a: float, prevertices, exponents, n: int):
-    """Integral over [a, b] with the endpoint singularity exponent ``sing_at_a`` at a.
+def _jacobi_integral(a, b, e_a: float, xs, es, n0: int, nmax: int) -> complex:
+    """Integral of the SC integrand over the segment [a, b] (principal branches).
 
-    ``sing_at_a`` is the exponent e (> -1) of the factor (t - a)^e, which is
-    pulled out of the integrand and absorbed by the Jacobi weight.
+    The factor (t - a)^e_a, e_a > -1, is pulled out of the integrand and
+    absorbed by the Gauss-Jacobi weight.  The node count doubles from n0
+    until two successive rules agree to 1e-13 relative; past nmax the last
+    rule stands.
     """
-    nodes, weights = roots_jacobi(n, 0.0, sing_at_a)
     h = (b - a) / 2.0
-    t = (a + h * (nodes + 1.0)).astype(complex)
-    # factor (t - a)^e = h^e (1+s)^e; the (1+s)^e part sits in the weight
-    vals = np.ones_like(t)
-    for x, e in zip(prevertices, exponents):
-        if x != a and e != 0.0:
-            vals = vals * (t - x) ** e
-    return complex(h) ** (sing_at_a + 1.0) * np.dot(weights, vals)
-
-
-def _adaptive(segment_fn, n0: int = 24, nmax: int = 384, rtol: float = 1e-13):
-    prev = segment_fn(n0)
-    n = n0 * 2
+    prev = None
+    n = n0
     while n <= nmax:
-        cur = segment_fn(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        nodes, weights = roots_jacobi(n, 0.0, e_a)
+        t = (a + h * (nodes + 1.0)).astype(complex)
+        # factor (t - a)^e = h^e (1+s)^e; the (1+s)^e part sits in the weight
+        vals = np.ones_like(t)
+        for x, e in zip(xs, es):
+            if x != a and e != 0.0:
+                vals = vals * (t - x) ** e
+        cur = complex(h) ** (e_a + 1.0) * np.dot(weights, vals)
+        if prev is not None and abs(cur - prev) <= 1e-13 * max(1.0, abs(cur)):
             return cur
         prev = cur
         n *= 2
     return prev
 
 
-def _side_integral_complex(prevertices, exponents, j: int) -> complex:
-    """Oriented integral over the real segment [x_j, x_(j+1)]."""
-    xs = prevertices
+def _side_integral_complex(xs, es, j: int) -> complex:
+    """Oriented integral over the real segment [x_j, x_(j+1)], split at its midpoint."""
     a, b = xs[j], xs[j + 1]
     mid = 0.5 * (a + b)
-
-    def left(n):
-        return _gauss_jacobi_segment(a, mid, exponents[j], xs, exponents, n)
-
-    def right(n):
-        return _gauss_jacobi_segment(b, mid, exponents[j + 1], xs, exponents, n)
-
-    return _adaptive(left) - _adaptive(right)
-
-
-def _sc_integral_from(x_k: complex, sing_e: float, z: complex, prevertices, exponents) -> complex:
-    """Integral of the SC integrand from x_k straight to z (principal branches)."""
-    if z == x_k:
-        return 0j
-
-    def seg(n):
-        return _gauss_jacobi_segment(x_k, z, sing_e, prevertices, exponents, n)
-
-    return _adaptive(seg, n0=48, nmax=768)
+    left = _jacobi_integral(a, mid, es[j], xs, es, 24, 384)
+    return left - _jacobi_integral(b, mid, es[j + 1], xs, es, 24, 384)
 
 
 def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPolygon:
@@ -250,8 +230,11 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
         )
 
         def prevertices_from(u: np.ndarray) -> np.ndarray:
-            gaps = np.exp(np.concatenate([[0.0], np.cumsum(u)]))
-            gaps = gaps / gaps.sum()
+            # gaps that overflow give NaN prevertices and a NaN residual, which
+            # the line search rejects like any other step that does not improve
+            with np.errstate(over="ignore", invalid="ignore"):
+                gaps = np.exp(np.concatenate([[0.0], np.cumsum(u)]))
+                gaps = gaps / gaps.sum()
             xs = np.empty(n)
             xs[0] = -1.0
             xs[1] = 0.0
@@ -324,19 +307,21 @@ def sc_evaluate(poly: SCPolygon, z) -> complex:
     es = poly.exponents()
     k = int(np.argmin(np.abs(xs - z)))
     anchor = xs[k]
-    # image of the anchor prevertex
+    # image of the anchor prevertex, plus the integral from it straight to z
     w_anchor = poly.vertices[k]
-    val = _sc_integral_from(anchor, es[k], z, xs, es)
+    val = 0j if z == anchor else _jacobi_integral(anchor, z, es[k], xs, es, 48, 768)
     return w_anchor + poly.A * val
 
 
-def sc_corner_germ(poly: SCPolygon, k: int, order: int = 24, t_frac: float = 0.5) -> MapGerm:
+def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     """Germ of the SC map at vertex k: Phi(x_k + z) - w_k on H-bar.
 
-    The expansion has pure powers z^(alpha_k + j): the integrand splits as
-    (t - x_k)^(alpha_k - 1) times a factor analytic near x_k, and termwise
-    integration never hits a log (alpha_k + j > 0 throughout).
+    The expansion has pure powers z^(alpha_k + j), j <= 24: the integrand
+    splits as (t - x_k)^(alpha_k - 1) times a factor analytic near x_k, and
+    termwise integration never hits a log (alpha_k + j > 0 throughout).  The
+    germ is valid out to half the distance to the nearest other prevertex.
     """
+    order = 24
     xs = poly.prevertices
     es = poly.exponents()
     n = len(xs)
@@ -344,7 +329,7 @@ def sc_corner_germ(poly: SCPolygon, k: int, order: int = 24, t_frac: float = 0.5
     alpha_k = poly.angles[k]
     a_val = float(alpha_k)
     gap = min(abs(xs[j] - x_k) for j in range(n) if j != k)
-    t_bar = t_frac * gap
+    t_bar = 0.5 * gap
 
     # Taylor coefficients of G(u) = prod_{j != k} (x_k - x_j + u)^(e_j)
     g = np.zeros(order + 1, dtype=complex)
@@ -387,8 +372,8 @@ def sc_corner_germ(poly: SCPolygon, k: int, order: int = 24, t_frac: float = 0.5
     vs = poly.vertices
     d1 = vs[(k + 1) % n] - w_k
     d2 = vs[(k - 1) % n] - w_k
-    arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), scale=1.0, radius=abs(d1)), exact=lambda z, c=d1 / abs(d1): c * np.asarray(z, dtype=complex), label="side-fwd")
-    arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), scale=1.0, radius=abs(d2)), exact=lambda z, c=d2 / abs(d2): c * np.asarray(z, dtype=complex), label="side-back")
+    arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), scale=1.0, radius=abs(d1)), exact=lambda z, c=d1 / abs(d1): c * np.asarray(z, dtype=complex))
+    arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), scale=1.0, radius=abs(d2)), exact=lambda z, c=d2 / abs(d2): c * np.asarray(z, dtype=complex))
 
     germ = MapGerm(
         eval_complex=germ_eval,

@@ -302,11 +302,10 @@ class LogPowerSeries:
                 acc = acc + LogPowerSeries({Exponent(0): coeff}, INF)
         return acc.truncate(bound)
 
-    def pow_rational(self, p: Fraction, branch_arg=None) -> "LogPowerSeries":
+    def pow_rational(self, p: Fraction) -> "LogPowerSeries":
         """(c * z^a * (1 + h))^p via the binomial series; needs a nonzero leading term.
 
-        ``branch_arg`` is the lifted argument assigned to the leading
-        coefficient ``c`` when extracting c^p (default: principal).
+        c^p takes the principal argument of the leading coefficient c.
         """
         p = Fraction(p)
         lead = self.leading_data()
@@ -335,8 +334,7 @@ class LogPowerSeries:
             term = (term * tail).truncate(bound)
             out = out + term.scale(coeff)
         mod = abs(a_nu) ** float(p)
-        arg = cmath.phase(a_nu) if branch_arg is None else float(branch_arg)
-        c_p = mod * cmath.exp(1j * arg * float(p))
+        c_p = mod * cmath.exp(1j * cmath.phase(a_nu) * float(p))
         return LogPowerSeries(
             {a + nu * p: q * c_p for a, q in out.terms.items()},
             _add_bound(out.r_max, nu * p),

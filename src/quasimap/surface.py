@@ -160,11 +160,11 @@ def in_Tp(k: int, z: LPoint) -> bool:
     return Sector("Tp", k).contains(z)
 
 
-def sector_index_point(z: LPoint, k_max: int = 64) -> int:
-    """Exact sector index from the pi-multiple representation."""
+def sector_index_point(z: LPoint) -> int:
+    """Exact sector index: the smallest k >= 0 with phi <= 2^k pi."""
     n, rem = z.phi_pi, z.phi_rem
     k = 0
-    while k <= k_max and _cmp_pi(n, rem, 2**k) > 0:
+    while _cmp_pi(n, rem, 2**k) > 0:
         k += 1
     return k
 

@@ -2,13 +2,14 @@
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimap.cli import EXIT_BAD_INPUT, EXIT_CERTIFICATE, EXIT_NONCONVERGENCE, EXIT_OK, JobConfig, main, run
-from quasimap.exponents import Exponent
+from quasimap.exponents import Exponent, parse_exponent
 from quasimap.reflection import sample_quadratic_domain
 from quasimap.series import LogPowerSeries
 from quasimap.surface import QuadraticDomain
@@ -130,6 +131,40 @@ class TestScSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert len(report["prevertices"]) == 4
         assert report["residual"] < 1e-10
+
+    def test_overflowing_trial_step_is_rejected_without_warnings(self, tmp_path):
+        # a thin rectangle: the damped Newton steps overflow the prevertex gaps
+        inp = tmp_path / "poly.json"
+        inp.write_text(
+            json.dumps({"polygon": [[3, 0.1], [-3, 0.1], [-3, -0.1], [3, -0.1]], "angles_over_pi": ["1/2"] * 4})
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(JobConfig(command="sc-solve", input=str(inp), out=str(out)))
+        assert code == EXIT_NONCONVERGENCE
+        assert json.loads((out / "report.json").read_text())["status"] == "nonconvergence"
+
+
+class TestGeneratorRegistry:
+    @staticmethod
+    def _analyze(tmp_path, generators: dict) -> int:
+        arcs = [{"vertex": [0, 0], "coeffs": [[0, 0], [1, 0]]}, {"vertex": [0, 0], "coeffs": [[0, 0], [0, 1]]}]
+        inp = tmp_path / "domain.json"
+        inp.write_text(json.dumps({"arcs": arcs, "irrational_generators": generators}))
+        return run(JobConfig(command="analyze", input=str(inp), out=str(tmp_path / "out")))
+
+    def test_redefining_a_builtin_exits_4_and_keeps_it(self, tmp_path, capsys):
+        assert self._analyze(tmp_path, {"sqrt2": "1.5"}) == EXIT_BAD_INPUT
+        assert "'sqrt2'" in capsys.readouterr().err
+        assert parse_exponent("sqrt2").value() == 1.4142135623730951
+
+    def test_same_value_and_new_names_still_declare(self, tmp_path):
+        same = "1.41421356237309504880168872420969807856967187537694807317667973799"
+        assert self._analyze(tmp_path, {"sqrt2": same, "cli_registry_gen": "1.2345"}) == EXIT_OK
+        assert self._analyze(tmp_path, {"cli_registry_gen": "1.2345"}) == EXIT_OK
+        assert parse_exponent("cli_registry_gen").value() == 1.2345
+        assert parse_exponent("sqrt2").value() == 1.4142135623730951
 
 
 class TestPlumbing:

@@ -1,6 +1,7 @@
 """Reflection tower: single reflections, reflectors, towers, certification."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -197,6 +198,34 @@ class TestSectorTower:
             sqrt2_ext.positive.evaluate(LPoint(0.9, phi_pi=4))
         with pytest.raises(OutsideExtensionDomain):
             sqrt2_ext.positive.evaluate(LPoint(1e-6, phi_pi=2**12))
+
+
+class TestDeepSectorIndex:
+    """Sector indices past 64 on a K = 70 tower, the deepest sqrt2 depths admit."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        germ = model_corner_germ(Exponent.generator("sqrt2"))
+        seen = []
+        exact = germ.eval_lpoint
+
+        def recording(z):
+            seen.append(z)
+            return exact(z)
+
+        return build_extension(dataclasses.replace(germ, eval_lpoint=recording), K=70), seen
+
+    def test_beyond_the_built_sheets_raises(self, deep):
+        ext, _ = deep
+        with pytest.raises(OutsideExtensionDomain):
+            ext.evaluate(LPoint(1e-300, phi_pi=2**90 - 1, phi_rem=0.25))
+
+    def test_deep_point_unwinds_to_the_germ_sheet(self, deep):
+        ext, seen = deep
+        seen.clear()
+        ext.evaluate(LPoint(0.5 * ext.positive.levels[68].t, phi_pi=2**68 - 1, phi_rem=0.25))
+        assert seen
+        assert all(z._phi_cmp_pi(0) >= 0 and z._phi_cmp_pi(1) <= 0 for z in seen)
 
 
 class TestCertification:

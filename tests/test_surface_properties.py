@@ -2,7 +2,8 @@
 
 The reference for ``sheet_walk`` is the chain of public sector operations it
 replaces in the tower: ``sector_index_point`` for the start level, then
-``in_Tp`` and ``reflect_tau`` level by level.
+``in_Tp`` and ``reflect_tau`` level by level.  ``sector_index_point`` itself
+is checked against the definition of the index on integral multiples.
 """
 
 import math
@@ -82,3 +83,26 @@ def test_repr_and_json_unchanged(n, rem):
     old_repr = f"LPoint(r=0.5, phi={q}*pi)" if rem == 0.0 else f"LPoint(r=0.5, phi={q}*pi + {rem!r})"
     assert repr(z) == old_repr
     assert z.to_json() == {"r": 0.5, "arg": float(q) * math.pi + rem}
+
+
+def reference_index(n: int, rem: float) -> int:
+    """Smallest k >= 0 with n pi + rem <= 2^k pi, for integral n and |rem| < pi.
+
+    With |rem| < pi the inequality holds exactly when n < 2^k, or n = 2^k and
+    rem <= 0.
+    """
+    k = 0
+    while not (n < 2**k or (n == 2**k and rem <= 0)):
+        k += 1
+    return k
+
+
+huge_multiples = st.one_of(
+    st.integers(min_value=-8, max_value=2**200),
+    st.builds(lambda j, d: 2**j + d, st.integers(min_value=0, max_value=200), st.integers(min_value=-2, max_value=2)),
+)
+
+
+@given(huge_multiples, st.one_of(st.sampled_from([0.0, 1e-300, -1e-300]), st.floats(min_value=-3.0, max_value=3.0)))
+def test_sector_index_is_exact_without_a_cap(n, rem):
+    assert sector_index_point(LPoint(0.5, phi_pi=n, phi_rem=rem)) == reference_index(n, rem)
