@@ -32,7 +32,7 @@ from .errors import (
     QuasimapError,
     malformed,
 )
-from .corners import DomainSpec, singular_points
+from .corners import DomainSpec, angle_json, singular_points
 from .expansion import (
     ExpansionModel,
     SamplingPlan,
@@ -40,7 +40,7 @@ from .expansion import (
     fit_expansion,
     verify_asymptotic,
 )
-from .exponents import Exponent, parse_exponent, rationality_class
+from .exponents import parse_exponent, rationality_class
 from .reflection import build_extension, certify_quadratic_domain, max_sample_arg, sample_quadratic_domain
 from .scmap import model_corner_germ, solve_sc
 from .series import LogPowerSeries
@@ -54,6 +54,8 @@ EXIT_BAD_INPUT = 4
 
 @dataclass
 class JobConfig:
+    """One job: the command and every flag, with the defaults the command line uses."""
+
     command: str
     input: str | None = None
     out: str = "out"
@@ -102,10 +104,6 @@ def _emit(config: JobConfig, report: dict, samples: list | None = None, plot: st
         (outdir / "plot.svg").write_text(plot)
 
 
-def _angle_json(a) -> object:
-    return a.to_json() if isinstance(a, Exponent) else float(a)
-
-
 def run(config: JobConfig) -> int:
     """Execute one job; deterministic outputs for identical configs."""
     try:
@@ -122,7 +120,8 @@ def run(config: JobConfig) -> int:
         return EXIT_BAD_INPUT
     try:
         config.validate()
-        return handler(config)
+        _emit(config, *handler(config))
+        return EXIT_OK
     except FailedCertificate as exc:
         _emit(config, {"status": "certificate-failed", "certificate": exc.certificate.to_json()})
         print(f"certificate failed: witness at {exc.certificate.witness()}", file=sys.stderr)
@@ -178,13 +177,13 @@ def _polygon_input(data) -> tuple[list, list]:
     return vertices, angles
 
 
-def _run_analyze(config: JobConfig) -> int:
+def _run_analyze(config: JobConfig) -> tuple[dict, list, str]:
     domain = DomainSpec.from_json(_load_json(config.input))
     sing = singular_points(domain)
     report = {
         "status": "ok",
         "singular_points": [
-            {"point": [p.real, p.imag], "angles_over_pi": [_angle_json(a) for a in angles]}
+            {"point": [p.real, p.imag], "angles_over_pi": [angle_json(a) for a in angles]}
             for p, angles in sing
         ],
     }
@@ -198,11 +197,10 @@ def _run_analyze(config: JobConfig) -> int:
                 zs = arc.eval(ts)
                 curves.append(("", np.real(zs), np.imag(zs)))
     plot = svg_plot(curves, title="boundary arc germs", xlabel="Re", ylabel="Im")
-    _emit(config, report, samples, plot)
-    return EXIT_OK
+    return report, samples, plot
 
 
-def _run_sc_solve(config: JobConfig) -> int:
+def _run_sc_solve(config: JobConfig) -> tuple[dict, list, str]:
     vertices, angles = _polygon_input(_load_json(config.input))
     poly = solve_sc(vertices, angles)
     report = {
@@ -223,22 +221,28 @@ def _run_sc_solve(config: JobConfig) -> int:
         xlabel="Re",
         ylabel="Im",
     )
-    _emit(config, report, samples, plot)
-    return EXIT_OK
+    return report, samples, plot
 
 
 def _model_setup(config: JobConfig):
     if config.alpha is None:
         raise ValueError("--alpha is required (e.g. 1/2, sqrt2, golden)")
     alpha = parse_exponent(config.alpha)
-    germ = model_corner_germ(alpha)
-    ext = build_extension(germ, K=config.K, order=config.precision)
-    cert = certify_quadratic_domain(ext)
-    return alpha, germ, ext, cert
+    ext = build_extension(model_corner_germ(alpha), K=config.K, order=config.precision)
+    return alpha, ext, certify_quadratic_domain(ext)
 
 
-def _run_continue(config: JobConfig) -> int:
-    alpha, germ, ext, cert = _model_setup(config)
+def _fit(config: JobConfig, max_log_degree: int):
+    """Horizon R (default 3 alpha) and the model germ's expansion fitted up to it."""
+    alpha, ext, cert = _model_setup(config)
+    R = config.R if config.R is not None else 3.0 * alpha.value()
+    model = ExpansionModel(alpha, R, max_log_degree=max_log_degree)
+    plan = SamplingPlan(rho0=0.5 * cert.quad.c, n_shells=config.shells)
+    return R, fit_expansion(ext.evaluate, model, plan, domain=cert.quad)
+
+
+def _run_continue(config: JobConfig) -> tuple[dict, list, str]:
+    alpha, ext, cert = _model_setup(config)
     av = alpha.value()
     # the built sheets, but no wider than the sample radii stay normal doubles
     cap = min((2**config.K - 1) * math.pi * 0.98, max_sample_arg(cert.quad))
@@ -268,16 +272,11 @@ def _run_continue(config: JobConfig) -> int:
         ylabel="radius",
         logy=True,
     )
-    _emit(config, report, samples, plot)
-    return EXIT_OK
+    return report, samples, plot
 
 
-def _run_expand(config: JobConfig) -> int:
-    alpha, germ, ext, cert = _model_setup(config)
-    R = config.R if config.R is not None else 3.0 * alpha.value()
-    model = ExpansionModel(alpha, R)
-    plan = SamplingPlan(rho0=0.5 * cert.quad.c, n_shells=config.shells)
-    fit = fit_expansion(lambda p: ext.evaluate(p), model, plan, domain=cert.quad)
+def _run_expand(config: JobConfig) -> tuple[dict, list, str]:
+    R, fit = _fit(config, max_log_degree=0)
     report = {
         "status": "ok",
         "R": R,
@@ -299,12 +298,11 @@ def _run_expand(config: JobConfig) -> int:
         ylabel="|a|",
         logy=True,
     )
-    _emit(config, report, samples, plot)
-    return EXIT_OK
+    return report, samples, plot
 
 
-def _run_verify(config: JobConfig) -> int:
-    alpha, germ, ext, cert = _model_setup(config)
+def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
+    alpha, ext, cert = _model_setup(config)
     R = config.R if config.R is not None else 2.0 * alpha.value()
     if config.series is not None:
         g = LogPowerSeries.from_json(_load_json(config.series))
@@ -332,19 +330,14 @@ def _run_verify(config: JobConfig) -> int:
         ylabel="sup |f - g_R| / rho^R",
         logy=True,
     )
-    _emit(config, report, samples, plot)
-    return EXIT_OK
+    return report, samples, plot
 
 
-def _run_dichotomy(config: JobConfig) -> int:
+def _run_dichotomy(config: JobConfig) -> tuple[dict, list, str]:
     if config.series is not None:
         g = LogPowerSeries.from_json(_load_json(config.series))
     elif config.alpha is not None:
-        alpha, germ, ext, cert = _model_setup(config)
-        R = config.R if config.R is not None else 3.0 * alpha.value()
-        model = ExpansionModel(alpha, R, max_log_degree=1)
-        plan = SamplingPlan(rho0=0.5 * cert.quad.c, n_shells=config.shells)
-        g = fit_expansion(lambda p: ext.evaluate(p), model, plan, domain=cert.quad).series
+        g = _fit(config, max_log_degree=1)[1].series
     else:
         raise ValueError("need --series or --alpha")
     if config.angle_class is not None:
@@ -361,49 +354,33 @@ def _run_dichotomy(config: JobConfig) -> int:
     for e in g.support():
         for d, c in enumerate(g.terms[e].coeffs):
             samples.append([e.value(), d, abs(c)])
-    _emit(config, report, samples, svg_plot([], title="dichotomy check"))
-    return EXIT_OK
+    return report, samples, svg_plot([], title="dichotomy check")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quasimap", description=__doc__)
+    """Flags named after the JobConfig fields; a flag left out keeps the field's default."""
+    ap = argparse.ArgumentParser(prog="quasimap", description=__doc__, argument_default=argparse.SUPPRESS)
     ap.add_argument("command", nargs="?", help="analyze | sc-solve | continue | expand | verify | dichotomy")
-    ap.add_argument("--command", dest="command_flag", help="alternative to the positional command")
     ap.add_argument("--input", help="input JSON path")
-    ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--K", type=int, default=8, help="tower depth")
-    ap.add_argument("--R", type=float, default=None, help="fitting/verification horizon")
-    ap.add_argument("--shells", type=int, default=12, help="number of sampling shells")
-    ap.add_argument("--tol", type=float, default=1e-6, help="certificate tolerance")
-    ap.add_argument("--seed", type=int, default=0, help="sampling seed")
-    ap.add_argument("--precision", type=int, default=40, help="chart series order")
+    ap.add_argument("--out", help="output directory")
+    ap.add_argument("--K", type=int, help="tower depth")
+    ap.add_argument("--R", type=float, help="fitting/verification horizon")
+    ap.add_argument("--shells", type=int, help="number of sampling shells")
+    ap.add_argument("--tol", type=float, help="certificate tolerance")
+    ap.add_argument("--seed", type=int, help="sampling seed")
+    ap.add_argument("--precision", type=int, help="chart series order")
     ap.add_argument("--alpha", help="angle/pi, e.g. 1/2, sqrt2, golden")
     ap.add_argument("--series", help="series JSON path (verify/dichotomy)")
-    ap.add_argument("--angle-class", dest="angle_class", help="rational | irrational")
+    ap.add_argument("--angle-class", help="rational | irrational")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command_flag or args.command
-    if command is None:
+    args = vars(build_parser().parse_args(argv))
+    if "command" not in args:
         print("missing command", file=sys.stderr)
         return EXIT_BAD_INPUT
-    config = JobConfig(
-        command=command,
-        input=args.input,
-        out=args.out,
-        K=args.K,
-        R=args.R,
-        shells=args.shells,
-        tol=args.tol,
-        seed=args.seed,
-        precision=args.precision,
-        alpha=args.alpha,
-        series=args.series,
-        angle_class=args.angle_class,
-    )
-    return run(config)
+    return run(JobConfig(**args))
 
 
 if __name__ == "__main__":

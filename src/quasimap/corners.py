@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CuspAngleZero, InversionFailure, RequiresTranslation, malformed
 from .exponents import Exponent
-from .powerseries import AnalyticFunc, PowerSeries
+from .powerseries import AnalyticFunc, PowerSeries, reciprocal
 from .series import LogPowerSeries, LogPolynomial
 
 
@@ -71,11 +71,7 @@ class PuiseuxArc:
         return cmath.phase(self.leading)
 
     def eval(self, t):
-        t = np.asarray(t, dtype=complex)
-        acc = np.zeros_like(t)
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc + self.vertex
+        return PowerSeries(self.coeffs)(t) + self.vertex
 
     def reparametrized_power(self, p: int) -> "PuiseuxArc":
         """Same arc set, parametrized by t -> t^p."""
@@ -135,6 +131,11 @@ def _angle_value(angle) -> float:
     if isinstance(angle, Exponent):
         return angle.value()
     return float(angle)
+
+
+def angle_json(angle) -> object:
+    """An angle/pi for JSON: an Exponent's own form, else the float."""
+    return angle.to_json() if isinstance(angle, Exponent) else float(angle)
 
 
 def _tangent_gap(arc1: PuiseuxArc, arc2: PuiseuxArc) -> float:
@@ -218,9 +219,7 @@ class DomainSpec:
                     {
                         "arc1": {"d": c.arc1.d, "coeffs": [[z.real, z.imag] for z in c.arc1.coeffs]},
                         "arc2": {"d": c.arc2.d, "coeffs": [[z.real, z.imag] for z in c.arc2.coeffs]},
-                        "angle_over_pi": c.interior_angle.to_json()
-                        if isinstance(c.interior_angle, Exponent)
-                        else float(_angle_value(c.interior_angle)),
+                        "angle_over_pi": angle_json(c.interior_angle),
                     }
                 )
             sites.append(
@@ -375,18 +374,10 @@ class ArcToInfinity:
         denom = np.zeros(order + 1, dtype=complex)
         cs = np.array(self.coeffs[: order + 1], dtype=complex)
         denom[: len(cs)] = cs
-        inv = _series_reciprocal(denom, order)
+        inv = reciprocal(denom, order)
         out = np.zeros(order + 1 + self.pole_order, dtype=complex)
         out[self.pole_order : self.pole_order + order + 1] = inv
         return PuiseuxArc(out, d=1, vertex=0j)
-
-
-def _series_reciprocal(c: np.ndarray, order: int) -> np.ndarray:
-    inv = np.zeros(order + 1, dtype=complex)
-    inv[0] = 1.0 / c[0]
-    for n in range(1, order + 1):
-        inv[n] = -np.dot(c[1 : n + 1], inv[n - 1 :: -1][: n]) / c[0]
-    return inv
 
 
 def _invert_finite_arc(arc: PuiseuxArc) -> PuiseuxArc:
@@ -404,7 +395,7 @@ def _invert_finite_arc(arc: PuiseuxArc) -> PuiseuxArc:
     denom = psi.copy()
     denom[0] = v * v  # v (v + psi) = v^2 + v psi
     denom[1:] *= v
-    new = -np.convolve(psi, _series_reciprocal(denom, order))[: order + 1]
+    new = -np.convolve(psi, reciprocal(denom, order))[: order + 1]
     return PuiseuxArc(new, d=arc.d, vertex=1.0 / v)
 
 

@@ -72,7 +72,8 @@ class Exponent:
         self.rational = Fraction(rational)
         irr = {}
         if irrational:
-            for name, coeff in irrational.items():
+            # in name order, so that value() sums equal exponents alike
+            for name, coeff in sorted(irrational.items()):
                 if name not in _GENERATORS:
                     raise KeyError(f"undeclared irrational generator {name!r}")
                 c = Fraction(coeff)

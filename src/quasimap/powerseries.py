@@ -152,11 +152,7 @@ class PowerSeries:
         b = np.trim_zeros(self.coeffs[2 : order + 1], "b") / c1
         b *= lam ** np.arange(1, len(b) + 1)
         # h = 1/(F(x)/x) to order x^(order-1); it stays a constant for linear charts
-        h = np.zeros(order if len(b) else 1, dtype=complex)
-        h[0] = 1.0
-        for m in range(1, len(h)):
-            j = min(m, len(b))
-            h[m] = -np.dot(b[:j], h[m - 1 :: -1][:j])
+        h = reciprocal(np.concatenate(([1.0], b)), order - 1 if len(b) else 0)
         # G(v) = g(w)/scale in v = w/out_abs; p runs through h^n
         g = np.zeros(order + 1, dtype=complex)
         p = h
@@ -242,6 +238,17 @@ class AnalyticFunc:
             inner = self.exact
             ex = lambda z: np.conj(inner(np.conj(z)))
         return AnalyticFunc(self.series.conjugated(), ex)
+
+
+def reciprocal(c, order: int) -> np.ndarray:
+    """Taylor coefficients of 1/c(x) to x^order, for c[0] != 0; c past its end is zero."""
+    c = np.asarray(c, dtype=complex)
+    inv = np.zeros(order + 1, dtype=complex)
+    inv[0] = 1.0 / c[0]
+    for n in range(1, order + 1):
+        j = min(n, len(c) - 1)
+        inv[n] = -np.dot(c[1 : j + 1], inv[n - 1 :: -1][:j]) / c[0]
+    return inv
 
 
 def require_in_disk(value: complex, radius: float, what: str) -> None:

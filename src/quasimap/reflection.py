@@ -62,10 +62,11 @@ DEFAULT_ORDER = 40
 class MapGerm:
     """Boundary-matched germ on the closed upper half plane near 0.
 
-    ``eval_complex`` acts on points of H-bar as complex numbers; an optional
-    ``eval_lpoint`` takes log-surface points with arg in [0, pi] directly (used
-    to keep closed-form models branch-exact).  ``growth`` is E in the certified
-    bound |Phi(z)| <= E |z|^alpha for |z| < t_bar.
+    ``eval_lpoint`` takes log-surface points with arg in [0, pi] (keeping
+    closed-form models branch-exact) and is how the tower evaluates the germ;
+    ``eval_complex`` is the same map on points of H-bar as complex numbers.
+    ``growth`` is E in the certified bound |Phi(z)| <= E |z|^alpha for
+    |z| < t_bar.
     """
 
     eval_complex: object
@@ -74,29 +75,22 @@ class MapGerm:
     growth: float
     arc1: AnalyticFunc
     arc2: AnalyticFunc
-    eval_lpoint: object = None
+    eval_lpoint: object
     label: str = ""
 
     @property
     def alpha_value(self) -> float:
         return self.alpha.value() if isinstance(self.alpha, Exponent) else float(self.alpha)
 
-    def at(self, z: LPoint) -> complex:
-        if self.eval_lpoint is not None:
-            return self.eval_lpoint(z)
-        return complex(self.eval_complex(cmath.rect(z.r, z.phi)))
-
     def mirrored(self) -> "MapGerm":
         """Germ z -> conj(Phi(-conj z)) with swapped, conjugated arcs."""
         inner_c = self.eval_complex
         mirror_c = lambda z: np.conj(inner_c(-np.conj(z)))
-        mirror_l = None
-        if self.eval_lpoint is not None:
-            inner_l = self.eval_lpoint
+        inner_l = self.eval_lpoint
 
-            def mirror_l(z: LPoint) -> complex:
-                flipped = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
-                return complex(inner_l(flipped)).conjugate()
+        def mirror_l(z: LPoint) -> complex:
+            flipped = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
+            return complex(inner_l(flipped)).conjugate()
 
         return MapGerm(
             eval_complex=mirror_c,
@@ -218,7 +212,7 @@ class ReflectionTower:
         """Unwind Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi))."""
         k = sector_index_point(z)
         if k > self.K:
-            raise OutsideExtensionDomain(f"arg {z.phi:.3f} needs level {k} > built {self.K}")
+            raise OutsideExtensionDomain(f"the argument of {z!r} needs level {k} > built {self.K}")
         if z.r >= self.levels[k].t:
             raise OutsideExtensionDomain(f"|z| = {z.r:.3e} >= t_{k} = {self.levels[k].t:.3e}")
         return self._unwind(z, k)
@@ -226,7 +220,7 @@ class ReflectionTower:
     def _unwind(self, z: LPoint, k: int) -> complex:
         """Phi_k(z): walk the argument down to T_0, evaluate the germ, apply each chi back up."""
         reflected, n, rem = sheet_walk(z, k)
-        w = self.germ.at(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
+        w = self.germ.eval_lpoint(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
         for j in reversed(reflected):
             require_in_disk(w, self.levels[j].r / 8.0, f"chi_{j} argument")
             w = self.chi(j, w).conjugate()
@@ -391,13 +385,13 @@ def validate_koebe(tower: ReflectionTower) -> dict:
 
 @dataclass
 class CertifiedExtension:
-    extension: object  # Extension | ReflectionTower
+    extension: Extension
     quad: QuadraticDomain
     K_growth: float
     rate: float  # exact level ratio t_k / t_(k+1) = 128^(1/alpha)
 
     def report(self) -> dict:
-        tower = self.extension.positive if isinstance(self.extension, Extension) else self.extension
+        tower = self.extension.positive
         E = tower.germ.growth
         checks = {
             "r_ladder_exact": all(
@@ -423,7 +417,7 @@ class CertifiedExtension:
         }
 
 
-def certify_quadratic_domain(ext) -> CertifiedExtension:
+def certify_quadratic_domain(ext: Extension) -> CertifiedExtension:
     """Constants (c, C) with {r < c exp(-C sqrt|phi|)} inside the sector-ball union.
 
     The ladder is exact (t_k = t_0 * 128^(-k/alpha)), so the containment is
@@ -431,8 +425,7 @@ def certify_quadratic_domain(ext) -> CertifiedExtension:
     the built levels; evaluation remains limited to |phi| <= 2^K pi of the
     built tower.
     """
-    pos = ext.positive if isinstance(ext, Extension) else ext
-    neg = ext.negative if isinstance(ext, Extension) else ext
+    pos, neg = ext.positive, ext.negative
     alpha = pos.alpha
     rate = 128.0 ** (1.0 / alpha)
 
@@ -454,7 +447,7 @@ def certify_quadratic_domain(ext) -> CertifiedExtension:
     K_growth = rate
     for k in range(1, pos.K + 1):
         K_growth = max(K_growth, pos.levels[k].t ** (-1.0 / k))
-    quad = QuadraticDomain(c, C, mirrored=isinstance(ext, Extension))
+    quad = QuadraticDomain(c, C)
     return CertifiedExtension(ext, quad, K_growth, rate)
 
 

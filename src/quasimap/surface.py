@@ -23,11 +23,18 @@ from .errors import OutOfSector, ProjectionError
 
 
 def _cmp_pi(n, rem: float, q) -> int:
-    """Sign of (n pi + rem) - q pi for exact n, q; on the ray itself the remainder decides."""
+    """Sign of (n pi + rem) - q pi for exact n, q; on the ray itself the remainder decides.
+
+    A difference of 2^1024 or more has no float; no finite remainder outweighs
+    it, so its sign alone decides.
+    """
     d = n - q
     if d == 0:
         return (rem > 0) - (rem < 0)
-    approx = float(d) * math.pi + rem
+    try:
+        approx = float(d) * math.pi + rem
+    except OverflowError:
+        return 1 if d > 0 else -1
     return (approx > 0) - (approx < 0)
 
 

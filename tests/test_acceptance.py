@@ -27,7 +27,6 @@ from quasimap.powerseries import AnalyticFunc, PowerSeries
 from quasimap.reflection import (
     MapGerm,
     build_extension,
-    build_tower,
     certify_quadratic_domain,
     reflect_across,
     sample_quadratic_domain,
@@ -144,7 +143,8 @@ def test_criterion_3_constant_tower():
         sc_corner_germ(poly, 0),
     ]
     for germ in germs:
-        tower = build_tower(germ, K=12)
+        ext = build_extension(germ, K=12)
+        tower = ext.positive
         alpha = tower.alpha
         E = germ.growth
         for kk, lv in enumerate(tower.levels):
@@ -153,7 +153,7 @@ def test_criterion_3_constant_tower():
             assert lv.E == E * 4.0**kk
             assert lv.t == (lv.r / (16.0 * lv.E)) ** (1.0 / alpha)
             assert lv.s == min(lv.t, lv.E ** (-2.0 / alpha))
-        cert = certify_quadratic_domain(tower)
+        cert = certify_quadratic_domain(ext)
         rate = 128.0 ** (1.0 / alpha)
         assert cert.rate == rate
         for kk in range(12):

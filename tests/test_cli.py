@@ -203,7 +203,6 @@ class TestPlumbing:
     def test_main_argv_roundtrip(self, tmp_path):
         out = tmp_path / "out"
         assert main(["continue", "--alpha", "1/2", "--K", "4", "--out", str(out)]) == EXIT_OK
-        assert main(["--command", "continue", "--alpha", "1/2", "--K", "4", "--out", str(out)]) == EXIT_OK
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "out"

@@ -186,8 +186,10 @@ class TestSectorTower:
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_series_path_matches_exact_path(self, sqrt2_ext, rng):
-        # each level's chi series agrees with the closed-form descent on B(0, r_j/8)
-        for tw in (sqrt2_ext.positive, sqrt2_ext.negative):
+        # each level's chi series agrees with the closed-form descent on B(0, r_j/8),
+        # for straight and for curved reflectors
+        curved_ext = build_extension(TestCurvedArcTower._germ(), K=8)
+        for tw in (sqrt2_ext.positive, sqrt2_ext.negative, curved_ext.positive, curved_ext.negative):
             for j, lv in enumerate(tw.levels):
                 for _ in range(8):
                     w = cmath.rect(rng.uniform(0.05, 0.95) * lv.r / 8.0, rng.uniform(-math.pi, math.pi))
@@ -198,6 +200,17 @@ class TestSectorTower:
             sqrt2_ext.positive.evaluate(LPoint(0.9, phi_pi=4))
         with pytest.raises(OutsideExtensionDomain):
             sqrt2_ext.positive.evaluate(LPoint(1e-6, phi_pi=2**12))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_arguments_past_the_doubles_raise_outside_domain(self, sign):
+        # multiples of pi with no float (2^1100) or whose product with pi overflows (2^1023)
+        ext = build_extension(model_corner_germ(Fraction(1, 2)), 8)
+        for multiple in (2**1023, 2**1100):
+            with pytest.raises(OutsideExtensionDomain) as info:
+                ext.evaluate(LPoint(1e-300, phi_pi=sign * multiple))
+            # the positive tower sees the point, the negative one its mirror 1 - phi_pi
+            assert f"phi={multiple if sign > 0 else multiple + 1}*pi" in str(info.value)
+            assert "inf" not in str(info.value)
 
 
 class TestDeepSectorIndex:

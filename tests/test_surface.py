@@ -23,6 +23,7 @@ from quasimap.surface import (
     quad_contains,
     quad_intersect,
     reflect_tau,
+    sector_index_point,
     tau_log_identity,
     tau_pow_identity,
 )
@@ -148,6 +149,15 @@ class TestSectors:
     def test_sector_validation(self):
         with pytest.raises(ValueError):
             Sector("Tp", 0)
+
+    def test_multiples_without_a_float_compare_by_sign(self):
+        # 2^1100 - 2^k has no float for k < 1100; its sign alone orders the argument
+        for sign in (1, -1):
+            z = LPoint(1.0, phi_pi=sign * 2**1100, phi_rem=-sign * 1e300)
+            assert z._phi_cmp_pi(0) == sign
+            assert in_T(1101, z) == (sign > 0) and not in_T(1099, z)
+        assert sector_index_point(LPoint(1.0, phi_pi=2**1100)) == 1100
+        assert sector_index_point(LPoint(1.0, phi_pi=2**1100 + 1)) == 1101
 
 
 class TestQuadraticDomains:
