@@ -145,7 +145,8 @@ def fit_expansion(
 ) -> FitResult:
     """Least-squares fit of the expansion coefficients on shrinking shells.
 
-    ``f`` maps :class:`LPoint` to complex.  The basis is the model lattice up
+    ``f`` maps a list of :class:`LPoint` to the list of their values; it is
+    called once, on the samples of every shell.  The basis is the model lattice up
     to R plus a guard band past R (absorbing the first tail terms); only the
     terms up to R are reported.  Rows are weighted by |z|^(-nu) with nu the
     smallest basis exponent, columns are normalized, and a condition number
@@ -167,15 +168,11 @@ def fit_expansion(
     for e in exps:
         for d in range(model.max_log_degree + 1):
             basis.append((e, d))
-    pts, vals = [], []
-    for _, shell_pts in plan.points(domain):
-        for p in shell_pts:
-            pts.append(p)
-            vals.append(complex(f(p)))
+    pts = [p for _, shell_pts in plan.points(domain) for p in shell_pts]
     if len(pts) < len(basis):
         raise ValueError(f"{len(pts)} samples cannot determine {len(basis)} coefficients")
     logs = np.array([p.log() for p in pts])
-    b = np.array(vals)
+    b = _values(f, pts)
     nu = min(e.value() for e, _ in basis)
     weights = np.exp(-nu * logs.real)
     A = np.empty((len(pts), len(basis)), dtype=complex)
@@ -215,6 +212,14 @@ def fit_expansion(
     series = LogPowerSeries({e: LogPolynomial(cs) for e, cs in terms.items()}, r_max=model.R)
     resid = float(np.linalg.norm(As @ sol - rhs) / max(1e-300, np.linalg.norm(rhs)))
     return FitResult(series, float(cond), resid, drift, basis)
+
+
+def _values(f, pts: list) -> np.ndarray:
+    """f on a list of sample points, as a complex array of one value per point."""
+    vals = np.array(f(pts), dtype=complex)
+    if vals.shape != (len(pts),):
+        raise ValueError(f"the sampled function returned shape {vals.shape} for {len(pts)} points")
+    return vals
 
 
 # -- verification -------------------------------------------------------------------
@@ -278,7 +283,8 @@ def verify_asymptotic(
     monotonically decreasing over the last four shells or all below ``tol`` there
     (the latter covers exact remainders sitting at the rounding floor).
     Failure raises :class:`FailedCertificate` carrying the witness unless
-    ``strict=False``.
+    ``strict=False``.  ``f`` maps a list of :class:`LPoint` to the list of
+    their values; it is called once per shell.
     """
     if plan is None:
         plan = SamplingPlan(rho0=min(0.5 * domain.c, 0.1))
@@ -293,8 +299,8 @@ def verify_asymptotic(
     cert = AsymptoticCertificate(R=float(R), tol=tol, domain=sub)
     for rho, pts in plan.points(sub):
         worst, wit, rem = -1.0, None, 0.0
-        for p in pts:
-            r = abs(complex(f(p)) - g_R.eval_finite(p))
+        for p, v in zip(pts, _values(f, pts).tolist()):
+            r = abs(v - g_R.eval_finite(p))
             ratio = r / rho ** float(R)
             if ratio > worst:
                 worst, wit, rem = ratio, p, r

@@ -8,7 +8,8 @@ stored in scaled form
 
 with ``scale`` chosen near the working radius so the stored coefficients stay
 O(1).  ``radius`` records where the representation is trusted; evaluation
-outside raises.
+outside raises.  Evaluation stops at the last nonzero coefficient, found once
+per series, so exact-zero top coefficients cost nothing.
 
 An :class:`AnalyticFunc` bundles the series with an optional exact evaluator
 (closed form) used preferentially when present.
@@ -24,7 +25,7 @@ from .errors import ImageEscapesChart, InversionFailure
 class PowerSeries:
     """f(z) = sum c_n (z/scale)^n, trusted on |z| < radius."""
 
-    __slots__ = ("coeffs", "scale", "radius")
+    __slots__ = ("coeffs", "scale", "radius", "_top")
 
     def __init__(self, coeffs, scale: float = 1.0, radius: float = np.inf):
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -71,11 +72,20 @@ class PowerSeries:
         """Series of z -> conj(f(conj z)): conjugate coefficients."""
         return PowerSeries(np.conj(self.coeffs), self.scale, self.radius)
 
+    def top(self) -> int:
+        """Index of the last nonzero coefficient (0 for the zero series), found on first use."""
+        try:
+            return self._top
+        except AttributeError:
+            nonzero = np.flatnonzero(self.coeffs)
+            self._top = int(nonzero[-1]) if len(nonzero) else 0
+            return self._top
+
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         u = z / self.scale
         acc = np.zeros_like(u)
-        for c in self.coeffs[::-1]:
+        for c in self.coeffs[self.top() :: -1]:
             acc = acc * u + c
         return acc if acc.shape else complex(acc)
 
@@ -83,7 +93,7 @@ class PowerSeries:
         z = np.asarray(z, dtype=complex)
         u = z / self.scale
         acc = np.zeros_like(u)
-        for n in range(self.order, 0, -1):
+        for n in range(self.top(), 0, -1):
             acc = acc * u + n * self.coeffs[n]
         acc = acc / self.scale
         return acc if acc.shape else complex(acc)
@@ -161,12 +171,26 @@ class PowerSeries:
             p = np.convolve(p, h)[: len(h)]
         return PowerSeries(g * self.scale, out_abs, out_abs)
 
-    def newton_inverse(self, w: complex, z0: complex | None = None, maxiter: int = 60) -> complex:
-        """Solve f(z) = w near 0 by damped Newton to 1e-14 relative, seeded by w / f'(0) if no z0."""
+    def newton_inverse(self, w, z0=None, maxiter: int = 60):
+        """Solve f(z) = w near 0 by damped Newton to 1e-14 relative, seeded by w / f'(0) if no z0.
+
+        ``w`` and ``z0`` are complex numbers or arrays of one shape.  For an
+        array the seeds are checked at once and only the elements that miss
+        the tolerance are iterated, one by one.
+        """
         if z0 is None:
             z0 = w / self.deriv0()
-        z = complex(z0)
+        if not isinstance(w, np.ndarray):
+            z = complex(z0)
+            return self._damped_newton(w, z, self(z) - w, maxiter)
+        z = np.array(z0, dtype=complex)
         fz = self(z) - w
+        target = 1e-14 * np.maximum(np.abs(w), abs(self.coeffs[1]))
+        for i in np.flatnonzero(~(np.abs(fz) <= target)):
+            z[i] = self._damped_newton(complex(w[i]), complex(z[i]), complex(fz[i]), maxiter)
+        return z
+
+    def _damped_newton(self, w: complex, z: complex, fz: complex, maxiter: int) -> complex:
         target = 1e-14 * max(abs(w), abs(self.coeffs[1]))
         for _ in range(maxiter):
             if abs(fz) <= target:

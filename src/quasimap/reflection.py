@@ -208,26 +208,53 @@ class ReflectionTower:
     def K(self) -> int:
         return len(self.levels) - 1
 
-    def evaluate(self, z: LPoint) -> complex:
-        """Unwind Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi))."""
+    def evaluate(self, z):
+        """Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi)); a list of points gives a list of values."""
+        if isinstance(z, LPoint):
+            return self._unwind([z], [self._level(z, z)])[0]
+        return self._unwind(z, [self._level(p, p) for p in z])
+
+    def _level(self, z: LPoint, caller: LPoint) -> int:
+        """Sector index of z, which must lie in a built sector ball; errors name the caller's point."""
         k = sector_index_point(z)
+        tower = "" if z is caller else " of the mirrored tower"
         if k > self.K:
-            raise OutsideExtensionDomain(f"the argument of {z!r} needs level {k} > built {self.K}")
+            raise OutsideExtensionDomain(f"the argument of {caller!r} needs level {k}{tower} > built {self.K}")
         if z.r >= self.levels[k].t:
-            raise OutsideExtensionDomain(f"|z| = {z.r:.3e} >= t_{k} = {self.levels[k].t:.3e}")
-        return self._unwind(z, k)
+            raise OutsideExtensionDomain(f"{caller!r}: |z| = {z.r:.3e} >= t_{k}{tower} = {self.levels[k].t:.3e}")
+        return k
 
-    def _unwind(self, z: LPoint, k: int) -> complex:
-        """Phi_k(z): walk the argument down to T_0, evaluate the germ, apply each chi back up."""
-        reflected, n, rem = sheet_walk(z, k)
-        w = self.germ.eval_lpoint(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
-        for j in reversed(reflected):
-            require_in_disk(w, self.levels[j].r / 8.0, f"chi_{j} argument")
-            w = self.chi(j, w).conjugate()
-        return w
+    def _unwind(self, points: list, ks: list) -> list:
+        """Phi_k at each point, in one walk.
 
-    def chi(self, j: int, w: complex) -> complex:
-        """chi_j(w) for w in B(0, r_j/8).
+        Each point's argument is walked down to T_0 and the germ evaluated
+        there; then the recorded chi_j are applied level by level, j = 0, 1,
+        ..., to all points due at level j in one call.  A point's reflecting
+        levels rise on the way up, so this keeps each point's order.  A level
+        due for one point gets a plain complex, not an array of one.
+        """
+        values = []
+        due = {}  # level j -> indices of the points reflected by tau_j
+        for i, (z, k) in enumerate(zip(points, ks)):
+            reflected, n, rem = sheet_walk(z, k)
+            values.append(self.germ.eval_lpoint(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z))
+            for j in reflected:
+                due.setdefault(j, []).append(i)
+        for j in sorted(due):
+            idx = due[j]
+            radius, what = self.levels[j].r / 8.0, f"chi_{j} argument"
+            for i in idx:
+                require_in_disk(values[i], radius, what)
+            if len(idx) == 1:
+                values[idx[0]] = self.chi(j, values[idx[0]]).conjugate()
+                continue
+            w = np.array([values[i] for i in idx], dtype=complex)
+            for i, v in zip(idx, np.conj(self.chi(j, w)).tolist()):
+                values[i] = v
+        return values
+
+    def chi(self, j: int, w):
+        """chi_j(w) for w in B(0, r_j/8), a complex number or an array of them.
 
         When both normalized arcs have a closed form, walk down the levels:
         chi_i = chi_(i-1) . arc1 . phi_i^(-1) for i >= 1 and
@@ -239,6 +266,8 @@ class ReflectionTower:
         arc1, arc2 = self.arc1.exact, self.arc2.exact
         if arc2 is None or (j > 0 and arc1 is None):
             return self.levels[j].chi.series(w)
+        if isinstance(w, np.ndarray):
+            return self._chi_descent(j, w)
         for i in range(j, -1, -1):
             if w == 0:
                 return 0j
@@ -247,6 +276,18 @@ class ReflectionTower:
             if i == 0:
                 return complex(arc2(pre.conjugate())).conjugate()
             w = complex(arc1(pre))
+
+    def _chi_descent(self, j: int, w: np.ndarray) -> np.ndarray:
+        """The descent of :meth:`chi` on an array; an element that reaches 0 on the way stays 0."""
+        zero = w == 0
+        for i in range(j, 0, -1):
+            ref = self.levels[i].chi
+            w = self.arc1.exact(ref.chart.newton_inverse(w, z0=ref.inverse(w)))
+            zero |= w == 0
+        ref = self.levels[0].chi
+        out = np.conj(self.arc2.exact(np.conj(ref.chart.newton_inverse(w, z0=ref.inverse(w)))))
+        out[zero] = 0
+        return out
 
 
 def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> ReflectionTower:
@@ -339,11 +380,29 @@ class Extension:
     def alpha(self) -> float:
         return self.positive.alpha
 
-    def evaluate(self, z: LPoint) -> complex:
-        if z._phi_cmp_pi(0) >= 0:
-            return self.positive.evaluate(z)
-        mirrored = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
-        return self.negative.evaluate(mirrored).conjugate()
+    def evaluate(self, z):
+        """Phi at one LPoint, or the list of its values at a list of points.
+
+        A negative argument is mirrored, phi -> pi - phi, onto the twin tower
+        and its value conjugated back.  Every point is checked before any is
+        unwound; an error names the first point, as the caller gave it, that
+        lies outside the built sector balls.
+        """
+        points = [z] if isinstance(z, LPoint) else z
+        # per tower: the caller's indices, the points the tower sees and their levels
+        sides = ((self.positive, [], [], []), (self.negative, [], [], []))
+        for i, p in enumerate(points):
+            negative = p._phi_cmp_pi(0) < 0
+            tower, idx, seen, ks = sides[negative]
+            q = LPoint(p.r, phi_pi=1 - p.phi_pi, phi_rem=-p.phi_rem) if negative else p
+            ks.append(tower._level(q, p))
+            idx.append(i)
+            seen.append(q)
+        values = [None] * len(points)
+        for tower, idx, seen, ks in sides:
+            for i, v in zip(idx, tower._unwind(seen, ks)):
+                values[i] = v if tower is self.positive else v.conjugate()
+        return values[0] if isinstance(z, LPoint) else values
 
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:

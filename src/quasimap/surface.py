@@ -63,7 +63,11 @@ class LPoint:
 
     @property
     def phi(self) -> float:
-        return float(self.phi_pi) * math.pi + self.phi_rem
+        """The argument as a float: +-inf once phi_pi * pi has no float (|phi_pi| >= 2^1024 included)."""
+        try:
+            return float(self.phi_pi) * math.pi + self.phi_rem
+        except OverflowError:
+            return math.inf if self.phi_pi > 0 else -math.inf
 
     def log(self) -> complex:
         return complex(math.log(self.r), self.phi)
@@ -77,7 +81,10 @@ class LPoint:
         return f"LPoint(r={self.r!r}, phi={self.phi_pi}*pi + {self.phi_rem!r})"
 
     def to_json(self) -> dict:
-        return {"r": self.r, "arg": self.phi}
+        phi = self.phi
+        if not math.isfinite(phi):
+            raise ValueError(f"the argument of {self!r} has no finite float for JSON")
+        return {"r": self.r, "arg": phi}
 
     def __eq__(self, other):
         return (

@@ -212,7 +212,7 @@ def test_criterion_5_asymptotic_certificates():
         plan = SamplingPlan(rho0=0.3 * domain.c, n_shells=8)
         for R in (av, 2 * av, 3 * av):
             cert = verify_asymptotic(
-                lambda p: germ.eval_lpoint(p), g, R, domain, plan=plan, tol=1e-10
+                lambda pts: [germ.eval_lpoint(p) for p in pts], g, R, domain, plan=plan, tol=1e-10
             )
             assert cert.passed
             worst_ratio = max(worst_ratio, max(cert.ratios))
@@ -221,7 +221,7 @@ def test_criterion_5_asymptotic_certificates():
     # planted wrong leading exponent fails, with a witness point
     with pytest.raises(FailedCertificate) as err:
         verify_asymptotic(
-            lambda p: model_corner_germ(Fraction(1, 2)).eval_lpoint(p),
+            lambda pts: [model_corner_germ(Fraction(1, 2)).eval_lpoint(p) for p in pts],
             LogPowerSeries.monomial(1.0, Fraction(1, 3)),
             1.0 / 3.0,
             certify_quadratic_domain(build_extension(model_corner_germ(Fraction(1, 2)), K=4)).quad,
@@ -235,7 +235,7 @@ def test_criterion_5_asymptotic_certificates():
     ext = build_extension(model_corner_germ(SQRT2), K=6)
     model = ExpansionModel(SQRT2, R=2 * SQRT2.value(), max_log_degree=1)
     plan = SamplingPlan(rho0=0.5 * ext.positive.levels[0].t, n_shells=14, one_sided=True)
-    fit = fit_expansion(lambda p: ext.evaluate(p), model, plan, domain=None)
+    fit = fit_expansion(ext.evaluate, model, plan, domain=None)
     verdict = dichotomy_check(fit.series, IRRATIONAL_PI_MULTIPLE, tol=1e-8)
     assert verdict["passed"] and verdict["max_log_coefficient"] < 1e-8
     planted = fit.series + LogPowerSeries.monomial(1e-3, SQRT2 * 2, log_degree=1)
@@ -370,12 +370,12 @@ def test_criterion_7_end_to_end_pipeline():
     # the certified quadratic domain (noise floor ~ 1e-16 / rho0 there)
     model = ExpansionModel(Exponent(Fraction(1, 2)), R=1.6, guard_terms=5)
     plan_germ = SamplingPlan(rho0=0.3 * ext.positive.levels[0].t, n_shells=10, points_per_shell=48, one_sided=True)
-    fit = fit_expansion(lambda p: ext.evaluate(p), model, plan_germ, domain=None)
+    fit = fit_expansion(ext.evaluate, model, plan_germ, domain=None)
     assert abs(fit.coefficient(Fraction(1, 2)) - (-a)) < 1e-8
     assert abs(fit.coefficient(Fraction(3, 2)) - (-b)) < 1e-8
     assert abs(fit.coefficient(Fraction(1, 1))) < 1e-8
     plan_deep = SamplingPlan(rho0=0.35 * cert.quad.c, n_shells=10, points_per_shell=48)
-    fit_deep = fit_expansion(lambda p: ext.evaluate(p), model, plan_deep, domain=cert.quad)
+    fit_deep = fit_expansion(ext.evaluate, model, plan_deep, domain=cert.quad)
     assert abs(fit_deep.coefficient(Fraction(1, 2)) - (-a)) < 1e-8
     assert abs(fit_deep.coefficient(Fraction(3, 2)) - (-b)) < 1e-5
 
@@ -384,7 +384,7 @@ def test_criterion_7_end_to_end_pipeline():
     # decrease like |z|^(1/2); the tolerance sits above the ratio floor that
     # the certified-domain depth allows (0.15 * sqrt(rho_min) ~ 1e-6)
     vcert = verify_asymptotic(
-        lambda p: ext.evaluate(p),
+        ext.evaluate,
         fit.series,
         1.0,
         cert.quad,

@@ -92,9 +92,9 @@ class TestVerifyCommand:
         calls = []
         evaluate = Extension.evaluate
 
-        def counted(self, z):
-            calls.append(z)
-            return evaluate(self, z)
+        def counted(self, pts):
+            calls.extend(pts)  # verify evaluates one list of points per shell
+            return evaluate(self, pts)
 
         monkeypatch.setattr(Extension, "evaluate", counted)
         out = tmp_path / "out"

@@ -29,6 +29,11 @@ SQRT2 = Exponent.generator("sqrt2")
 WIDE = QuadraticDomain(0.5, 0.5)
 
 
+def pointwise(fn):
+    """The list callable that fit_expansion and verify_asymptotic sample: fn at each point."""
+    return lambda pts: [fn(p) for p in pts]
+
+
 def lattice_values(model):
     return [e.value() for e in model.lattice()]
 
@@ -56,7 +61,7 @@ class TestFit:
         f = lambda p: zpow(p.log(), SQRT2.value())
         model = ExpansionModel(SQRT2, R=3 * SQRT2.value())
         plan = SamplingPlan(rho0=0.2, n_shells=10, points_per_shell=40)
-        fit = fit_expansion(f, model, plan, domain=WIDE)
+        fit = fit_expansion(pointwise(f), model, plan, domain=WIDE)
         assert abs(fit.coefficient(SQRT2) - 1.0) < 1e-8
         for e in fit.series.support():
             if e != SQRT2:
@@ -69,7 +74,7 @@ class TestFit:
 
         model = ExpansionModel(Exponent(Fraction(1, 2)), R=1.6, max_log_degree=1)
         plan = SamplingPlan(rho0=0.2, n_shells=12, points_per_shell=48)
-        fit = fit_expansion(f, model, plan, domain=WIDE)
+        fit = fit_expansion(pointwise(f), model, plan, domain=WIDE)
         assert abs(fit.coefficient(Fraction(1, 2)) - 1.0) < 1e-8
         assert abs(fit.coefficient(Fraction(1, 1), log_degree=1) - 0.3) < 1e-8
         assert abs(fit.coefficient(Fraction(3, 2)) - 1.0) < 1e-8
@@ -82,7 +87,7 @@ class TestFit:
         g = LogPowerSeries({e: [c] for e, c in zip(exps, coeffs)})
         model = ExpansionModel(Exponent(Fraction(1, 2)), R=2.0)
         plan = SamplingPlan(rho0=0.2, n_shells=10, points_per_shell=40)
-        fit = fit_expansion(lambda p: g.eval_finite(p), model, plan, domain=WIDE)
+        fit = fit_expansion(pointwise(g.eval_finite), model, plan, domain=WIDE)
         for e, c in zip(exps, coeffs):
             assert abs(fit.coefficient(e) - c) < 1e-8
 
@@ -95,7 +100,7 @@ class TestFit:
         assert germ.series.series_class() == "PURE_POWER"
         model = ExpansionModel(Exponent(Fraction(1, 2)), R=1.5, guard_terms=6)
         plan = SamplingPlan(rho0=0.02 * germ.t_bar, n_shells=10, points_per_shell=40, arg_cap=math.pi * 0.999)
-        fit = fit_expansion(lambda p: germ.series.eval_finite(p), model, plan, domain=None)
+        fit = fit_expansion(pointwise(germ.series.eval_finite), model, plan, domain=None)
         for e in model.lattice():
             want = germ.series.terms.get(e)
             got = fit.coefficient(e)
@@ -106,7 +111,7 @@ class TestFit:
 
     def test_two_fits_agree_termwise(self):
         # uniqueness surrogate: the same f fitted twice on different plans
-        f = lambda p: zpow(p.log(), SQRT2.value()) + 0.25j * zpow(p.log(), SQRT2.value() + 1)
+        f = pointwise(lambda p: zpow(p.log(), SQRT2.value()) + 0.25j * zpow(p.log(), SQRT2.value() + 1))
         model = ExpansionModel(SQRT2, R=3.2)
         fit1 = fit_expansion(f, model, SamplingPlan(rho0=0.2, n_shells=10, points_per_shell=40), domain=WIDE)
         fit2 = fit_expansion(f, model, SamplingPlan(rho0=0.13, n_shells=11, points_per_shell=52), domain=WIDE)
@@ -118,7 +123,7 @@ class TestFit:
         model = ExpansionModel(Exponent.generator("near_one"), R=2.2, include_integer_axis=True)
         plan = SamplingPlan(rho0=0.2, n_shells=8, points_per_shell=24)
         with pytest.raises(IllConditioned) as err:
-            fit_expansion(lambda p: zpow(p.log(), 1.0), model, plan, domain=WIDE)
+            fit_expansion(pointwise(lambda p: zpow(p.log(), 1.0)), model, plan, domain=WIDE)
         assert err.value.cond > 1e12
 
 
@@ -128,7 +133,7 @@ class TestVerify:
         g = LogPowerSeries.monomial(1.0, SQRT2)
         plan = SamplingPlan(rho0=0.05, n_shells=8)
         for R in (SQRT2.value(), 2 * SQRT2.value(), 3 * SQRT2.value()):
-            cert = verify_asymptotic(lambda p: germ.eval_lpoint(p), g, R, WIDE, plan=plan, tol=1e-10)
+            cert = verify_asymptotic(pointwise(germ.eval_lpoint), g, R, WIDE, plan=plan, tol=1e-10)
             assert cert.passed
             assert max(cert.ratios) == 0.0
 
@@ -136,7 +141,7 @@ class TestVerify:
         f = lambda p: zpow(p.log(), 0.5)
         g = LogPowerSeries.monomial(1.0, Fraction(1, 3))
         with pytest.raises(FailedCertificate) as err:
-            verify_asymptotic(f, g, 1.0 / 3.0, WIDE, tol=1e-6)
+            verify_asymptotic(pointwise(f), g, 1.0 / 3.0, WIDE, tol=1e-6)
         cert = err.value.certificate
         w = cert.witness()
         assert w is not None and w.ratio > 1e-6
@@ -147,7 +152,7 @@ class TestVerify:
         cert_q = certify_quadratic_domain(ext)
         g = LogPowerSeries.monomial(1.0, SQRT2)
         plan = SamplingPlan(rho0=0.3 * cert_q.quad.c, n_shells=8)
-        cert = verify_asymptotic(lambda p: ext.evaluate(p), g, 2 * SQRT2.value(), cert_q.quad, plan=plan, tol=1e-6)
+        cert = verify_asymptotic(ext.evaluate, g, 2 * SQRT2.value(), cert_q.quad, plan=plan, tol=1e-6)
         assert cert.passed
 
     def test_monotone_in_R(self):
@@ -156,18 +161,18 @@ class TestVerify:
         plan = SamplingPlan(rho0=0.1, n_shells=10)
         passed_at = {}
         for R in (1.4, 1.0, 0.6):
-            cert = verify_asymptotic(f, g, R, WIDE, plan=plan, tol=1e-6, strict=False)
+            cert = verify_asymptotic(pointwise(f), g, R, WIDE, plan=plan, tol=1e-6, strict=False)
             passed_at[R] = cert.passed
         assert passed_at[1.4]
         assert passed_at[1.0] and passed_at[0.6]  # PASS propagates downward
         # far beyond the next support point the contract honestly fails
-        cert = verify_asymptotic(f, g, 2.95, WIDE, plan=plan, tol=1e-6, strict=False)
+        cert = verify_asymptotic(pointwise(f), g, 2.95, WIDE, plan=plan, tol=1e-6, strict=False)
         assert not cert.passed
 
     def test_certificate_json(self):
         f = lambda p: zpow(p.log(), 0.5)
         g = LogPowerSeries.monomial(1.0, Fraction(1, 2))
-        cert = verify_asymptotic(f, g, 1.0, WIDE, tol=1e-8)
+        cert = verify_asymptotic(pointwise(f), g, 1.0, WIDE, tol=1e-8)
         blob = cert.to_json()
         assert blob["passed"] and len(blob["shells"]) > 0
 

@@ -2,11 +2,14 @@
 
 The fixed-point sweep that reversion used before Lagrange inversion is kept
 here as the reference, and so is composition without dropping exact-zero top
-coefficients.
+coefficients.  Evaluation stops at the last nonzero coefficient, so a
+zero-tailed series must evaluate exactly like the same series without its
+tail.
 """
 
 import cmath
 import math
+import struct
 
 import numpy as np
 from hypothesis import given
@@ -99,3 +102,28 @@ def test_compose_ignores_zero_top_coefficients(outer, inner, order, zeros):
     got = padded.compose(inner, order=order).coeffs
     assert got.tobytes() == compose_untrimmed(padded, inner, order).tobytes()
     assert got.tobytes() == outer.compose(inner, order=order).coeffs.tobytes()
+
+
+def bits(values) -> bytes:
+    return b"".join(struct.pack("<dd", v.real, v.imag) for v in np.atleast_1d(values))
+
+
+@given(f=charts("nonlinear"), zeros=st.integers(1, 16), u=st.floats(0.0, 0.99), theta=st.floats(-math.pi, math.pi))
+def test_exact_zero_tail_evaluates_bit_for_bit_like_no_tail(f, zeros, u, theta):
+    padded = PowerSeries(np.concatenate([f.coeffs, np.zeros(zeros)]), f.scale)
+    assert padded.top() == f.top() == f.order
+    z = cmath.rect(u * f.scale, theta)
+    for x in (z, np.array([z, 0.5 * z, -z, 0j])):
+        assert bits(padded(x)) == bits(f(x))
+        assert bits(padded.eval_deriv(x)) == bits(f.eval_deriv(x))
+
+
+@given(f=charts(), u=st.floats(0.0, 0.1), thetas=st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=6))
+def test_newton_on_an_array_matches_each_element(f, u, thetas):
+    # seeded by w / f'(0): elements off the linear part take the damped iteration
+    w = np.array([f(cmath.rect(u * f.scale, t)) for t in thetas])
+    got = f.newton_inverse(w)
+    assert got.shape == w.shape
+    for wi, zi in zip(w, got):
+        want = f.newton_inverse(complex(wi))
+        assert abs(zi - want) <= 1e-12 * max(abs(want), 1e-300)

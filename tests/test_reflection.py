@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestSectorTower:
             phi = rng.uniform(0, 2 ** (k - 1) * math.pi)
             r = rng.uniform(0.05, 0.5) * tw.levels[k].t
             z = LPoint(r, phi)
-            assert abs(tw._unwind(z, k) - tw._unwind(z, k - 1)) < 1e-12
+            assert abs(tw._unwind([z], [k])[0] - tw._unwind([z], [k - 1])[0]) < 1e-12
 
     def test_fixed_ray_well_defined(self, sqrt2_ext):
         # on the ray phi = 2^k pi the reflector fixes the values: conj(chi_k(w)) = w
@@ -208,8 +209,8 @@ class TestSectorTower:
         for multiple in (2**1023, 2**1100):
             with pytest.raises(OutsideExtensionDomain) as info:
                 ext.evaluate(LPoint(1e-300, phi_pi=sign * multiple))
-            # the positive tower sees the point, the negative one its mirror 1 - phi_pi
-            assert f"phi={multiple if sign > 0 else multiple + 1}*pi" in str(info.value)
+            # the message names the caller's point, also where the mirrored tower sees 1 - phi_pi
+            assert f"phi={sign * multiple}*pi" in str(info.value)
             assert "inf" not in str(info.value)
 
 
@@ -435,7 +436,7 @@ class TestCurvedArcTower:
 
         model = ExpansionModel(Exponent(Fraction(2, 3)), R=3.5 * av, guard_terms=4)
         plan = SamplingPlan(rho0=0.4 * ext.positive.levels[0].t, n_shells=12, one_sided=True)
-        fit = fit_expansion(lambda p: ext.evaluate(p), model, plan, domain=None)
+        fit = fit_expansion(ext.evaluate, model, plan, domain=None)
         a = Exponent(Fraction(2, 3))
         assert abs(fit.coefficient(a) - 1.0) < 1e-10
         assert abs(fit.coefficient(a * 2) - 1.0) < 1e-7
@@ -459,3 +460,43 @@ class TestErrorPaths:
         runaway = reflect_across(chart, lambda z: 10.0 + 0j)
         with pytest.raises(ImageEscapesChart):
             runaway(0.01 - 0.01j)
+
+
+class TestBatchEvaluation:
+    """A list of points unwinds in one walk, each level's chi applied to its group at once."""
+
+    @pytest.fixture(scope="class", params=["sqrt2", "golden", "curved"])
+    def ext(self, request):
+        if request.param == "curved":
+            return build_extension(TestCurvedArcTower._germ(), K=8)
+        return build_extension(model_corner_germ(Exponent.generator(request.param)), K=8)
+
+    def test_batch_matches_per_point_calls(self, ext):
+        cert = certify_quadratic_domain(ext)
+        pts = sample_quadratic_domain(cert.quad, 600, 11, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+        batch = ext.evaluate(pts)
+        assert isinstance(batch, list) and len(batch) == len(pts)
+        for p, got in zip(pts, batch):
+            want = ext.evaluate(p)
+            assert abs(got - want) <= 4e-15 * abs(want), p
+        # the positive tower takes lists on its own
+        upper = [p for p in pts if p._phi_cmp_pi(0) >= 0]
+        assert ext.positive.evaluate(upper) == [v for p, v in zip(pts, batch) if p._phi_cmp_pi(0) >= 0]
+        assert ext.evaluate([]) == []
+
+    def test_a_point_beyond_the_built_sheets_is_named(self, ext):
+        inside = sample_quadratic_domain(certify_quadratic_domain(ext).quad, 4, 5, max_abs_arg=10 * math.pi)
+        ext.evaluate(inside)  # must not raise
+        for beyond in (LPoint(1e-300, phi_pi=2**8 + 1, phi_rem=0.5), LPoint(1e-300, phi_pi=-300)):
+            with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(beyond))):
+                ext.evaluate(inside + [beyond] + inside)
+
+    def test_negative_argument_error_names_the_callers_point(self, ext):
+        # the mirrored tower sees phi = 301 pi; the message names the point as given
+        z = LPoint(1e-3, phi_pi=-300)
+        with pytest.raises(OutsideExtensionDomain) as info:
+            ext.evaluate(z)
+        assert repr(z) in str(info.value) and "301" not in str(info.value)
+        far = LPoint(0.9, phi_pi=-2)
+        with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(far))):
+            ext.evaluate(far)

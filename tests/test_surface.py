@@ -166,6 +166,21 @@ class TestQuadraticDomains:
         assert quad_contains(w, LPoint(math.exp(-3), 4.0))
         assert not quad_contains(w, LPoint(math.exp(-2), 4.0))  # boundary excluded
 
+    @pytest.mark.parametrize("multiple", [2**1023, 2**1100, Fraction(2**1100 + 1, 3)], ids=["2^1023", "2^1100", "frac"])
+    def test_arguments_without_a_float_are_outside(self, multiple):
+        # phi_pi * pi has no float here; such a point lies beyond every radius c exp(-C sqrt|phi|)
+        for sign in (1, -1):
+            z = LPoint(1e-300, phi_pi=sign * multiple)
+            assert z.phi == sign * math.inf
+            assert not QuadraticDomain(0.1, 1.0).contains(z)
+            assert not QuadraticDomain(0.1, 1.0, mirrored=False).contains(z)
+
+    def test_json_of_an_argument_without_a_float_names_the_multiple(self):
+        z = LPoint(1e-300, phi_pi=-(2**1100))
+        with pytest.raises(ValueError, match=f"phi={-(2**1100)}\\*pi"):
+            z.to_json()
+        assert LPoint(0.5, phi_pi=3, phi_rem=0.25).to_json() == {"r": 0.5, "arg": 3 * math.pi + 0.25}
+
     def test_constructive_member(self):
         w = QuadraticDomain(0.7, 2.3)
         for phi in np.linspace(-50.0, 50.0, 31):

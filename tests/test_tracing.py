@@ -33,7 +33,8 @@ def test_tracer_counts_every_layer(monkeypatch):
         alpha = parse_exponent("1/2")
         model = expansion.ExpansionModel(alpha, R=2.0 * alpha.value())
         plan = expansion.SamplingPlan(rho0=0.2, n_shells=4, points_per_shell=12)
-        expansion.fit_expansion(lambda p: zpow(p.log(), 0.5), model, plan, domain=QuadraticDomain(0.5, 0.5))
+        f = lambda pts: [zpow(p.log(), 0.5) for p in pts]
+        expansion.fit_expansion(f, model, plan, domain=QuadraticDomain(0.5, 0.5))
         solve_sc([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], [Fraction(1, 2)] * 4)
     finally:
         tracer.uninstall()
