@@ -40,7 +40,7 @@ from .expansion import (
     fit_expansion,
     verify_asymptotic,
 )
-from .exponents import parse_exponent, rationality_class
+from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, parse_exponent, rationality_class
 from .reflection import build_extension, certify_quadratic_domain, max_sample_arg, sample_quadratic_domain
 from .scmap import model_corner_germ, solve_sc
 from .series import LogPowerSeries
@@ -50,6 +50,8 @@ EXIT_OK = 0
 EXIT_CERTIFICATE = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_BAD_INPUT = 4
+
+ANGLE_CLASSES = {"rational": RATIONAL_PI_MULTIPLE, "irrational": IRRATIONAL_PI_MULTIPLE}
 
 
 @dataclass
@@ -81,6 +83,8 @@ class JobConfig:
             raise ValueError(f"--R must be finite and > 0, got {self.R}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"--tol must be finite and > 0, got {self.tol}")
+        if self.angle_class is not None and self.angle_class not in ANGLE_CLASSES:
+            raise ValueError(f"--angle-class must be rational or irrational, got {self.angle_class!r}")
 
     def hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True).encode()
@@ -340,9 +344,7 @@ def _run_dichotomy(config: JobConfig) -> tuple[dict, list, str]:
     else:
         raise ValueError("need --series or --alpha")
     if config.angle_class is not None:
-        klass = (
-            "IRRATIONAL_PI_MULTIPLE" if config.angle_class.lower().startswith("irr") else "RATIONAL_PI_MULTIPLE"
-        )
+        klass = ANGLE_CLASSES[config.angle_class]
     else:
         if config.alpha is None:
             raise ValueError("need --angle-class when only --series is given")

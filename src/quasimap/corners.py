@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CuspAngleZero, InversionFailure, RequiresTranslation, malformed
 from .exponents import Exponent
-from .powerseries import AnalyticFunc, PowerSeries, reciprocal
+from .powerseries import AnalyticFunc, PowerSeries, series_power
 from .series import LogPowerSeries, LogPolynomial
 
 
@@ -374,7 +374,7 @@ class ArcToInfinity:
         denom = np.zeros(order + 1, dtype=complex)
         cs = np.array(self.coeffs[: order + 1], dtype=complex)
         denom[: len(cs)] = cs
-        inv = reciprocal(denom, order)
+        inv = series_power(denom, -1.0, order)
         out = np.zeros(order + 1 + self.pole_order, dtype=complex)
         out[self.pole_order : self.pole_order + order + 1] = inv
         return PuiseuxArc(out, d=1, vertex=0j)
@@ -395,7 +395,7 @@ def _invert_finite_arc(arc: PuiseuxArc) -> PuiseuxArc:
     denom = psi.copy()
     denom[0] = v * v  # v (v + psi) = v^2 + v psi
     denom[1:] *= v
-    new = -np.convolve(psi, reciprocal(denom, order))[: order + 1]
+    new = -np.convolve(psi, series_power(denom, -1.0, order))[: order + 1]
     return PuiseuxArc(new, d=arc.d, vertex=1.0 / v)
 
 
@@ -492,9 +492,7 @@ class TransformChain:
         return self.rho * out
 
     def inverse_point(self, w3: complex) -> complex:
-        u = -((w3 / self.rho) ** self.m2)
-        v = self.phi1_root(u)
-        return v**self.m1
+        return self.inverse_point_with_lift(w3, 0.0)[0]
 
     def inverse_point_with_lift(self, w3: complex, lift3: float) -> tuple[complex, float]:
         u2 = (w3 / self.rho) ** self.m2
@@ -592,20 +590,7 @@ def _series_root(ps: PowerSeries, m: int, theta_lift: float, order: int) -> Powe
         raise ValueError("multiplicity not divisible by the root order")
     unit = u[mult:]
     c0 = unit[0]
-    tail = unit[1 : order + 1] / c0
-    h = np.zeros(order + 1, dtype=complex)
-    h[1 : 1 + len(tail)] = tail
-    # (1 + h)^(1/m) by the binomial series
-    out = np.zeros(order + 1, dtype=complex)
-    out[0] = 1.0
-    term = np.zeros(order + 1, dtype=complex)
-    term[0] = 1.0
-    coeff = 1.0
-    q = 1.0 / m
-    for n in range(1, order + 1):
-        coeff *= (q - (n - 1)) / n
-        term = np.convolve(term, h)[: order + 1]
-        out = out + coeff * term
+    out = series_power(unit / c0, 1.0 / m, order)
     lead = abs(c0) ** (1.0 / m) * cmath.exp(1j * theta_lift / m)
     root = out * lead
     full = np.zeros(mult // m + order + 1, dtype=complex)

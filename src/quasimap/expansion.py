@@ -71,18 +71,19 @@ class ExpansionModel:
 
     def guard_band(self) -> list[Exponent]:
         """First few lattice points beyond R (tail absorbers for the fit)."""
-        av = self.alpha.value()
-        horizon = self.R + self.guard_terms * max(av, 1.0) + 2.0
-        beyond = [e for e in self.lattice(upto=horizon) if e.value() > self.R + 1e-12]
-        return beyond[: self.guard_terms]
+        return self.lattice_beyond(self.R, self.guard_terms)
 
     def next_exponent_after(self, R: float) -> Exponent:
-        av = self.alpha.value()
-        horizon = R + 2.0 * max(av, 1.0) + 2.0
-        for e in self.lattice(upto=horizon):
-            if e.value() > R + 1e-12:
-                return e
-        raise ValueError("no lattice point beyond R in horizon")
+        return self.lattice_beyond(R, 1)[0]
+
+    def lattice_beyond(self, bound: float, n: int) -> list[Exponent]:
+        """The first n lattice exponents above bound.
+
+        They lie within n * max(alpha, 1) of it (the points i + alpha past it),
+        so the lattice is scanned to that horizon with a margin.
+        """
+        horizon = bound + n * max(self.alpha.value(), 1.0) + 2.0
+        return [e for e in self.lattice(upto=horizon) if e.value() > bound + 1e-12][:n]
 
 
 @dataclass

@@ -162,7 +162,7 @@ class PowerSeries:
         b = np.trim_zeros(self.coeffs[2 : order + 1], "b") / c1
         b *= lam ** np.arange(1, len(b) + 1)
         # h = 1/(F(x)/x) to order x^(order-1); it stays a constant for linear charts
-        h = reciprocal(np.concatenate(([1.0], b)), order - 1 if len(b) else 0)
+        h = series_power(np.concatenate(([1.0], b)), -1.0, order - 1 if len(b) else 0)
         # G(v) = g(w)/scale in v = w/out_abs; p runs through h^n
         g = np.zeros(order + 1, dtype=complex)
         p = h
@@ -174,14 +174,15 @@ class PowerSeries:
     def newton_inverse(self, w, z0=None, maxiter: int = 60):
         """Solve f(z) = w near 0 by damped Newton to 1e-14 relative, seeded by w / f'(0) if no z0.
 
-        ``w`` and ``z0`` are complex numbers or arrays of one shape.  For an
-        array the seeds are checked at once and only the elements that miss
-        the tolerance are iterated, one by one.
+        ``w`` and ``z0`` are complex numbers or arrays of one shape.  A number
+        is solved in Python complex arithmetic.  For an array the seeds are
+        checked at once and only the elements that miss the tolerance are
+        iterated, one by one.
         """
         if z0 is None:
             z0 = w / self.deriv0()
         if not isinstance(w, np.ndarray):
-            z = complex(z0)
+            w, z = complex(w), complex(z0)
             return self._damped_newton(w, z, self(z) - w, maxiter)
         z = np.array(z0, dtype=complex)
         fz = self(z) - w
@@ -264,15 +265,24 @@ class AnalyticFunc:
         return AnalyticFunc(self.series.conjugated(), ex)
 
 
-def reciprocal(c, order: int) -> np.ndarray:
-    """Taylor coefficients of 1/c(x) to x^order, for c[0] != 0; c past its end is zero."""
+def series_power(c, p: float, order: int) -> np.ndarray:
+    """Taylor coefficients of c(x)^p to x^order, for c[0] != 0 and the principal c[0]^p; c past its end is zero.
+
+    J.C.P. Miller's recurrence (Henrici, Applied and Computational Complex
+    Analysis I, 1.6): b_0 = c_0^p and
+    b_n = -(1/c_0) sum_(k=1..n) w_k c_k b_(n-k),  w_k = (n - k - p k)/n.
+    Forming n - k exactly first keeps w_k accurate for p near an integer;
+    for p = -1 every w_k is exactly 1, the reciprocal recurrence.
+    """
     c = np.asarray(c, dtype=complex)
-    inv = np.zeros(order + 1, dtype=complex)
-    inv[0] = 1.0 / c[0]
+    b = np.zeros(order + 1, dtype=complex)
+    b[0] = c[0] ** p
+    k = np.arange(1, len(c))
     for n in range(1, order + 1):
         j = min(n, len(c) - 1)
-        inv[n] = -np.dot(c[1 : j + 1], inv[n - 1 :: -1][:j]) / c[0]
-    return inv
+        w = (n - k[:j] - p * k[:j]) / n
+        b[n] = -np.dot(w * c[1 : j + 1], b[n - 1 :: -1][:j]) / c[0]
+    return b
 
 
 def require_in_disk(value: complex, radius: float, what: str) -> None:

@@ -246,7 +246,7 @@ class ReflectionTower:
             for i in idx:
                 require_in_disk(values[i], radius, what)
             if len(idx) == 1:
-                values[idx[0]] = self.chi(j, values[idx[0]]).conjugate()
+                values[idx[0]] = complex(self.chi(j, values[idx[0]])).conjugate()
                 continue
             w = np.array([values[i] for i in idx], dtype=complex)
             for i, v in zip(idx, np.conj(self.chi(j, w)).tolist()):
@@ -260,34 +260,18 @@ class ReflectionTower:
         chi_i = chi_(i-1) . arc1 . phi_i^(-1) for i >= 1 and
         chi_0 = conj . arc2 . conj . phi_0^(-1), each phi_i^(-1) one Newton
         solve seeded by the stored inverse series; w = 0 is fixed by every
-        chi_i.  Otherwise chi_j's series, except that chi_0 keeps arc2's
-        closed form whenever arc2 has one.
+        chi_i, with +0 parts.  Otherwise chi_j's series, except that chi_0
+        keeps arc2's closed form whenever arc2 has one.
         """
         arc1, arc2 = self.arc1.exact, self.arc2.exact
         if arc2 is None or (j > 0 and arc1 is None):
             return self.levels[j].chi.series(w)
-        if isinstance(w, np.ndarray):
-            return self._chi_descent(j, w)
-        for i in range(j, -1, -1):
-            if w == 0:
-                return 0j
-            ref = self.levels[i].chi
-            pre = ref.chart.newton_inverse(w, z0=ref.inverse(w))
-            if i == 0:
-                return complex(arc2(pre.conjugate())).conjugate()
-            w = complex(arc1(pre))
-
-    def _chi_descent(self, j: int, w: np.ndarray) -> np.ndarray:
-        """The descent of :meth:`chi` on an array; an element that reaches 0 on the way stays 0."""
-        zero = w == 0
         for i in range(j, 0, -1):
             ref = self.levels[i].chi
-            w = self.arc1.exact(ref.chart.newton_inverse(w, z0=ref.inverse(w)))
-            zero |= w == 0
+            w = arc1(ref.chart.newton_inverse(w, z0=ref.inverse(w)))
         ref = self.levels[0].chi
-        out = np.conj(self.arc2.exact(np.conj(ref.chart.newton_inverse(w, z0=ref.inverse(w)))))
-        out[zero] = 0
-        return out
+        # conj leaves -0 parts on an exact 0; + 0 makes them +0
+        return np.conj(arc2(np.conj(ref.chart.newton_inverse(w, z0=ref.inverse(w))))) + 0
 
 
 def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> ReflectionTower:

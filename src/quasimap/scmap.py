@@ -25,7 +25,7 @@ from scipy.special import roots_jacobi
 
 from .errors import DegenerateTransform, InvalidAngles, NonConvergence
 from .exponents import Exponent
-from .powerseries import AnalyticFunc, PowerSeries
+from .powerseries import AnalyticFunc, PowerSeries, series_power
 from .reflection import MapGerm
 from .series import LogPolynomial, LogPowerSeries, zpow
 from .surface import LPoint
@@ -337,14 +337,7 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     for j in range(n):
         if j == k:
             continue
-        base = complex(x_k - xs[j])
-        fac = np.zeros(order + 1, dtype=complex)
-        fac[0] = base**es[j]
-        # (base + u)^e = base^e * (1 + u/base)^e, binomial in u/base
-        coeff = 1.0
-        for m in range(1, order + 1):
-            coeff *= (es[j] - (m - 1)) / m
-            fac[m] = fac[0] * coeff / base**m
+        fac = series_power([x_k - xs[j], 1.0], es[j], order)
         g = np.convolve(g, fac)[: order + 1]
 
     # term integrals: Phi(x_k + z) - w_k = A sum_m g_m z^(alpha_k + m) / (alpha_k + m)

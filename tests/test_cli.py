@@ -226,6 +226,8 @@ class TestBadInput:
             (["verify", "--alpha", "1/2", "--tol", "-1"], "--tol must be finite and > 0"),
             (["expand", "--alpha", "1/2", "--shells", "0"], "--shells must be >= 1"),
             (["expand", "--alpha", "1/0"], "zero denominator in exponent '1/0'"),
+            (["dichotomy", "--alpha", "1/2", "--angle-class", "irational"],
+             "--angle-class must be rational or irrational, got 'irational'"),
         ],
     )
     def test_bad_flag_exits_4(self, argv, message, tmp_path, capsys):

@@ -1,21 +1,24 @@
-"""Property tests for series reversion and composition.
+"""Property tests for series reversion, composition and powers.
 
 The fixed-point sweep that reversion used before Lagrange inversion is kept
 here as the reference, and so is composition without dropping exact-zero top
 coefficients.  Evaluation stops at the last nonzero coefficient, so a
 zero-tailed series must evaluate exactly like the same series without its
-tail.
+tail.  The plain reciprocal recurrence is the reference for series_power at
+p = -1, and exact binomial coefficients for the powers of b + u.
 """
 
 import cmath
 import math
 import struct
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasimap.powerseries import PowerSeries
+from quasimap.powerseries import PowerSeries, series_power
 
 
 def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = None) -> PowerSeries:
@@ -127,3 +130,71 @@ def test_newton_on_an_array_matches_each_element(f, u, thetas):
     for wi, zi in zip(w, got):
         want = f.newton_inverse(complex(wi))
         assert abs(zi - want) <= 1e-12 * max(abs(want), 1e-300)
+
+
+def reciprocal_recurrence(c, order: int) -> np.ndarray:
+    """Taylor coefficients of 1/c(x): c_0 b_n = -sum_(k=1..n) c_k b_(n-k)."""
+    c = np.asarray(c, dtype=complex)
+    inv = np.zeros(order + 1, dtype=complex)
+    inv[0] = 1.0 / c[0]
+    for n in range(1, order + 1):
+        j = min(n, len(c) - 1)
+        inv[n] = -np.dot(c[1 : j + 1], inv[n - 1 :: -1][:j]) / c[0]
+    return inv
+
+
+def binomial_series(b: complex, e: float, order: int) -> np.ndarray:
+    """Taylor coefficients C(e, n) b^(e - n) of (b + u)^e: C(e, n) exact, the principal power at 40 digits."""
+    out, binom = [], Fraction(1)
+    with mpmath.workdps(40):
+        for n in range(order + 1):
+            power = mpmath.mpc(b) ** (mpmath.mpf(e) - n)
+            out.append(complex(mpmath.mpf(binom.numerator) / binom.denominator * power))
+            binom *= (Fraction(e) - n) / (n + 1)
+    return np.array(out)
+
+
+@st.composite
+def units(draw, max_len=24):
+    """c_0 + c_1 x + ... with |c_0| in [0.5, 2] and |c_n| <= 0.3 above it."""
+    c0 = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    return [c0] + draw(st.lists(small, max_size=max_len - 1))
+
+
+def scaled_gap(got, want) -> float:
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
+@given(c=units(), order=st.integers(0, 36))
+def test_power_minus_one_is_the_reciprocal_recurrence_bit_for_bit(c, order):
+    assert series_power(c, -1.0, order).tobytes() == reciprocal_recurrence(c, order).tobytes()
+
+
+@given(c=units(8), p=st.floats(-3.0, 3.0), q=st.floats(-3.0, 3.0), order=st.integers(0, 24))
+def test_powers_multiply(c, p, q, order):
+    prod = np.convolve(series_power(c, p, order), series_power(c, q, order))[: order + 1]
+    assert scaled_gap(prod, series_power(c, p + q, order)) <= 1e-12
+
+
+@given(c=units(8), m=st.integers(1, 6), order=st.integers(0, 24))
+def test_mth_root_to_the_mth_power_is_the_series(c, m, order):
+    root = series_power(c, 1.0 / m, order)
+    power = np.ones(1, dtype=complex)
+    for _ in range(m):
+        power = np.convolve(power, root)[: order + 1]
+    want = np.zeros(order + 1, dtype=complex)
+    want[: min(len(c), order + 1)] = c[: order + 1]
+    assert scaled_gap(power, want) <= 1e-12
+
+
+@given(
+    b=st.floats(0.1, 10.0),
+    theta=st.floats(-math.pi, math.pi),
+    e=st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3).map(float), st.integers(-3, 3).map(lambda i: i + 1e-9)),
+    order=st.integers(0, 24),
+)
+def test_powers_of_a_linear_factor_are_binomial(b, theta, e, order):
+    base = cmath.rect(b, theta)
+    got = series_power([base, 1.0], e, order)
+    want = binomial_series(base, e, order)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

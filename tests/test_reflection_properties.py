@@ -119,6 +119,14 @@ def test_zero_is_fixed_at_every_level():
     assert all(tower.chi(j, 0j) == 0 for j in range(K + 1))
 
 
+def test_zero_array_is_fixed_with_positive_zero_bits_at_every_level():
+    zeros = np.zeros(5, dtype=complex)
+    for case in ("sqrt2", "curved"):
+        tower, _ = tower_and_chain(case)
+        for j in range(K + 1):
+            assert tower.chi(j, zeros).tobytes() == zeros.tobytes(), (case, j)
+
+
 def test_levels_are_plain_data():
     for case in CASES:
         for lv in tower_and_chain(case)[0].levels:
