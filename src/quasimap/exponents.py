@@ -6,10 +6,11 @@ represented as
     q + sum_g  c_g * value(g)
 
 with ``q`` and the ``c_g`` exact rationals and ``g`` drawn from a registry of
-declared irrational generators (sqrt2, golden, ...).  Equality is decided
-symbolically on this representation; the total order falls back to numerics,
-escalating to 50-digit arithmetic when double precision cannot separate two
-symbolically distinct values.
+declared irrational generators (sqrt2, golden, ...); the builtin sqrt5 is
+stored as 2 golden - 1, so that each value has one representation.  Equality
+is decided symbolically on this representation; the total order falls back to
+numerics, escalating to 50-digit arithmetic when double precision cannot
+separate two symbolically distinct values.
 """
 
 from __future__ import annotations
@@ -17,15 +18,22 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 
-import mpmath
-
 from .errors import AmbiguousExponentOrder, UnknownClass
 
+# mpmath is imported only where 50-digit values are needed: in value_mp, in a
+# comparison that doubles cannot decide, and in declare_generator.
 _MP_DPS = 50
 
-# name -> float value, and name -> 50-digit value
-_GENERATORS: dict[str, float] = {}
-_GENERATOR_MP: dict[str, "mpmath.mpf"] = {}
+# name -> 50-digit value (a decimal string, or an mpmath number for a generator
+# declared as one), and name -> float value.  The builtins are given to 60
+# significant digits; golden = (1 + sqrt5) / 2.
+_GENERATOR_MP: dict[str, object] = {
+    "sqrt2": "1.41421356237309504880168872420969807856967187537694807317668",
+    "sqrt3": "1.73205080756887729352744634150587236694280525381038062805581",
+    "sqrt5": "2.2360679774997896964091736687312762354406183596115257242709",
+    "golden": "1.61803398874989484820458683436563811772030917980576286213545",
+}
+_GENERATORS: dict[str, float] = {name: float(digits) for name, digits in _GENERATOR_MP.items()}
 
 
 def declare_generator(name: str, value) -> None:
@@ -37,26 +45,18 @@ def declare_generator(name: str, value) -> None:
     different value raises ValueError, since exponents already built on the
     name would change meaning.
     """
+    import mpmath
+
     with mpmath.workdps(_MP_DPS):
         mpval = mpmath.mpf(value)
         if name in _GENERATOR_MP:
-            old, new = mpmath.nstr(_GENERATOR_MP[name], _MP_DPS), mpmath.nstr(mpval, _MP_DPS)
+            old = mpmath.nstr(mpmath.mpf(_GENERATOR_MP[name]), _MP_DPS)
+            new = mpmath.nstr(mpval, _MP_DPS)
             if new != old:
                 raise ValueError(f"irrational generator {name!r} is already declared as {old}, not {new}")
             return
     _GENERATORS[name] = float(mpval)
     _GENERATOR_MP[name] = mpval
-
-
-def _builtin_generators():
-    with mpmath.workdps(_MP_DPS):
-        declare_generator("sqrt2", mpmath.sqrt(2))
-        declare_generator("sqrt3", mpmath.sqrt(3))
-        declare_generator("sqrt5", mpmath.sqrt(5))
-        declare_generator("golden", (1 + mpmath.sqrt(5)) / 2)
-
-
-_builtin_generators()
 
 
 class Exponent:
@@ -69,8 +69,14 @@ class Exponent:
     __slots__ = ("rational", "irrational", "_value")
 
     def __init__(self, rational=0, irrational=None):
-        self.rational = Fraction(rational)
         irr = {}
+        if irrational and "sqrt5" in irrational:
+            # sqrt5 = 2 golden - 1 is kept on golden, so that a value has one form
+            irrational = dict(irrational)
+            c = Fraction(irrational.pop("sqrt5"))
+            rational = Fraction(rational) - c
+            irrational["golden"] = Fraction(irrational.get("golden", 0)) + 2 * c
+        self.rational = Fraction(rational)
         if irrational:
             # in name order, so that value() sums equal exponents alike
             for name, coeff in sorted(irrational.items()):
@@ -109,10 +115,12 @@ class Exponent:
         return self._value
 
     def value_mp(self):
+        import mpmath
+
         with mpmath.workdps(_MP_DPS):
             v = mpmath.mpf(self.rational.numerator) / self.rational.denominator
             for name, c in self.irrational.items():
-                v += (mpmath.mpf(c.numerator) / c.denominator) * _GENERATOR_MP[name]
+                v += (mpmath.mpf(c.numerator) / c.denominator) * mpmath.mpf(_GENERATOR_MP[name])
             return v
 
     # -- predicates ------------------------------------------------------------
@@ -177,6 +185,8 @@ class Exponent:
         if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
             return a < b
         # escalate: symbolically distinct but numerically close in doubles
+        import mpmath
+
         am, bm = self.value_mp(), other.value_mp()
         if abs(am - bm) < mpmath.mpf(10) ** (-_MP_DPS + 10):
             raise AmbiguousExponentOrder(f"cannot order {self} vs {other}")

@@ -477,16 +477,14 @@ def certify_quadratic_domain(ext: Extension) -> CertifiedExtension:
     c = min(t0_pos, t1_neg) * (1.0 - 1e-12)
     log_rate = math.log(rate)
 
-    C = 1e-9
-    for k in range(1, 401):
-        # positive side: phi in [2^(k-1) pi, 2^k pi] needs c e^(-C sqrt(2^(k-1) pi)) <= t_k,
-        # with the exact schedule t_k = t_0 rate^(-k) (in logs to dodge underflow)
-        need = (math.log(c / t0_pos) + k * log_rate) / math.sqrt(2 ** (k - 1) * math.pi)
-        C = max(C, need)
-        # negative side: |phi| in [(2^(k-1) - 1) pi, ...] maps to level k of the twin
-        if k >= 2:
-            need = (math.log(c / t0_neg) + k * log_rate) / math.sqrt((2 ** (k - 1) - 1) * math.pi)
-            C = max(C, need)
+    k = np.arange(1, 401)
+    span = 2.0 ** (k - 1)
+    # positive side: phi in [2^(k-1) pi, 2^k pi] needs c e^(-C sqrt(2^(k-1) pi)) <= t_k,
+    # with the exact schedule t_k = t_0 rate^(-k) (in logs to dodge underflow)
+    need_pos = (math.log(c / t0_pos) + k * log_rate) / np.sqrt(span * math.pi)
+    # negative side, k >= 2: |phi| in [(2^(k-1) - 1) pi, ...] maps to level k of the twin
+    need_neg = (math.log(c / t0_neg) + k[1:] * log_rate) / np.sqrt((span[1:] - 1.0) * math.pi)
+    C = max(1e-9, float(need_pos.max()), float(need_neg.max()))
     K_growth = rate
     for k in range(1, pos.K + 1):
         K_growth = max(K_growth, pos.levels[k].t ** (-1.0 / k))

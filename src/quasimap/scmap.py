@@ -16,12 +16,12 @@ the endpoint singularities, with adaptive node doubling.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DegenerateTransform, InvalidAngles, NonConvergence
 from .exponents import Exponent
@@ -164,6 +164,17 @@ class SCPolygon:
 
     def exponents(self) -> np.ndarray:
         return np.array([float(a) - 1.0 for a in self.angles])
+
+
+def roots_jacobi(n: int, alpha: float, beta: float):
+    """Gauss-Jacobi nodes and weights, from scipy.special, imported on first use.
+
+    Only the SC integrals need scipy, so a process that never solves or
+    evaluates an SC map does not load it.
+    """
+    from scipy.special import roots_jacobi as rule
+
+    return rule(n, alpha, beta)
 
 
 def _jacobi_integral(a, b, e_a: float, xs, es, n0: int, nmax: int) -> complex:
@@ -313,6 +324,13 @@ def sc_evaluate(poly: SCPolygon, z) -> complex:
     return w_anchor + poly.A * val
 
 
+@functools.lru_cache(maxsize=64)
+def _exponent_ladder(alpha: Fraction, order: int) -> tuple:
+    """The exponents alpha + m, m = 0..order, shared by every SC germ at the angle alpha pi."""
+    base = Exponent(alpha)
+    return tuple(base + m for m in range(order + 1))
+
+
 def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     """Germ of the SC map at vertex k: Phi(x_k + z) - w_k on H-bar.
 
@@ -342,11 +360,12 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
 
     # term integrals: Phi(x_k + z) - w_k = A sum_m g_m z^(alpha_k + m) / (alpha_k + m)
     coeffs = poly.A * g / (a_val + np.arange(order + 1))
+    ladder = _exponent_ladder(alpha_k, order)
     terms = {}
     for m, c in enumerate(coeffs):
         if c != 0:
-            terms[Exponent(alpha_k) + Exponent(m)] = LogPolynomial.constant(c)
-    series = LogPowerSeries(terms, r_max=Exponent(alpha_k) + Exponent(order))
+            terms[ladder[m]] = LogPolynomial.constant(c)
+    series = LogPowerSeries(terms, r_max=ladder[order])
 
     w_k = poly.vertices[k]
 
@@ -371,7 +390,7 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     germ = MapGerm(
         eval_complex=germ_eval,
         t_bar=t_bar,
-        alpha=Exponent(alpha_k),
+        alpha=ladder[0],
         growth=growth,
         arc1=arc1,
         arc2=arc2,

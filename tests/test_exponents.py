@@ -1,5 +1,6 @@
 """Property tests for exact exponents: numeric order, symbolic equality, JSON."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quasimap.errors import AmbiguousExponentOrder
-from quasimap.exponents import Exponent
+from quasimap.exponents import _GENERATOR_MP, _GENERATORS, Exponent, parse_exponent
 
 # 1, sqrt2, sqrt3 and golden are linearly independent over Q, so two of these
 # exponents have equal values exactly when they are symbolically equal
@@ -74,13 +75,46 @@ def test_equality_is_symbolic(a, b):
         assert a == a.rational
 
 
-def test_equal_values_of_distinct_forms_are_not_equal():
-    # sqrt5 = 2 golden - 1 in value, but not as declared generators
-    sqrt5 = Exponent.generator("sqrt5")
+def test_sqrt5_has_one_representation_through_golden():
+    # sqrt5 = 2 golden - 1: every way of writing it gives the same exponent
     other = Exponent.generator("golden", 2) - 1
-    assert sqrt5 != other and sqrt5.value() == pytest.approx(other.value(), rel=1e-15)
+    forms = [
+        parse_exponent("sqrt5"),
+        Exponent.generator("sqrt5"),
+        Exponent(0, {"sqrt5": 1}),
+        Exponent.from_json({"rational": [0, 1], "irrational_multiples": {"sqrt5": [1, 1]}}),
+    ]
+    for sqrt5 in forms:
+        assert sqrt5 == other and hash(sqrt5) == hash(other) and sqrt5.value() == other.value()
+        assert not sqrt5 < other and not other < sqrt5 and sqrt5 <= other
+        assert sqrt5.to_json() == other.to_json()
+    assert parse_exponent("1/2*sqrt5+1/2") == Exponent.generator("golden")
+    assert parse_exponent("3*sqrt5+sqrt2") - parse_exponent("6*golden+sqrt2") == -3
+    assert Exponent(0, {"sqrt5": 1, "golden": -2}) == -1
+
+
+def test_a_distinct_value_within_double_rounding_still_raises():
+    # the 50-digit tie-break runs out of digits on values equal past 40 digits
+    golden = Exponent.generator("golden")
+    with mpmath.workdps(60):
+        digits = Fraction(mpmath.nstr(golden.value_mp(), 45))
     with pytest.raises(AmbiguousExponentOrder):
-        sqrt5 < other
+        golden < Exponent(digits)
+
+
+def test_builtin_generators_keep_their_50_digit_and_double_values():
+    with mpmath.workdps(50):
+        computed = {
+            "sqrt2": mpmath.sqrt(2),
+            "sqrt3": mpmath.sqrt(3),
+            "sqrt5": mpmath.sqrt(5),
+            "golden": (1 + mpmath.sqrt(5)) / 2,
+        }
+        for name, want in computed.items():
+            assert len(_GENERATOR_MP[name].replace(".", "")) >= 50
+            assert mpmath.mpf(_GENERATOR_MP[name]) == want
+            assert _GENERATORS[name] == float(want) == float(_GENERATOR_MP[name])
+    assert _GENERATORS["sqrt2"] == math.sqrt(2) and _GENERATORS["sqrt5"] == math.sqrt(5)
 
 
 @given(exponents)

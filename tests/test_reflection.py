@@ -273,6 +273,54 @@ class TestCertification:
         assert c8.quad.c >= c4.quad.c * (1 - 1e-13)
         assert c8.quad.C <= c4.quad.C * (1 + 1e-13)
 
+    @staticmethod
+    def _certify_by_loop(ext):
+        """The per-level loop over k = 1..400 that the array form replaces: the reference."""
+        pos, neg = ext.positive, ext.negative
+        rate = 128.0 ** (1.0 / pos.alpha)
+        t0_pos, t0_neg = pos.levels[0].t, neg.levels[0].t
+        c = min(t0_pos, t0_neg / rate) * (1.0 - 1e-12)
+        log_rate = math.log(rate)
+        C = 1e-9
+        for k in range(1, 401):
+            C = max(C, (math.log(c / t0_pos) + k * log_rate) / math.sqrt(2 ** (k - 1) * math.pi))
+            if k >= 2:
+                C = max(C, (math.log(c / t0_neg) + k * log_rate) / math.sqrt((2 ** (k - 1) - 1) * math.pi))
+        K_growth = rate
+        for k in range(1, pos.K + 1):
+            K_growth = max(K_growth, pos.levels[k].t ** (-1.0 / k))
+        return c, C, K_growth, rate
+
+    @staticmethod
+    def _cusp_germ():
+        """-z^(1/2) (1/2 + 0.15 z) on the normalized cusp (t^2, t^3) against a ray."""
+        from quasimap.corners import CornerSpec, PuiseuxArc, normalize_corner
+        from quasimap.series import zpow
+
+        norm, _ = normalize_corner(CornerSpec(PuiseuxArc([0, 0, 1, 1j]), PuiseuxArc([0, -1]), 0j, Exponent(1)))
+        return MapGerm(
+            eval_complex=lambda z: -np.sqrt(np.asarray(z, dtype=complex)) * (0.5 + 0.15 * np.asarray(z)),
+            t_bar=0.15,
+            alpha=norm.angle,
+            growth=0.65,
+            arc1=norm.arc1,
+            arc2=norm.arc2,
+            eval_lpoint=lambda p: -zpow(p.log(), 0.5) * (0.5 + 0.15 * zpow(p.log(), 1.0)),
+        )
+
+    @pytest.mark.parametrize("germ", ["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden", "curved", "cusp"])
+    def test_certificate_matches_the_level_loop_bit_for_bit(self, germ):
+        if germ == "curved":
+            ext = build_extension(TestCurvedArcTower._germ(), K=8)
+        elif germ == "cusp":
+            ext = build_extension(self._cusp_germ(), K=6)
+        else:
+            ext = build_extension(model_corner_germ(Exponent.coerce(germ)), K=8)
+        cert = certify_quadratic_domain(ext)
+        got = (cert.quad.c, cert.quad.C, cert.K_growth, cert.rate)
+        assert all(type(x) is float for x in got)
+        assert got == self._certify_by_loop(ext)
+
     def test_report_shape(self):
         germ = model_corner_germ(Fraction(1, 2))
         cert = certify_quadratic_domain(build_extension(germ, K=3))

@@ -247,6 +247,20 @@ class TestCornerGerm:
             assert corner_angle(corner) == Exponent(Fraction(1, 2))
 
 
+    def test_germs_at_equal_angles_share_their_exponents(self, unit_square, elliptic_rectangle):
+        germs = [sc_corner_germ(poly, k) for poly in (unit_square, elliptic_rectangle[0]) for k in range(4)]
+        first = germs[0]
+        for germ in germs[1:]:
+            assert germ.alpha is first.alpha and germ.series.r_max is first.series.r_max
+            shared = set(map(id, first.series.terms)) & set(map(id, germ.series.terms))
+            assert len(shared) == len(germ.series.terms)
+        # an L-hexagon's 3/2 corner gets its own ladder, and its 1/2 corners the square's
+        hexagon = solve_sc([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], [Fraction(1, 2)] * 3 + [Fraction(3, 2)] + [Fraction(1, 2)] * 2)
+        reflex, right = sc_corner_germ(hexagon, 3), sc_corner_germ(hexagon, 0)
+        assert reflex.alpha == Exponent(Fraction(3, 2)) and reflex.alpha is not first.alpha
+        assert right.alpha is first.alpha
+
+
 class TestModelGerm:
     def test_identity_map(self):
         germ = model_corner_germ(1)
