@@ -128,7 +128,7 @@ class PowerSeries:
         w[1 : m + 1] = inner.coeffs[1 : m + 1] / self.scale
         acc = np.zeros(order + 1, dtype=complex)
         # exact-zero top coefficients would only convolve zeros
-        for c in np.trim_zeros(self.coeffs, "b")[::-1]:
+        for c in self.coeffs[self.top() :: -1]:
             acc = np.convolve(acc, w)[: order + 1]
             acc[0] += c
         return PowerSeries(acc, inner.scale, inner.radius)

@@ -10,7 +10,12 @@ with real prevertices x_1 < ... < x_n and the closure constraint
 sum (1 - alpha_k) = 2.  Three prevertices are fixed at -1, 0, 1; the remaining
 gaps are solved in a log-transformed unconstrained parameterization by damped
 Newton on side-length ratios.  Integrals use Gauss-Jacobi rules that absorb
-the endpoint singularities, with adaptive node doubling.
+the endpoint singularities, with adaptive node doubling.  One ``solve_sc``
+call computes each rule (node count, exponent) once and reuses it in every
+residual, Jacobian column, the constant A and the closure check;
+``sc_evaluate`` computes its own rules on each call.  Nothing is cached
+between calls.  ``sc_evaluate`` raises ValueError for a point that is not
+finite or lies below the real axis.
 """
 
 from __future__ import annotations
@@ -177,19 +182,23 @@ def roots_jacobi(n: int, alpha: float, beta: float):
     return rule(n, alpha, beta)
 
 
-def _jacobi_integral(a, b, e_a: float, xs, es, n0: int, nmax: int) -> complex:
+def _jacobi_integral(a, b, e_a: float, xs, es, n0: int, nmax: int, rules: dict) -> complex:
     """Integral of the SC integrand over the segment [a, b] (principal branches).
 
     The factor (t - a)^e_a, e_a > -1, is pulled out of the integrand and
     absorbed by the Gauss-Jacobi weight.  The node count doubles from n0
     until two successive rules agree to 1e-13 relative; past nmax the last
-    rule stands.
+    rule stands.  ``rules`` maps (n, e_a) to a rule already computed by the
+    caller and receives the ones computed here.
     """
     h = (b - a) / 2.0
     prev = None
     n = n0
     while n <= nmax:
-        nodes, weights = roots_jacobi(n, 0.0, e_a)
+        rule = rules.get((n, e_a))
+        if rule is None:
+            rule = rules[n, e_a] = roots_jacobi(n, 0.0, e_a)
+        nodes, weights = rule
         t = (a + h * (nodes + 1.0)).astype(complex)
         # factor (t - a)^e = h^e (1+s)^e; the (1+s)^e part sits in the weight
         vals = np.ones_like(t)
@@ -204,12 +213,12 @@ def _jacobi_integral(a, b, e_a: float, xs, es, n0: int, nmax: int) -> complex:
     return prev
 
 
-def _side_integral_complex(xs, es, j: int) -> complex:
+def _side_integral_complex(xs, es, j: int, rules: dict) -> complex:
     """Oriented integral over the real segment [x_j, x_(j+1)], split at its midpoint."""
     a, b = xs[j], xs[j + 1]
     mid = 0.5 * (a + b)
-    left = _jacobi_integral(a, mid, es[j], xs, es, 24, 384)
-    return left - _jacobi_integral(b, mid, es[j + 1], xs, es, 24, 384)
+    left = _jacobi_integral(a, mid, es[j], xs, es, 24, 384, rules)
+    return left - _jacobi_integral(b, mid, es[j + 1], xs, es, 24, 384, rules)
 
 
 def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPolygon:
@@ -231,6 +240,8 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
     if any(vs[j] == vs[j - 1] for j in range(n)):
         raise InvalidAngles("consecutive vertices must be distinct")
     exponents = np.array([float(a) - 1.0 for a in als])
+    # every side integral of this solve draws its Gauss-Jacobi rules from one table
+    rules = {}
 
     if n == 3:
         prev = np.array([-1.0, 0.0, 1.0])
@@ -254,10 +265,10 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
 
         def residual_of(u: np.ndarray) -> np.ndarray:
             xs = prevertices_from(u)
-            base = abs(_side_integral_complex(xs, exponents, 0))
+            base = abs(_side_integral_complex(xs, exponents, 0, rules))
             res = np.empty(n - 3)
             for j in range(1, n - 2):
-                res[j - 1] = math.log(abs(_side_integral_complex(xs, exponents, j)) / base) - target[j - 1]
+                res[j - 1] = math.log(abs(_side_integral_complex(xs, exponents, j, rules)) / base) - target[j - 1]
             return res
 
         u = np.zeros(n - 3)
@@ -293,7 +304,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
         residual = float(norm)
 
     # affine constants from the first side
-    i1 = _side_integral_complex(prev, exponents, 0)
+    i1 = _side_integral_complex(prev, exponents, 0, rules)
     A = (vs[1] - vs[0]) / i1
     B = vs[0]
     poly = SCPolygon(vs, als, prev, A, B, residual)
@@ -302,7 +313,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
     worst = 0.0
     w_hat = vs[0]
     for j in range(n - 1):
-        w_hat = w_hat + A * _side_integral_complex(prev, exponents, j)
+        w_hat = w_hat + A * _side_integral_complex(prev, exponents, j, rules)
         worst = max(worst, abs(w_hat - vs[j + 1]))
     scale = max(abs(v) for v in vs)
     if not worst <= 1e4 * tol * max(1.0, scale):
@@ -312,15 +323,21 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
 
 
 def sc_evaluate(poly: SCPolygon, z) -> complex:
-    """Phi(z) for z in the closed upper half plane, anchored at the nearest prevertex."""
+    """Phi(z) for z in the closed upper half plane, anchored at the nearest prevertex.
+
+    Raises ValueError naming z when z is not finite or Im z < 0.  Its
+    Gauss-Jacobi rules are computed afresh on each call.
+    """
     z = complex(z)
+    if not (cmath.isfinite(z) and z.imag >= 0):
+        raise ValueError(f"z = {z} is not a finite point of the closed upper half plane")
     xs = poly.prevertices
     es = poly.exponents()
     k = int(np.argmin(np.abs(xs - z)))
     anchor = xs[k]
     # image of the anchor prevertex, plus the integral from it straight to z
     w_anchor = poly.vertices[k]
-    val = 0j if z == anchor else _jacobi_integral(anchor, z, es[k], xs, es, 48, 768)
+    val = 0j if z == anchor else _jacobi_integral(anchor, z, es[k], xs, es, 48, 768, {})
     return w_anchor + poly.A * val
 
 

@@ -2,15 +2,19 @@
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ellipk
+from scipy.special import ellipk, ellipkm1
 
+from quasimap import scmap
 from quasimap.corners import CornerSpec, PuiseuxArc, corner_angle
-from quasimap.errors import DegenerateTransform, InvalidAngles
+from quasimap.errors import DegenerateTransform, InvalidAngles, NonConvergence
 from quasimap.exponents import Exponent
 from quasimap.scmap import (
     MobiusTransform,
@@ -64,9 +68,18 @@ class TestMobius:
             MobiusTransform(1, 2, 2, 4)
 
 
+SQUARE = ([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], [Fraction(1, 2)] * 4)
+L_HEXAGON = ([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], [Fraction(1, 2)] * 3 + [Fraction(3, 2)] + [Fraction(1, 2)] * 2)
+CROSS_VERTICES = [(3, 1), (1, 1), (1, 3), (-1, 3), (-1, 1), (-3, 1), (-3, -1), (-1, -1), (-1, -3), (1, -3), (1, -1), (3, -1)]
+CROSS = (
+    [complex(x, y) for x, y in CROSS_VERTICES],
+    [Fraction(3, 2) if abs(x) == 1 and abs(y) == 1 else Fraction(1, 2) for x, y in CROSS_VERTICES],
+)
+
+
 @pytest.fixture(scope="module")
 def unit_square():
-    return solve_sc([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], [Fraction(1, 2)] * 4)
+    return solve_sc(*SQUARE)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +164,80 @@ class TestSolve:
         poly = solve_sc(vs, als)
         for xk, wk in zip(poly.prevertices, poly.vertices):
             assert abs(sc_evaluate(poly, xk) - wk) < 1e-8
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("polygon", [SQUARE, L_HEXAGON, CROSS], ids=["square", "L-hexagon", "cross"])
+    def test_solve_computes_each_rule_once(self, monkeypatch, polygon):
+        calls = Counter()
+        rule = scmap.roots_jacobi
+
+        def counting(n, alpha, beta):
+            calls[n, alpha, beta] += 1
+            return rule(n, alpha, beta)
+
+        monkeypatch.setattr(scmap, "roots_jacobi", counting)
+        solve_sc(*polygon)
+        assert calls and max(calls.values()) == 1
+
+    @settings(max_examples=30)
+    @given(
+        st.sampled_from([SQUARE, L_HEXAGON]),
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.complex_numbers(max_magnitude=10.0),
+    )
+    def test_solve_invariant_under_similarities(self, polygon, r, theta, b):
+        vertices, angles = polygon
+        s = cmath.rect(r, theta)
+        poly = solve_sc(vertices, angles)
+        moved = solve_sc([s * v + b for v in vertices], angles)
+        assert np.max(np.abs(moved.prevertices - poly.prevertices)) < 1e-10
+        assert abs(moved.A - s * poly.A) < 1e-10 * abs(s * poly.A)
+        assert abs(moved.B - (s * poly.B + b)) < 1e-10 * max(1.0, abs(s * poly.B + b))
+
+
+class TestEvaluateDomain:
+    @pytest.mark.parametrize("z", [0.3 - 0.5j, complex(0.2, -1e-300), complex("nan"), complex("inf"), complex(0.1, math.inf), complex(math.nan, 1.0)])
+    def test_points_outside_closed_upper_half_plane_rejected(self, unit_square, z):
+        with pytest.raises(ValueError, match="z = "):
+            sc_evaluate(unit_square, z)
+
+    def test_real_axis_points_stay_valid(self, unit_square):
+        x = 0.5 * (unit_square.prevertices[0] + unit_square.prevertices[1])
+        for z in (complex(x, 0.0), complex(x, -0.0)):
+            w = sc_evaluate(unit_square, z)
+            assert abs(w.imag - 1.0) < 1e-9 and abs(w.real) < 1.0  # on the side Im w = 1
+
+
+def rectangle_aspect(xs) -> float:
+    """Side ratio of the rectangle whose SC prevertices are xs, from the elliptic modulus.
+
+    The long sides map from [x_0, x_1] and [x_2, x_3].  With (a, b, c, d) =
+    (x_1, x_2, x_3, x_0) the cross ratio lam = (c - b)(d - a) / ((c - a)(d - b))
+    is the parameter whose complete integrals give the aspect K(lam) / K(1 - lam);
+    1 - lam = (b - a)(d - c) / ((c - a)(d - b)) is formed directly, for precision.
+    """
+    a, b, c, d = xs[1], xs[2], xs[3], xs[0]
+    m1 = (b - a) * (d - c) / ((c - a) * (d - b))
+    return float(ellipkm1(m1) / ellipk(m1))
+
+
+class TestLongRectangles:
+    """Right-angled rectangles of aspect w, checked against their side ratio at the SC tolerance."""
+
+    LONG = pytest.mark.xfail(
+        strict=True,
+        raises=(AssertionError, NonConvergence),
+        reason="Gauss-Jacobi rules of at most 384 nodes cannot resolve clustered prevertices: "
+        "the map's side ratio is off (w = 4, 5) or damped Newton stalls (w = 6, 8)",
+    )
+
+    @pytest.mark.parametrize("w", [2.0, 3.0, pytest.param(4.0, marks=LONG), pytest.param(5.0, marks=LONG),
+                                   pytest.param(6.0, marks=LONG), pytest.param(8.0, marks=LONG)])
+    def test_side_ratio(self, w):
+        poly = solve_sc([0, w, w + 1j, 1j], [Fraction(1, 2)] * 4)
+        assert abs(rectangle_aspect(poly.prevertices) - w) < 1e-8 * w
 
 
 class TestHalfStrip:
@@ -255,7 +342,7 @@ class TestCornerGerm:
             shared = set(map(id, first.series.terms)) & set(map(id, germ.series.terms))
             assert len(shared) == len(germ.series.terms)
         # an L-hexagon's 3/2 corner gets its own ladder, and its 1/2 corners the square's
-        hexagon = solve_sc([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], [Fraction(1, 2)] * 3 + [Fraction(3, 2)] + [Fraction(1, 2)] * 2)
+        hexagon = solve_sc(*L_HEXAGON)
         reflex, right = sc_corner_germ(hexagon, 3), sc_corner_germ(hexagon, 0)
         assert reflex.alpha == Exponent(Fraction(3, 2)) and reflex.alpha is not first.alpha
         assert right.alpha is first.alpha
