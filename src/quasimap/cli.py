@@ -3,7 +3,9 @@
 Each run writes report.json (sorted keys, embedded config hash and package
 version), samples.csv, and plot.svg into the output directory and returns a
 conventional exit code: 0 pass, 2 certificate failure or dichotomy violation,
-3 solver nonconvergence, 4 bad input.
+3 solver nonconvergence, 4 bad input.  Every exit but a missing command
+writes a report.json whose status names the outcome (bad input: "bad-input"
+with the reason), as long as the output directory is writable.
 
 Outputs are byte-identical across repeated runs with the same config: all
 sampling is seeded, keys are sorted, and the SVG emitter is deterministic.
@@ -37,6 +39,7 @@ from .expansion import (
     ExpansionModel,
     SamplingPlan,
     dichotomy_check,
+    error_tower_constants,
     fit_expansion,
     verify_asymptotic,
 )
@@ -110,19 +113,17 @@ def _emit(config: JobConfig, report: dict, samples: list | None = None, plot: st
 
 def run(config: JobConfig) -> int:
     """Execute one job; deterministic outputs for identical configs."""
+    handler = {
+        "analyze": _run_analyze,
+        "sc-solve": _run_sc_solve,
+        "continue": _run_continue,
+        "expand": _run_expand,
+        "verify": _run_verify,
+        "dichotomy": _run_dichotomy,
+    }.get(config.command)
     try:
-        handler = {
-            "analyze": _run_analyze,
-            "sc-solve": _run_sc_solve,
-            "continue": _run_continue,
-            "expand": _run_expand,
-            "verify": _run_verify,
-            "dichotomy": _run_dichotomy,
-        }[config.command]
-    except KeyError:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
+        if handler is None:
+            raise ValueError(f"unknown command {config.command!r}")
         config.validate()
         _emit(config, *handler(config))
         return EXIT_OK
@@ -149,6 +150,10 @@ def run(config: JobConfig) -> int:
         return EXIT_NONCONVERGENCE
     except (OSError, ValueError, KeyError, json.JSONDecodeError, InvalidAngles, QuasimapError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
+        try:
+            _emit(config, {"status": "bad-input", "reason": str(exc)})
+        except OSError as write_error:
+            print(f"no report written: {write_error}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 
@@ -320,7 +325,11 @@ def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
         return values
 
     cert_a = verify_asymptotic(f, g, R, cert.quad, plan=plan, tol=config.tol)
-    report = {"status": "ok", "certificate": cert_a.to_json()}
+    report = {
+        "status": "ok",
+        "certificate": cert_a.to_json(),
+        "remainder_ladder": error_tower_constants(ext.positive, R, alpha, series=g).to_json(),
+    }
     g_R = g.truncate(R)
     samples = [["abs_z", "arg_z", "remainder_over_absz_R"]]
     for p, value in evaluated:

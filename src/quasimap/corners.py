@@ -19,9 +19,9 @@ first arc a piece of the negative real axis) through
     step 2   postcompose with -(arc1 chart)^(-1) (straightens arc1 into R<=0),
     step 3   take the remaining m2-th root and rotate back onto R<=0.
 
-The returned :class:`TransformChain` applies the same elementary maps to
-points and to generalized log-power series, and keeps the exact angle ledger
-final_angle * m1 * m2 = original_angle.
+The returned :class:`TransformChain` records the elementary maps (the root
+orders, the chart of the first arc and its reversion, the final rotation) and
+keeps the exact angle ledger final_angle * m1 * m2 = original_angle.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CuspAngleZero, InversionFailure, RequiresTranslation, malformed
+from .errors import CuspAngleZero, InversionFailure, malformed
 from .exponents import Exponent
 from .powerseries import AnalyticFunc, PowerSeries, series_power
-from .series import LogPowerSeries, LogPolynomial
 
 
 class PuiseuxArc:
@@ -153,27 +152,6 @@ def measured_angle_over_pi(arc1: PuiseuxArc, arc2: PuiseuxArc) -> float:
     if gap == 0.0:
         gap = 2.0 if arc1.same_germ(arc2) else 0.0
     return gap
-
-
-def corner_angle(corner: CornerSpec):
-    """Exact interior angle of the corner (angle/pi); cusps raise.
-
-    The declared exact angle is validated against the measured tangent gap.
-    Tangential arc pairs carry either the full wrap (2 pi, e.g. a slit tip) or
-    a cusp; cusps are excluded everywhere downstream and raise.
-    """
-    declared = corner.interior_angle
-    dv = _angle_value(declared)
-    if dv <= 0.0:
-        raise CuspAngleZero("interior angle 0 at the corner")
-    gap = _tangent_gap(corner.arc1, corner.arc2)
-    if gap == 0.0:
-        if abs(dv - 2.0) <= 1e-9:
-            return declared
-        raise CuspAngleZero("arcs mutually tangent with declared angle below 2*pi (cusp)")
-    if min(abs(gap - dv) % 2.0, 2.0 - abs(gap - dv) % 2.0) > 1e-9:
-        raise ValueError(f"declared angle {dv}*pi inconsistent with measured {gap}*pi")
-    return declared
 
 
 # -- domains ---------------------------------------------------------------------
@@ -353,83 +331,6 @@ def _arcs_glue_analytically(arc1: PuiseuxArc, arc2: PuiseuxArc) -> bool:
     return bool(np.max(np.abs(jets[0] - jets[1])) <= 1e-9 * scale)
 
 
-# -- inversion at infinity ----------------------------------------------------------
-
-# series order of every arc germ that z -> 1/z re-expands
-_INVERSION_ORDER = 12
-
-
-class ArcToInfinity:
-    """Arc escaping to infinity: phi(t) = t^(-p) * (c_0 + c_1 t + ...), t -> 0+."""
-
-    def __init__(self, pole_order: int, coeffs):
-        self.pole_order = int(pole_order)
-        self.coeffs = [complex(c) for c in coeffs]
-        if self.pole_order < 1 or self.coeffs[0] == 0:
-            raise ValueError("need a genuine pole: p >= 1 and c_0 != 0")
-
-    def inverted(self) -> PuiseuxArc:
-        """Re-expansion of 1/phi as a Puiseux arc at 0."""
-        order = _INVERSION_ORDER
-        denom = np.zeros(order + 1, dtype=complex)
-        cs = np.array(self.coeffs[: order + 1], dtype=complex)
-        denom[: len(cs)] = cs
-        inv = series_power(denom, -1.0, order)
-        out = np.zeros(order + 1 + self.pole_order, dtype=complex)
-        out[self.pole_order : self.pole_order + order + 1] = inv
-        return PuiseuxArc(out, d=1, vertex=0j)
-
-
-def _invert_finite_arc(arc: PuiseuxArc) -> PuiseuxArc:
-    """Arc germ of 1/Omega at 1/v from the germ phi(t) = v + ... at v != 0.
-
-    1/(v + psi(t)) - 1/v = -psi(t) / (v (v + psi(t))), a series division.
-    """
-    order = _INVERSION_ORDER
-    v = arc.vertex
-    if v == 0:
-        raise RequiresTranslation("vertex at 0 cannot be inverted; translate first")
-    psi = np.zeros(order + 1, dtype=complex)
-    cs = np.array(arc.coeffs[: order + 1], dtype=complex)
-    psi[: len(cs)] = cs
-    denom = psi.copy()
-    denom[0] = v * v  # v (v + psi) = v^2 + v psi
-    denom[1:] *= v
-    new = -np.convolve(psi, series_power(denom, -1.0, order))[: order + 1]
-    return PuiseuxArc(new, d=arc.d, vertex=1.0 / v)
-
-
-def invert_at_infinity(domain: DomainSpec, infinity_arcs, min_boundary_distance: float | None = None) -> DomainSpec:
-    """Boundary model of 1/Omega: the germ at 0 realizes the angle at infinity.
-
-    ``infinity_arcs`` lists (arc_out, arc_in) pairs of :class:`ArcToInfinity`
-    for each germ component at infinity, ordered so the interior sits
-    counterclockwise from the first inverted arc.  Finite corner sites map to
-    sites at the inverted vertices; inversion is conformal away from 0, so
-    their angle sets carry over unchanged.
-    """
-    if domain.bounded:
-        raise ValueError("domain is bounded; nothing at infinity")
-    if min_boundary_distance is not None and min_boundary_distance <= 0:
-        raise RequiresTranslation("0 lies in the closure; translate the domain first")
-    comps = []
-    for arc_a, arc_b in infinity_arcs:
-        inv_a, inv_b = arc_a.inverted(), arc_b.inverted()
-        gap = measured_angle_over_pi(inv_a, inv_b)
-        comps.append(CornerSpec(inv_a, inv_b, 0j, _snap_rational_angle(gap)))
-    sites = [CornerSite(0j, comps)]
-    for site in domain.sites:
-        if site.at_infinity:
-            continue
-        mapped = []
-        for c in site.components:
-            a1 = _invert_finite_arc(c.arc1)
-            a2 = _invert_finite_arc(c.arc2)
-            mapped.append(CornerSpec(a1, a2, a1.vertex, c.interior_angle))
-        sites.append(CornerSite(1.0 / site.vertex, mapped))
-    return DomainSpec(bounded=True, sites=sites)
-
-
 # -- corner normalization -------------------------------------------------------------
 
 
@@ -464,8 +365,6 @@ class TransformChain:
         self.theta1 = float(theta1)
         self.original_angle = original_angle
 
-    # exact ledger ------------------------------------------------------------
-
     @property
     def final_angle(self):
         a = self.original_angle
@@ -478,58 +377,6 @@ class TransformChain:
         if isinstance(a, Exponent):
             return a * (self.m1 * self.m2) == self.original_angle
         return a * self.m1 * self.m2 == float(_angle_value(self.original_angle))
-
-    # points --------------------------------------------------------------------
-
-    def forward_point(self, w: complex, lift: float) -> complex:
-        """Map a point of the original corner germ; ``lift`` is the lifted arg of w."""
-        v, lift = _lifted_root(w, lift, self.m1)
-        u = self.rev1(v)
-        if v != 0:
-            lift = lift + cmath.phase(u / v)
-        u, lift = -u, lift + math.pi
-        out, _ = _lifted_root(u, lift, self.m2)
-        return self.rho * out
-
-    def inverse_point(self, w3: complex) -> complex:
-        return self.inverse_point_with_lift(w3, 0.0)[0]
-
-    def inverse_point_with_lift(self, w3: complex, lift3: float) -> tuple[complex, float]:
-        u2 = (w3 / self.rho) ** self.m2
-        lift = (lift3 - cmath.phase(self.rho)) * self.m2
-        # undo the forward chain's negation: back from the straightened wedge
-        # [pi, pi + angle] into the chart wedge [0, angle]
-        u = -u2
-        lift -= math.pi
-        v = self.phi1_root(u)
-        if u != 0:
-            lift += cmath.phase(v / u)
-        return v**self.m1, lift * self.m1
-
-    # series --------------------------------------------------------------------
-
-    def inverse_series(self, g3: LogPowerSeries) -> LogPowerSeries:
-        h = g3.scale(1.0 / self.rho).power(self.m2).scale(-1.0)
-        outer = _integer_series(self.phi1_root)
-        return outer.compose_power_substitute(h).power(self.m1)
-
-
-def _lifted_root(w: complex, lift: float, m: int) -> tuple[complex, float]:
-    if m == 1:
-        return w, lift
-    if w == 0:
-        return 0j, lift / m
-    mod = abs(w) ** (1.0 / m)
-    arg = lift / m
-    return cmath.rect(mod, arg), arg
-
-
-def _integer_series(ps: PowerSeries) -> LogPowerSeries:
-    terms = {}
-    for n, a in enumerate(ps.unscaled()):
-        if a != 0:
-            terms[Exponent(n)] = LogPolynomial.constant(a)
-    return LogPowerSeries(terms, r_max=ps.order)
 
 
 def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorner, TransformChain]:

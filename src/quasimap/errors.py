@@ -23,16 +23,8 @@ class OutOfSector(QuasimapError):
     """Point lies outside the sector a reflection is defined on."""
 
 
-class ProjectionError(QuasimapError):
-    """Log-surface point has |arg| >= pi and cannot be projected to the slit plane."""
-
-
 class CuspAngleZero(QuasimapError):
     """Corner has interior angle 0 (cusp), excluded everywhere downstream."""
-
-
-class RequiresTranslation(QuasimapError):
-    """Inversion at infinity needs 0 moved off the closure of the domain first."""
 
 
 class InversionFailure(QuasimapError):

@@ -22,8 +22,9 @@ constants obey
     D_0 = L,  D_(k+1) = 3 L^k D_k,    p_k = min(s_k, D_(k-1)^(-T)),
     q_k = M^(-k^2) <= p_k,            |eps_k| <= D_k |z|^T  on  T_k within p_k,
 
-which collapse onto a quadratic domain since (log phi)^2 <= sqrt(phi)
-eventually.  D and q are kept in log space; the recurrences are exact there.
+which collapse onto a quadratic domain c_R exp(-C_R sqrt(phi)) since
+(log phi)^2 <= sqrt(phi) eventually.  Every constant is kept in log space,
+where the recurrences are exact and no constant leaves the doubles.
 """
 
 from __future__ import annotations
@@ -164,14 +165,20 @@ def fit_expansion(
             f"horizon R = {model.R:g} needs more than R/alpha = {model.R / model.alpha.value():.6g} lattice "
             f"exponents; the sampling plan's {n_samples} samples cannot determine them"
         )
-    exps = model.lattice() + model.guard_band()
+    lattice = model.lattice()
+    if not lattice:
+        raise ValueError(
+            f"horizon R = {model.R:g} is below alpha = {model.alpha.value():g}: the lattice has no exponent up to R"
+        )
     basis = []
-    for e in exps:
+    for e in lattice + model.guard_band():
         for d in range(model.max_log_degree + 1):
             basis.append((e, d))
     pts = [p for _, shell_pts in plan.points(domain) for p in shell_pts]
-    if len(pts) < len(basis):
-        raise ValueError(f"{len(pts)} samples cannot determine {len(basis)} coefficients")
+    # the drift refit below solves on the deeper half of the samples alone
+    half = len(pts) // 2
+    if len(pts) - half < len(basis):
+        raise ValueError(f"the deeper half of {len(pts)} samples cannot determine {len(basis)} coefficients")
     logs = np.array([p.log() for p in pts])
     b = _values(f, pts)
     nu = min(e.value() for e, _ in basis)
@@ -196,13 +203,9 @@ def fit_expansion(
 
     # stability diagnostic: refit on the deeper half of the shells and track
     # the movement of the reported (below-R) coefficients only
-    half = len(pts) // 2
-    drift = math.nan
-    if len(pts) - half >= len(basis):
-        sol2, *_ = np.linalg.lstsq(As[half:], rhs[half:], rcond=None)
-        reported = np.array([e.value() <= model.R + 1e-12 for e, _ in basis])
-        if reported.any():
-            drift = float(np.max(np.abs((sol2 / col - coeffs)[reported])))
+    sol2, *_ = np.linalg.lstsq(As[half:], rhs[half:], rcond=None)
+    reported = np.array([e.value() <= model.R + 1e-12 for e, _ in basis])
+    drift = float(np.max(np.abs((sol2 / col - coeffs)[reported]), initial=0.0))
 
     terms: dict[Exponent, list] = {}
     for (e, d), c in zip(basis, coeffs):
@@ -345,39 +348,46 @@ def dichotomy_check(g: LogPowerSeries, angle_class: str, tol: float = 1e-8) -> d
 
 @dataclass
 class ErrorSchedule:
-    """Remainder-constant ladder; D and q live in natural-log space."""
+    """Remainder-constant ladder with every constant in natural-log space.
+
+    L, D_k, q_k and c_R leave the doubles on towers the CLI builds (c_R
+    underflows to 0 at K = 8 for alpha = 3/4; L_hat overflows for alpha = 1/2
+    from K = 51), so only their logs are kept.
+    """
 
     R: float
     S: float
     m: int
     T: float
     T_bar: float
-    L: float
+    log_L: float
     M_log: float
-    levels: list  # rows: dict(k, s_k, log_D, log_p, log_q, log_q_bar)
-    c_R: float
+    levels: list  # rows: dict(k, s, log_D, log_p, log_q, log_q_bar)
+    log_c_R: float
     C_R: float
     M_bar_log: float
-    log_c_R: float = 0.0
 
-    def check_recurrences(self) -> bool:
-        logL, log3 = math.log(self.L), math.log(3.0)
-        for row in self.levels[1:]:
-            k = row["k"]
-            prev = self.levels[k - 1]
-            if row["log_D"] != prev["log_D"] + log3 + (k - 1) * logL:
-                return False
-            if row["log_q"] != -(k**2) * self.M_log:
-                return False
-        return True
+    def to_json(self) -> dict:
+        """The scalar constants of the ladder; the per-level rows are left out."""
+        names = ("R", "S", "m", "T", "T_bar", "log_L", "M_log", "log_c_R", "C_R", "M_bar_log")
+        return {name: getattr(self, name) for name in names}
+
+
+def _log_sum(logs) -> float:
+    """log(sum(exp(x))) over an iterable of logs, kept inside the doubles; -inf for none."""
+    logs = list(logs)
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log(sum(math.exp(x - top) for x in logs))
 
 
 def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None = None) -> ErrorSchedule:
     """Concrete remainder ladder for a built tower at horizon R.
 
     ``series`` (the candidate expansion) sharpens the gap constant S_R; absent
-    it, the gap is taken in the full lattice N0 + N*alpha.  All level
-    quantities ride in log space; the defining recurrences are exact there.
+    it, the gap is taken in the full lattice N0 + N*alpha.  Every constant is
+    computed as its log; the defining recurrences are exact there.
     """
     a = alpha if isinstance(alpha, Exponent) else Exponent.coerce(alpha)
     av = a.value()
@@ -393,33 +403,33 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
         m += 1
     T = min(av * (m + 1) / 2.0, S)
 
+    K = tower.K
     r0 = tower.levels[0].r
-    # h_k tail constant 4(m+1)(16/r_k)^m = A * 32^(km) and the log-polynomial
-    # norm constant from the transported series (or a floor of 2)
-    A_const = 4.0 * (m + 1) * (16.0 / r0) ** m
-    L_hat = 2.0
+    # h_k tail constant 4(m+1)(16/r_k)^m = A * 32^(km), with L >= 2 A 32^m =
+    # 8(m+1)(512/r_0)^m, and the log-polynomial norm constant from the
+    # transported series (or a floor of 2): L_hat^k >= sum_(l <= m) 4 (16/r_k)^(l-1) norm_k^l
+    log_L_hat = math.log(2.0)
     if series is not None:
-        K = tower.K
         for k in range(1, K + 1):
             s_k = tower.levels[k].s
-            lam = abs(math.log(s_k)) + (2.0**k) * math.pi  # |log z| cap on T_k within s_k
-            norm = 0.0
-            for e, q in series.terms.items():
-                if e.value() <= R + 1e-12:
-                    norm += sum(abs(c) * lam**d for d, c in enumerate(q.coeffs)) * s_k ** max(0.0, e.value() - S)
-            total = sum(
-                4.0 * (16.0 / tower.levels[k].r) ** (l - 1) * norm**l for l in range(1, m + 1)
+            log_lam = math.log(abs(math.log(s_k)) + (2.0**k) * math.pi)  # |log z| cap on T_k within s_k
+            log_norm = _log_sum(
+                math.log(abs(c)) + d * log_lam + max(0.0, e.value() - S) * math.log(s_k)
+                for e, q in series.terms.items()
+                if e.value() <= R + 1e-12
+                for d, c in enumerate(q.coeffs)
+                if c != 0
             )
-            if total > 0:
-                L_hat = max(L_hat, total ** (1.0 / k))
-    L = max(L_hat, 2.0 * A_const * 32.0**m)
+            if log_norm > -math.inf:
+                log_step = math.log(16.0 / tower.levels[k].r)
+                log_total = _log_sum(math.log(4.0) + (l - 1) * log_step + l * log_norm for l in range(1, m + 1))
+                log_L_hat = max(log_L_hat, log_total / k)
+    log_L = max(log_L_hat, math.log(8.0 * (m + 1)) + m * math.log(512.0 / r0))
 
-    logL = math.log(L)
     log3 = math.log(3.0)
-    rows = [{"k": 0, "s": tower.levels[0].s, "log_D": logL, "log_p": math.log(tower.levels[0].s)}]
-    K = tower.K
+    rows = [{"k": 0, "s": tower.levels[0].s, "log_D": log_L, "log_p": math.log(tower.levels[0].s)}]
     for k in range(1, K + 1):
-        log_D = rows[k - 1]["log_D"] + log3 + (k - 1) * logL
+        log_D = rows[k - 1]["log_D"] + log3 + (k - 1) * log_L
         log_p = min(math.log(tower.levels[k].s), -T * rows[k - 1]["log_D"])
         rows.append({"k": k, "s": tower.levels[k].s, "log_D": log_D, "log_p": log_p})
 
@@ -446,4 +456,4 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
         C_R = max(C_R, (log_c_R - log_q_bar_k) / math.sqrt(phi_lo))
         lg = max(1.0, math.log(phi_lo))
         M_bar_log = max(M_bar_log, -log_q_bar_k / lg**2)
-    return ErrorSchedule(R, S, m, T, T_bar, L, M_log, rows, math.exp(log_c_R), C_R, M_bar_log, log_c_R)
+    return ErrorSchedule(R, S, m, T, T_bar, log_L, M_log, rows, log_c_R, C_R, M_bar_log)

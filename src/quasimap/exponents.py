@@ -16,7 +16,6 @@ separate two symbolically distinct values.
 from __future__ import annotations
 
 from fractions import Fraction
-import math
 
 from .errors import AmbiguousExponentOrder, UnknownClass
 
@@ -274,8 +273,3 @@ def rationality_class(angle_over_pi) -> str:
     # A nonzero combination of declared irrational generators with at most a
     # rational offset is taken as irrational; generators are declared as such.
     return IRRATIONAL_PI_MULTIPLE
-
-
-def angle_radians(angle_over_pi) -> float:
-    a = Exponent.coerce(angle_over_pi)
-    return a.value() * math.pi

@@ -214,13 +214,6 @@ class PowerSeries:
             raise InversionFailure(f"Newton inversion stalled at |f - w| = {abs(fz):.3e}")
         return z
 
-    def tail_bound(self, z_abs: float, growth: float, growth_radius: float) -> float:
-        """Cauchy tail bound past the stored order for |f| <= growth on |z|=growth_radius."""
-        q = z_abs / growth_radius
-        if q >= 1:
-            return np.inf
-        return growth * q ** (self.order + 1) / (1 - q)
-
 
 class AnalyticFunc:
     """Analytic function data: certified series plus optional exact evaluator."""

@@ -37,20 +37,13 @@ quadratic domain, whose constants are certified from the ladder.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GermTooSmall,
-    ImageEscapesChart,
-    InversionFailure,
-    NormalizationError,
-    OutsideExtensionDomain,
-)
+from .errors import GermTooSmall, NormalizationError, OutsideExtensionDomain
 from .exponents import Exponent
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
 from .surface import LPoint, QuadraticDomain, sector_index_point, sheet_walk
@@ -102,47 +95,6 @@ class MapGerm:
             eval_lpoint=mirror_l,
             label=self.label + "*",
         )
-
-
-def reflect_across(chart: AnalyticFunc, F):
-    """The reflection operator  F  ->  chart o conj o chart^(-1) o F o conj.
-
-    Applied twice it is the identity wherever the compositions stay inside the
-    chart's invertibility disk; values escaping that disk raise
-    :class:`ImageEscapesChart`.
-    """
-    rev = chart.series.reversion(order=chart.series.order)
-
-    def reflected(z: complex) -> complex:
-        z = complex(z)
-        w = complex(F(z.conjugate()))
-        seed = rev(w) if abs(w) < rev.radius else None
-        try:
-            pre = chart.series.newton_inverse(w, z0=seed)
-        except InversionFailure as exc:
-            raise ImageEscapesChart(f"no chart preimage for |w| = {abs(w):.3e}") from exc
-        require_in_disk(pre, chart.radius, "chart preimage")
-        return complex(chart(pre.conjugate()))
-
-    return reflected
-
-
-def schwarz_reflect(f, chart: AnalyticFunc):
-    """Holomorphic extension of f below the axis across the arc chart([0,1)).
-
-    Returns the piecewise map equal to f for Im z >= 0 and to the reflected
-    values chart(conj(chart^(-1)(f(conj z)))) for Im z < 0; f must send [0, r)
-    into the arc for the two halves to glue.
-    """
-    lower = reflect_across(chart, f)
-
-    def extended(z: complex) -> complex:
-        z = complex(z)
-        if z.imag >= 0:
-            return complex(f(z))
-        return lower(z)
-
-    return extended
 
 
 @dataclass(frozen=True)
@@ -391,36 +343,6 @@ class Extension:
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:
     return Extension(build_tower(germ, K, order), build_tower(germ.mirrored(), K, order))
-
-
-def validate_koebe(tower: ReflectionTower) -> dict:
-    """Sampling validation of the univalent-chart bounds behind every level.
-
-    For each stored chart phi_k on B(0, r_k), at 16 angles: the inverse must
-    reach the quarter disk of the image and |phi_k(z)| <= 4|z| must hold on
-    the half disk; the reflector chi_k obeys the same growth on its half disk.
-    Returns the worst measured ratios, passed within 1e-9; raises nothing,
-    callers assert.
-    """
-    worst_roundtrip = 0.0
-    worst_growth = 0.0
-    worst_chi_growth = 0.0
-    for lv in tower.levels:
-        ser, rev = lv.chi.chart, lv.chi.inverse
-        for j in range(16):
-            w = 0.9 * lv.r / 4.0 * cmath.exp(2j * math.pi * j / 16)
-            pre = ser.newton_inverse(w, z0=rev(w))
-            worst_roundtrip = max(worst_roundtrip, abs(ser(pre) - w) / max(abs(w), 1e-300))
-            z = 0.5 * lv.r * cmath.exp(2j * math.pi * j / 16)
-            worst_growth = max(worst_growth, abs(complex(ser(z))) / (4.0 * abs(z)))
-            zc = 0.5 * (lv.r / 8.0) * cmath.exp(2j * math.pi * j / 16)
-            worst_chi_growth = max(worst_chi_growth, abs(complex(lv.chi.series(zc))) / (4.0 * abs(zc)))
-    return {
-        "inverse_roundtrip": worst_roundtrip,
-        "growth_ratio": worst_growth,
-        "chi_growth_ratio": worst_chi_growth,
-        "passed": bool(worst_roundtrip < 1e-9 and worst_growth <= 1.0 + 1e-9 and worst_chi_growth <= 1.0 + 1e-9),
-    }
 
 
 # -- certification -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ground-truth conformal maps: Moebius normalization, model corners, and a
+"""Ground-truth conformal maps: Moebius transforms, model corners, and a
 Schwarz-Christoffel solver for bounded polygons.
 
 The SC map from the upper half plane onto a polygon with interior angles
@@ -65,10 +65,6 @@ class MobiusTransform:
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
 
-    def derivative(self, z: complex) -> complex:
-        det = self.a * self.d - self.b * self.c
-        return det / (self.c * complex(z) + self.d) ** 2
-
     @classmethod
     def identity(cls) -> "MobiusTransform":
         return cls(1, 0, 0, 1)
@@ -86,38 +82,6 @@ class MobiusTransform:
 
     def __repr__(self):
         return f"MobiusTransform({self.a}, {self.b}, {self.c}, {self.d})"
-
-
-def mobius_H_to_disk() -> MobiusTransform:
-    """The standard upper-half-plane to unit-disk map z -> (z - i)/(z + i)."""
-    return MobiusTransform(1, -1j, 1, 1j)
-
-
-def disk_automorphism(a: complex, rho: complex = 1.0) -> MobiusTransform:
-    """z -> rho (z - a) / (conj(a) z - 1) with |a| < 1, |rho| = 1."""
-    a = complex(a)
-    rho = complex(rho)
-    if abs(a) >= 1 or abs(abs(rho) - 1) > 1e-12:
-        raise DegenerateTransform("need |a| < 1 and |rho| = 1")
-    return MobiusTransform(rho, -rho * a, a.conjugate(), -1)
-
-
-def normalize_at(map_value: complex, map_derivative: complex) -> MobiusTransform:
-    """Disk automorphism A with A(map_value) = 0 and (A o map)'(a) > 0.
-
-    Composing A with a Riemann map onto the disk realizes the uniqueness
-    normalization phi(a) = 0, phi'(a) > 0.
-    """
-    w = complex(map_value)
-    base = disk_automorphism(w)
-    d = base.derivative(w) * complex(map_derivative)
-    rho = cmath.exp(-1j * cmath.phase(d))
-    return disk_automorphism(w, rho)
-
-
-def cross_ratio(z1, z2, z3, z4) -> complex:
-    z1, z2, z3, z4 = (complex(z) for z in (z1, z2, z3, z4))
-    return ((z1 - z3) * (z2 - z4)) / ((z1 - z4) * (z2 - z3))
 
 
 # -- model corner germs ------------------------------------------------------------

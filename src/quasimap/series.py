@@ -169,10 +169,6 @@ class LogPowerSeries:
         q = self.terms[nu]
         return nu, q.leading, q.monic()
 
-    def monic_parts(self):
-        """{alpha: (a_alpha, P_alpha monic)} derived view."""
-        return {a: (q.leading, q.monic()) for a, q in self.terms.items()}
-
     def series_class(self) -> str:
         for q in self.terms.values():
             if q.degree > 0:

@@ -15,11 +15,10 @@ T_k by phi -> -phi + 2^(k+1) pi, fixing the ray phi = 2^k pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
-from .errors import OutOfSector, ProjectionError
+from .errors import OutOfSector
 
 
 def _cmp_pi(n, rem: float, q) -> int:
@@ -98,49 +97,6 @@ class LPoint:
         return _cmp_pi(self.phi_pi, self.phi_rem, q)
 
 
-def log_L(z: LPoint) -> complex:
-    """log(r, phi) = ln r + i phi; branches stay separated."""
-    return z.log()
-
-
-def pow_L(z: LPoint, alpha: float) -> complex:
-    """z^alpha = exp(alpha log z) as a complex value."""
-    return cmath.exp(float(alpha) * z.log())
-
-
-def pow_map(z: LPoint, rho) -> LPoint:
-    """p^rho(r, phi) = (r^rho, rho*phi), staying on the surface."""
-    rho_f = Fraction(rho) if isinstance(rho, (int, Fraction)) else None
-    if rho_f is not None:
-        return LPoint(z.r ** float(rho_f), phi_pi=z.phi_pi * rho_f, phi_rem=z.phi_rem * float(rho_f))
-    rho = float(rho)
-    return LPoint(z.r**rho, z.phi * rho)
-
-
-def mul_map(z1: LPoint, z2: LPoint) -> LPoint:
-    """m((r1,phi1),(r2,phi2)) = (r1 r2, phi1 + phi2)."""
-    return LPoint(z1.r * z2.r, phi_pi=z1.phi_pi + z2.phi_pi, phi_rem=z1.phi_rem + z2.phi_rem)
-
-
-def embed(w: complex) -> LPoint:
-    """Identify C minus the closed negative reals with (0,inf) x (-pi, pi)."""
-    w = complex(w)
-    if w == 0 or (w.imag == 0 and w.real < 0):
-        raise ProjectionError("embedding requires a point off the closed negative real axis")
-    if w.imag == 0:
-        return LPoint(w.real, phi_pi=0)
-    if w.real == 0:
-        return LPoint(abs(w.imag), phi_pi=Fraction(1, 2) if w.imag > 0 else Fraction(-1, 2))
-    return LPoint(abs(w), cmath.phase(w))
-
-
-def project(z: LPoint) -> complex:
-    """Back to the slit plane; errors when |phi| >= pi."""
-    if z._phi_cmp_pi(1) >= 0 or z._phi_cmp_pi(-1) <= 0:
-        raise ProjectionError(f"|arg| >= pi: {z!r}")
-    return cmath.rect(z.r, z.phi)
-
-
 # -- sectors ---------------------------------------------------------------------
 
 
@@ -164,10 +120,6 @@ class Sector:
     def __repr__(self):
         tag = "T" if self.kind == "T" else "T'"
         return f"{tag}_{self.k}"
-
-
-def in_T(k: int, z: LPoint) -> bool:
-    return Sector("T", k).contains(z)
 
 
 def in_Tp(k: int, z: LPoint) -> bool:
@@ -208,20 +160,6 @@ def sheet_walk(z: LPoint, k: int) -> tuple[list, object, float]:
     return reflected, n, rem
 
 
-def tau_log_identity(k: int, z: LPoint) -> tuple[complex, complex]:
-    """Both sides of conj(log o tau_k) = log - i 2^(k+1) pi at z."""
-    lhs = log_L(reflect_tau(k, z)).conjugate()
-    rhs = log_L(z) - 1j * (2 ** (k + 1)) * math.pi
-    return lhs, rhs
-
-
-def tau_pow_identity(k: int, alpha: float, z: LPoint) -> tuple[complex, complex]:
-    """Both sides of conj(z^alpha o tau_k) = exp(-i alpha 2^(k+1) pi) z^alpha."""
-    lhs = pow_L(reflect_tau(k, z), alpha).conjugate()
-    rhs = cmath.exp(-1j * alpha * (2 ** (k + 1)) * math.pi) * pow_L(z, alpha)
-    return lhs, rhs
-
-
 # -- quadratic domains -------------------------------------------------------------
 
 
@@ -257,10 +195,6 @@ class QuadraticDomain:
 
     def __repr__(self):
         return f"QuadraticDomain(c={self.c!r}, C={self.C!r}, mirrored={self.mirrored})"
-
-
-def quad_contains(w: QuadraticDomain, z: LPoint) -> bool:
-    return w.contains(z)
 
 
 def quad_intersect(w1: QuadraticDomain, w2: QuadraticDomain) -> QuadraticDomain:

@@ -28,21 +28,20 @@ from quasimap.reflection import (
     MapGerm,
     build_extension,
     certify_quadratic_domain,
-    reflect_across,
     sample_quadratic_domain,
 )
 from quasimap.scmap import (
     MobiusTransform,
-    cross_ratio,
     model_corner_germ,
     sc_corner_germ,
     sc_evaluate,
     solve_sc,
 )
 from quasimap.series import LogPowerSeries, zpow
-from quasimap.surface import LPoint, in_T, in_Tp, reflect_tau
+from quasimap.surface import LPoint, Sector, in_Tp, reflect_tau
 
 from conftest import random_series, random_lpoint, series_close
+from references import check_recurrences, cross_ratio, reflect_across
 
 SQRT2 = Exponent.generator("sqrt2")
 GOLDEN = Exponent.generator("golden")
@@ -118,14 +117,14 @@ def test_criterion_2_surface_geometry():
         assert reflect_tau(kk, ray) == ray
         turn = reflect_tau(kk, LPoint(0.7, phi_pi=2 ** (kk + 1)))
         assert turn.phi_pi == 0 and turn.phi_rem == 0.0
-        assert in_T(kk, ray) and in_T(kk + 1, ray) and in_Tp(kk + 1, ray)
+        assert Sector("T", kk).contains(ray) and Sector("T", kk + 1).contains(ray) and in_Tp(kk + 1, ray)
     # nesting: T_k inside T_k', and T_(k+1) = T_k union T'_(k+1) on a grid
     for kk in range(0, 8):
         for m8 in range(0, 2 ** (kk + 1) * 8 + 1):
             z = LPoint(1.0, phi_pi=Fraction(m8, 8))
-            if in_T(kk, z):
-                assert in_T(kk + 1, z)
-            assert in_T(kk + 1, z) == (in_T(kk, z) or in_Tp(kk + 1, z))
+            if Sector("T", kk).contains(z):
+                assert Sector("T", kk + 1).contains(z)
+            assert Sector("T", kk + 1).contains(z) == (Sector("T", kk).contains(z) or in_Tp(kk + 1, z))
     elapsed = time.time() - t0
     report(
         "2 surface-geometry",
@@ -165,7 +164,7 @@ def test_criterion_3_constant_tower():
             assert tower.levels[kk].t >= cert.K_growth ** (-kk) * (1 - 1e-12)
             assert tower.levels[kk].t >= t0 * rate ** (-kk) * (1 - 1e-12)
         sched = error_tower_constants(tower, R=2.0 * alpha, alpha=germ.alpha)
-        assert sched.check_recurrences()
+        assert check_recurrences(sched)
         logM = sched.M_log
         for row in sched.levels:
             assert row["log_q"] == -(row["k"] ** 2) * logM
@@ -395,7 +394,7 @@ def test_criterion_7_end_to_end_pipeline():
     ratios = vcert.ratios
     assert all(ratios[i + 1] < ratios[i] for i in range(len(ratios) - 1))
     sched = error_tower_constants(ext.positive, R=1.0, alpha=Exponent(Fraction(1, 2)), series=fit.series)
-    assert sched.check_recurrences() and sched.T > 1.0
+    assert check_recurrences(sched) and sched.T > 1.0
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(

@@ -85,6 +85,23 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         code = run(JobConfig(command="verify", alpha="1/2", K=5, out=str(out), tol=1e-8))
         assert code == EXIT_OK
+        ladder = json.loads((out / "report.json").read_text())["remainder_ladder"]
+        assert ladder["R"] == 1.0 and ladder["T"] > ladder["R"] and ladder["m"] == 5
+        assert ladder["log_c_R"] < 0 < ladder["C_R"]
+
+    @pytest.mark.parametrize("alpha, K, log_c_R", [("1/2", 8, -350.6282413610543), ("3/4", 8, -911.6334275387411),
+                                                    ("1/2", 72, None)])
+    def test_remainder_ladder_in_log_space(self, tmp_path, alpha, K, log_c_R):
+        # c_R underflows to 0 for 3/4 at K = 8, and L_hat overflows for 1/2 from K = 51:
+        # the report carries every constant as a finite log, valid as strict JSON
+        out = tmp_path / "out"
+        assert run(JobConfig(command="verify", alpha=alpha, K=K, out=str(out))) == EXIT_OK
+        report = json.loads((out / "report.json").read_text(), parse_constant=pytest.fail)
+        ladder = report["remainder_ladder"]
+        assert sorted(ladder) == sorted(["R", "S", "m", "T", "T_bar", "log_L", "M_log", "log_c_R", "C_R", "M_bar_log"])
+        assert all(math.isfinite(v) for v in ladder.values())
+        if log_c_R is not None:
+            assert ladder["log_c_R"] == pytest.approx(log_c_R, rel=1e-12)
 
     def test_each_sample_evaluated_once(self, tmp_path, monkeypatch):
         from quasimap.reflection import Extension
@@ -168,11 +185,22 @@ class TestGeneratorRegistry:
 
 
 class TestPlumbing:
-    def test_unknown_command(self):
-        assert run(JobConfig(command="nope")) == EXIT_BAD_INPUT
+    def test_unknown_command(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(JobConfig(command="nope", out=str(out))) == EXIT_BAD_INPUT
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "bad-input" and report["reason"] == "unknown command 'nope'"
 
-    def test_missing_input(self):
-        assert run(JobConfig(command="analyze")) == EXIT_BAD_INPUT
+    def test_missing_input(self, tmp_path):
+        assert run(JobConfig(command="analyze", out=str(tmp_path / "out"))) == EXIT_BAD_INPUT
+
+    def test_bad_input_with_an_unwritable_out_exits_4(self, tmp_path, capsys):
+        # --out names a file: the bad-input report cannot be written, and the exit stays 4
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run(JobConfig(command="expand", alpha="1/2", R=0.1, out=str(out))) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "bad input: horizon R = 0.1 is below alpha = 0.5" in err and "no report written" in err
 
     def test_negative_depth_exits_4(self, tmp_path, capsys):
         assert main(["expand", "--alpha", "1/2", "--K", "-1", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
@@ -228,11 +256,17 @@ class TestBadInput:
             (["expand", "--alpha", "1/0"], "zero denominator in exponent '1/0'"),
             (["dichotomy", "--alpha", "1/2", "--angle-class", "irational"],
              "--angle-class must be rational or irrational, got 'irational'"),
+            (["expand", "--alpha", "1/2", "--R", "0.1"], "horizon R = 0.1 is below alpha = 0.5"),
+            (["dichotomy", "--alpha", "1/2", "--R", "0.1"], "the lattice has no exponent up to R"),
+            (["expand", "--alpha", "1/2", "--R", "15", "--shells", "1"],
+             "the deeper half of 64 samples cannot determine 33 coefficients"),
         ],
     )
     def test_bad_flag_exits_4(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         assert message in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "bad-input" and message in report["reason"]
 
     @pytest.mark.parametrize(
         "command, data, message",
@@ -254,6 +288,8 @@ class TestBadInput:
         inp.write_text(json.dumps(data))
         assert run(JobConfig(command=command, input=str(inp), out=str(tmp_path / "out"))) == EXIT_BAD_INPUT
         assert message in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "bad-input" and message in report["reason"]
 
 
 # JSON-shaped inputs near the two schemas: real fields with fuzzed contents.

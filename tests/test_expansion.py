@@ -25,6 +25,8 @@ from quasimap.scmap import model_corner_germ, sc_corner_germ, solve_sc
 from quasimap.series import LogPowerSeries, zpow
 from quasimap.surface import LPoint, QuadraticDomain
 
+from references import check_recurrences
+
 SQRT2 = Exponent.generator("sqrt2")
 WIDE = QuadraticDomain(0.5, 0.5)
 
@@ -208,7 +210,7 @@ class TestErrorLadder:
 
     def test_structural_recurrences_exact(self, sched):
         _, s = sched
-        assert s.check_recurrences()
+        assert check_recurrences(s)
 
     def test_T_exceeds_R(self, sched):
         _, s = sched
@@ -222,8 +224,9 @@ class TestErrorLadder:
             assert row["log_q"] <= row["log_p"] + 1e-12
 
     def test_final_domain_parameters(self, sched):
-        _, s = sched
-        assert s.c_R > 0 and s.C_R > 0
+        tower, s = sched
+        # c_R = exp(log_c_R) > 0: its log is finite, and at most log s_0
+        assert math.isfinite(s.log_c_R) and s.log_c_R <= math.log(tower.levels[0].s) and s.C_R > 0
         assert s.M_bar_log > 0
 
     def test_measured_remainder_below_ladder_bound(self, sched):

@@ -89,8 +89,3 @@ class TestAnalyticFunc:
         f = AnalyticFunc.from_callable(lambda z: z / (1 - z), radius=0.9, order=20)
         got = f.series.unscaled()[:5]
         assert np.allclose(got, [0, 1, 1, 1, 1], atol=1e-10)
-
-    def test_tail_bound(self):
-        f = PowerSeries.from_unscaled(np.ones(11), radius=0.9)
-        b = f.tail_bound(0.1, growth=10.0, growth_radius=0.5)
-        assert 0 < b < 10 * (0.2) ** 11 / (1 - 0.2) * 1.0001

@@ -1,16 +1,19 @@
 """Algebra of generalized log-power series."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasimap.errors import NonPositiveValuation
 from quasimap.exponents import Exponent
 from quasimap.series import LOG_POWER, PURE_POWER, LogPolynomial, LogPowerSeries
 
-from conftest import random_series, random_lpoint, series_close
+from conftest import EXPONENT_POOL, random_series, random_lpoint, series_close
 from quasimap.surface import LPoint
 
 
@@ -186,13 +189,6 @@ class TestRingProperties:
             assert abs(sa - (fa + ga)) < 1e-12 * max(1.0, abs(fa) + abs(ga))
             assert abs(pa - fa * ga) < 1e-12 * max(1.0, abs(fa * ga))
 
-    def test_monic_decomposition_roundtrip(self, rng):
-        for _ in range(30):
-            f = random_series(rng)
-            parts = f.monic_parts()
-            rebuilt = LogPowerSeries({a: p * c for a, (c, p) in parts.items()}, f.r_max)
-            assert series_close(f, rebuilt, 1e-13)
-
 
 class TestSerialization:
     def test_json_roundtrip(self, rng):
@@ -200,6 +196,19 @@ class TestSerialization:
             f = random_series(rng)
             g = LogPowerSeries.from_json(f.to_json())
             assert f == g
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(EXPONENT_POOL),
+            st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+            max_size=5,
+        ),
+        st.one_of(st.just(math.inf), st.sampled_from(EXPONENT_POOL), st.floats(min_value=0.0, max_value=10.0)),
+    )
+    def test_json_text_roundtrip(self, terms, r_max):
+        # through JSON text: every coefficient, the exact exponents and the bound come back
+        f = LogPowerSeries({a: LogPolynomial(cs) for a, cs in terms.items()}, r_max)
+        assert LogPowerSeries.from_json(json.loads(json.dumps(f.to_json()))) == f
 
     def test_truncation_bound_survives(self):
         f = LogPowerSeries({Exponent(1): LogPolynomial([1j])}, r_max=2.5)

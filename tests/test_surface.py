@@ -6,27 +6,52 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from quasimap.errors import OutOfSector, ProjectionError
+from quasimap.errors import OutOfSector
+from quasimap.series import zpow
 from quasimap.surface import (
     LPoint,
     QuadraticDomain,
     Sector,
-    embed,
-    in_T,
     in_Tp,
-    log_L,
-    mul_map,
-    pow_L,
-    pow_map,
-    project,
-    quad_contains,
     quad_intersect,
     reflect_tau,
     sector_index_point,
-    tau_log_identity,
-    tau_pow_identity,
 )
+
+
+def tau_log_identity(k: int, z: LPoint) -> tuple[complex, complex]:
+    """Both sides of conj(log o tau_k) = log - i 2^(k+1) pi at z."""
+    lhs = reflect_tau(k, z).log().conjugate()
+    rhs = z.log() - 1j * (2 ** (k + 1)) * math.pi
+    return lhs, rhs
+
+
+def tau_pow_identity(k: int, alpha: float, z: LPoint) -> tuple[complex, complex]:
+    """Both sides of conj(z^alpha o tau_k) = exp(-i alpha 2^(k+1) pi) z^alpha."""
+    lhs = zpow(reflect_tau(k, z).log(), alpha).conjugate()
+    rhs = cmath.exp(-1j * alpha * (2 ** (k + 1)) * math.pi) * zpow(z.log(), alpha)
+    return lhs, rhs
+
+
+levels = st.integers(min_value=0, max_value=10)
+radii = st.floats(min_value=0.05, max_value=2.0)
+
+
+@st.composite
+def strip_points(draw, k_max: int = 10):
+    """(k, z) with z in T'_(k+1): an exact multiple n/8 of pi in [2^k, 2^(k+1)], plus a
+    remainder that is 0 (the multiple itself, rays included) or keeps z inside the strip."""
+    k = draw(st.integers(min_value=0, max_value=k_max))
+    n = draw(st.integers(min_value=2**k * 8, max_value=2 ** (k + 1) * 8))
+    rem = draw(st.one_of(st.just(0.0), st.floats(min_value=-0.3, max_value=0.3)))
+    if n == 2**k * 8:
+        rem = abs(rem)
+    elif n == 2 ** (k + 1) * 8:
+        rem = -abs(rem)
+    return k, LPoint(draw(radii), phi_pi=Fraction(n, 8), phi_rem=rem)
 
 
 class TestPointValidation:
@@ -38,37 +63,21 @@ class TestPointValidation:
 
 class TestLog:
     def test_unit_point(self):
-        assert log_L(LPoint(1.0, phi_pi=0)) == 0
+        assert LPoint(1.0, phi_pi=0).log() == 0
 
     def test_sheets_are_separated(self):
         z4 = LPoint(1.0, phi_pi=4)
-        assert log_L(z4) == 4j * math.pi
-        assert log_L(z4) != log_L(LPoint(1.0, phi_pi=0))
+        assert z4.log() == 4j * math.pi
+        assert z4.log() != LPoint(1.0, phi_pi=0).log()
 
     def test_negative_argument(self):
         z = LPoint(math.e**2, phi_pi=-1)
-        assert abs(log_L(z) - (2 - 1j * math.pi)) < 1e-15
+        assert abs(z.log() - (2 - 1j * math.pi)) < 1e-15
 
 
 class TestPowers:
-    def test_pow_map_keeps_surface_coordinates(self):
-        z = pow_map(LPoint(4.0, phi_pi=2), Fraction(1, 2))
-        assert z.r == 2.0 and z.phi_pi == 1 and z.phi_rem == 0.0
-
     def test_pow_value_on_second_sheet(self):
-        assert abs(pow_L(LPoint(4.0, phi_pi=2), 0.5) - (-2.0)) < 1e-14
-
-    def test_mul_map(self):
-        z = mul_map(LPoint(2.0, phi_pi=1), LPoint(3.0, phi_pi=1))
-        assert z.r == 6.0 and z.phi_pi == 2
-
-    def test_pow_roundtrip(self, rng):
-        for _ in range(200):
-            z = LPoint(rng.uniform(0.1, 5.0), phi_pi=Fraction(int(rng.integers(-8, 9)), 4), phi_rem=rng.uniform(-0.5, 0.5))
-            rho = Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-            back = pow_map(pow_map(z, rho), 1 / rho)
-            assert back.phi_pi == z.phi_pi and back.phi_rem == pytest.approx(z.phi_rem, abs=1e-15)
-            assert back.r == pytest.approx(z.r, rel=5e-16)
+        assert abs(zpow(LPoint(4.0, phi_pi=2).log(), 0.5) - (-2.0)) < 1e-14
 
 
 class TestReflections:
@@ -88,49 +97,58 @@ class TestReflections:
         with pytest.raises(OutOfSector):
             reflect_tau(1, LPoint(1.0, phi_pi=Fraction(1, 2)))
 
-    def test_involution_through_the_formula(self, rng):
-        # tau_k is an involution of the strip interior when applied via its formula
-        for _ in range(100):
-            k = int(rng.integers(0, 6))
-            phi = rng.uniform(2**k * math.pi, 2 ** (k + 1) * math.pi)
-            z = LPoint(rng.uniform(0.1, 1.0), phi)
-            once = reflect_tau(k, z)
-            twice = LPoint(once.r, phi_pi=2 ** (k + 1) - once.phi_pi, phi_rem=-once.phi_rem)
-            assert twice.phi == pytest.approx(z.phi, abs=1e-12)
+    @given(strip_points())
+    def test_involution_through_the_formula(self, kz):
+        # tau_k maps T'_(k+1) into T_k; its formula applied to the image returns z exactly
+        k, z = kz
+        once = reflect_tau(k, z)
+        assert Sector("T", k).contains(once)
+        twice = LPoint(once.r, phi_pi=2 ** (k + 1) - once.phi_pi, phi_rem=-once.phi_rem)
+        assert twice == z and type(twice.phi_pi) is type(z.phi_pi)
+        assert twice.phi == pytest.approx(z.phi, abs=1e-12)
 
 
 class TestTauIdentities:
-    def test_log_identity_full_turn(self):
-        lhs, rhs = tau_log_identity(0, LPoint(1.0, phi_pi=2))
-        assert lhs == rhs == 0
+    @given(k=levels, r=radii)
+    @example(k=0, r=1.0)
+    def test_log_identity_full_turn(self, k, r):
+        # the full turn phi = 2^(k+1) pi reflects onto phi = 0 exactly
+        lhs, rhs = tau_log_identity(k, LPoint(r, phi_pi=2 ** (k + 1)))
+        assert lhs == rhs == math.log(r)
 
     def test_log_identity_interior_point(self):
         lhs, rhs = tau_log_identity(0, LPoint(math.e, phi_pi=Fraction(3, 2)))
         assert abs(lhs - (1 - 1j * math.pi / 2)) < 1e-15
         assert abs(rhs - (1 - 1j * math.pi / 2)) < 1e-15
 
-    def test_pow_identity(self, rng):
-        for _ in range(200):
-            k = int(rng.integers(0, 6))
-            alpha = rng.uniform(0.05, 2.0)
-            phi = rng.uniform(2**k * math.pi, 2 ** (k + 1) * math.pi)
-            z = LPoint(rng.uniform(0.1, 1.0), phi)
-            lhs, rhs = tau_pow_identity(k, alpha, z)
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+    @given(strip_points())
+    def test_log_identity_on_the_strip(self, kz):
+        # both sides equal log r + i (phi - 2^(k+1) pi), each within two ulps of 2^(k+1) pi
+        k, z = kz
+        lhs, rhs = tau_log_identity(k, z)
+        want = complex(math.log(z.r), float(z.phi_pi - 2 ** (k + 1)) * math.pi + z.phi_rem)
+        tol = 2 * math.ulp(2.0 ** (k + 1) * math.pi)
+        assert abs(lhs - want) <= tol and abs(rhs - want) <= tol
+
+    @given(strip_points(k_max=5), st.floats(min_value=0.05, max_value=2.0))
+    def test_pow_identity(self, kz, alpha):
+        k, z = kz
+        lhs, rhs = tau_pow_identity(k, alpha, z)
+        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
     def test_unimodular_factor(self):
         z = LPoint(0.5, phi_pi=Fraction(7, 4))
         lhs, rhs = tau_pow_identity(0, 0.37, z)
         a = cmath.exp(-1j * 0.37 * 2 * math.pi)
         assert abs(abs(a) - 1) < 1e-15
-        assert abs(lhs - a * pow_L(z, 0.37)) < 1e-13
+        assert abs(lhs - a * zpow(z.log(), 0.37)) < 1e-13
 
 
 class TestSectors:
     def test_nesting_exact(self):
         for k in range(5):
             z_top = LPoint(1.0, phi_pi=2**k)
-            assert in_T(k, z_top) and in_T(k + 1, z_top)
+            assert Sector("T", k).contains(z_top) and Sector("T", k + 1).contains(z_top)
             assert in_Tp(k + 1, LPoint(1.0, phi_pi=2**k))
 
     def test_union_decomposition(self, rng):
@@ -138,11 +156,11 @@ class TestSectors:
         for _ in range(300):
             k = int(rng.integers(0, 8))
             z = LPoint(1.0, rng.uniform(-1.0, 2 ** (k + 1) * math.pi + 1.0))
-            assert in_T(k + 1, z) == (in_T(k, z) or in_Tp(k + 1, z))
+            assert Sector("T", k + 1).contains(z) == (Sector("T", k).contains(z) or in_Tp(k + 1, z))
 
     def test_boundary_membership_is_exact(self):
         z = LPoint(1.0, phi_pi=4)
-        assert in_T(2, z) and not in_T(1, z)
+        assert Sector("T", 2).contains(z) and not Sector("T", 1).contains(z)
         assert in_Tp(2, z)
         assert not in_Tp(2, LPoint(1.0, phi_pi=4, phi_rem=1e-300))
 
@@ -155,7 +173,7 @@ class TestSectors:
         for sign in (1, -1):
             z = LPoint(1.0, phi_pi=sign * 2**1100, phi_rem=-sign * 1e300)
             assert z._phi_cmp_pi(0) == sign
-            assert in_T(1101, z) == (sign > 0) and not in_T(1099, z)
+            assert Sector("T", 1101).contains(z) == (sign > 0) and not Sector("T", 1099).contains(z)
         assert sector_index_point(LPoint(1.0, phi_pi=2**1100)) == 1100
         assert sector_index_point(LPoint(1.0, phi_pi=2**1100 + 1)) == 1101
 
@@ -163,8 +181,8 @@ class TestSectors:
 class TestQuadraticDomains:
     def test_contains(self):
         w = QuadraticDomain(1.0, 1.0)
-        assert quad_contains(w, LPoint(math.exp(-3), 4.0))
-        assert not quad_contains(w, LPoint(math.exp(-2), 4.0))  # boundary excluded
+        assert w.contains(LPoint(math.exp(-3), 4.0))
+        assert not w.contains(LPoint(math.exp(-2), 4.0))  # boundary excluded
 
     @pytest.mark.parametrize("multiple", [2**1023, 2**1100, Fraction(2**1100 + 1, 3)], ids=["2^1023", "2^1100", "frac"])
     def test_arguments_without_a_float_are_outside(self, multiple):
@@ -185,7 +203,7 @@ class TestQuadraticDomains:
         w = QuadraticDomain(0.7, 2.3)
         for phi in np.linspace(-50.0, 50.0, 31):
             r = min(w.c, 1.0) / 2 * math.exp(-w.C * math.sqrt(abs(phi)))
-            assert quad_contains(w, LPoint(r, phi))
+            assert w.contains(LPoint(r, phi))
 
     def test_intersect_idempotent(self):
         w = QuadraticDomain(1.0, 1.0)
@@ -206,8 +224,8 @@ class TestQuadraticDomains:
             if r <= 0:
                 continue
             z = LPoint(r, phi)
-            if quad_contains(w, z):
-                assert quad_contains(w1, z) and quad_contains(w2, z)
+            if w.contains(z):
+                assert w1.contains(z) and w2.contains(z)
 
     def test_monotone_in_parameters(self, rng):
         w = QuadraticDomain(1.0, 1.0)
@@ -215,34 +233,7 @@ class TestQuadraticDomains:
         bigger_C = QuadraticDomain(1.0, 2.0)
         for _ in range(200):
             z = LPoint(rng.uniform(0.001, 1.0), rng.uniform(-20, 20))
-            if quad_contains(smaller_c, z):
-                assert quad_contains(w, z)
-            if quad_contains(bigger_C, z):
-                assert quad_contains(w, z)
-
-
-class TestEmbedProject:
-    def test_embed_positive_real_is_exact(self):
-        z = embed(2.0)
-        assert z.phi_pi == 0 and z.phi_rem == 0.0
-
-    def test_embed_imaginary_axis_is_exact(self):
-        assert embed(3j).phi_pi == Fraction(1, 2)
-        assert embed(-3j).phi_pi == Fraction(-1, 2)
-
-    def test_embed_rejects_cut(self):
-        with pytest.raises(ProjectionError):
-            embed(-1.0)
-
-    def test_project_roundtrip(self, rng):
-        for _ in range(100):
-            w = complex(rng.normal(), rng.normal())
-            if w == 0 or (w.imag == 0 and w.real < 0):
-                continue
-            assert abs(project(embed(w)) - w) < 1e-14 * abs(w)
-
-    def test_project_rejects_other_sheets(self):
-        with pytest.raises(ProjectionError):
-            project(LPoint(1.0, phi_pi=1))
-        with pytest.raises(ProjectionError):
-            project(LPoint(1.0, phi_pi=3))
+            if smaller_c.contains(z):
+                assert w.contains(z)
+            if bigger_C.contains(z):
+                assert w.contains(z)
