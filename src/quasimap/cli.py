@@ -98,10 +98,13 @@ def _emit(config: JobConfig, report: dict, samples: list | None = None, plot: st
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     report = dict(report)
-    report["config"] = asdict(config)
+    # a bad-input config may hold a non-finite flag, which strict JSON has no number for
+    report["config"] = {
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v for k, v in asdict(config).items()
+    }
     report["config_hash"] = config.hash()
     report["version"] = __version__
-    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     if samples is not None:
         with open(outdir / "samples.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -317,23 +320,14 @@ def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
     else:
         g = LogPowerSeries.monomial(1.0, alpha)
     plan = SamplingPlan(rho0=0.25 * cert.quad.c, n_shells=config.shells)
-    evaluated = []  # (point, value) in the order verify_asymptotic samples them
-
-    def f(pts):
-        values = ext.evaluate(pts)
-        evaluated.extend(zip(pts, values))
-        return values
-
-    cert_a = verify_asymptotic(f, g, R, cert.quad, plan=plan, tol=config.tol)
+    cert_a = verify_asymptotic(ext.evaluate, g, R, cert.quad, plan=plan, tol=config.tol)
     report = {
         "status": "ok",
         "certificate": cert_a.to_json(),
         "remainder_ladder": error_tower_constants(ext.positive, R, alpha, series=g).to_json(),
     }
-    g_R = g.truncate(R)
     samples = [["abs_z", "arg_z", "remainder_over_absz_R"]]
-    for p, value in evaluated:
-        rem = abs(value - g_R.eval_finite(p))
+    for p, rem in cert_a.samples:
         samples.append([p.r, p.phi, rem / p.r ** float(R)])
     plot = svg_plot(
         [("remainder ratio", [s.rho for s in cert_a.shells], [max(s.ratio, 1e-300) for s in cert_a.shells])],

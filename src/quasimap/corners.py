@@ -30,11 +30,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import CuspAngleZero, InversionFailure, malformed
-from .exponents import Exponent
+from .exponents import Exponent, declare_generator, exact_or_float, value_of
 from .powerseries import AnalyticFunc, PowerSeries, series_power
 
 
@@ -99,23 +101,26 @@ class PuiseuxArc:
 
 @dataclass
 class CornerSpec:
-    """Two arc germs at a vertex with an exact interior angle.
+    """Two arc germs at a vertex with their interior angle.
 
-    ``interior_angle`` is angle/pi as an :class:`Exponent` (or a bare float for
-    numeric-only corners).  The angle is measured counterclockwise from arc1 to
-    arc2 through the interior; ``tangent_lift`` optionally pins the lifted
-    direction of arc1 (defaults to its principal argument).
+    ``interior_angle`` is angle/pi.  A declared angle, an :class:`Exponent` (or
+    a bare float for numeric-only corners), is kept as given.  Left out, it is
+    measured from the tangents and snapped to the rational p/q with q <= 720
+    within 1e-12, where one lies that close, else kept as the measured float.
+    The angle is measured counterclockwise from arc1 to arc2 through the
+    interior; ``tangent_lift`` optionally pins the lifted direction of arc1
+    (defaults to its principal argument).
     """
 
     arc1: PuiseuxArc
     arc2: PuiseuxArc
     vertex: complex = 0j
-    interior_angle: object = None  # Exponent | float | None
+    interior_angle: object = None  # Exponent | float; None is measured
     tangent_lift: float | None = None
 
     def __post_init__(self):
         if self.interior_angle is None:
-            self.interior_angle = measured_angle_over_pi(self.arc1, self.arc2)
+            self.interior_angle = _snap_rational_angle(measured_angle_over_pi(self.arc1, self.arc2))
 
     @property
     def theta1(self) -> float:
@@ -123,13 +128,7 @@ class CornerSpec:
 
     @property
     def theta2(self) -> float:
-        return self.theta1 + _angle_value(self.interior_angle) * math.pi
-
-
-def _angle_value(angle) -> float:
-    if isinstance(angle, Exponent):
-        return angle.value()
-    return float(angle)
+        return self.theta1 + value_of(self.interior_angle) * math.pi
 
 
 def angle_json(angle) -> object:
@@ -157,36 +156,38 @@ def measured_angle_over_pi(arc1: PuiseuxArc, arc2: PuiseuxArc) -> float:
 # -- domains ---------------------------------------------------------------------
 
 
+def _snap_rational_angle(gap: float):
+    """Snap a measured angle/pi to a rational with denominator <= 720 within 1e-12, else keep the float."""
+    fr = Fraction(gap).limit_denominator(720)
+    if abs(float(fr) - gap) < 1e-12:
+        return Exponent(fr)
+    return gap
+
+
 @dataclass
 class CornerSite:
     """All germ components of a domain at one boundary point."""
 
     vertex: complex
     components: list  # list[CornerSpec]
-    at_infinity: bool = False
 
 
 @dataclass
 class DomainSpec:
-    """Boundary model: corner sites carrying explicit germ components."""
+    """Boundary model of a bounded domain: corner sites carrying explicit germ components."""
 
-    bounded: bool
     sites: list = field(default_factory=list)
 
     @classmethod
     def from_polygon(cls, vertices) -> "DomainSpec":
-        """Bounded polygon, vertices in counterclockwise order."""
-        vs = [complex(v[0], v[1]) if not isinstance(v, complex) else v for v in vertices]
-        n = len(vs)
-        sites = []
-        for k, w in enumerate(vs):
-            nxt, prv = vs[(k + 1) % n], vs[(k - 1) % n]
-            arc1 = PuiseuxArc([0, nxt - w], vertex=w)
-            arc2 = PuiseuxArc([0, prv - w], vertex=w)
-            gap = measured_angle_over_pi(arc1, arc2)
-            angle = _snap_rational_angle(gap)
-            sites.append(CornerSite(w, [CornerSpec(arc1, arc2, w, angle)]))
-        return cls(bounded=True, sites=sites)
+        """Polygon, vertices in counterclockwise order, read as the flat arc list of its edges."""
+        vs = [v if isinstance(v, complex) else complex(v[0], v[1]) for v in vertices]
+        arcs = [
+            {"vertex": [w.real, w.imag], "coeffs": [[0.0, 0.0], [(to - w).real, (to - w).imag]]}
+            for k, w in enumerate(vs)
+            for to in (vs[(k + 1) % len(vs)], vs[k - 1])
+        ]
+        return cls._from_flat_arcs(arcs)
 
     def to_json(self) -> dict:
         sites = []
@@ -200,85 +201,80 @@ class DomainSpec:
                         "angle_over_pi": angle_json(c.interior_angle),
                     }
                 )
-            sites.append(
-                {
-                    "vertex": [s.vertex.real, s.vertex.imag],
-                    "at_infinity": s.at_infinity,
-                    "components": comps,
-                }
-            )
-        return {"bounded": self.bounded, "sites": sites}
+            sites.append({"vertex": [s.vertex.real, s.vertex.imag], "components": comps})
+        return {"sites": sites}
 
     @classmethod
     def from_json(cls, data: dict) -> "DomainSpec":
-        """Domain from decoded JSON; a malformed section raises ValueError naming it."""
+        """Domain from decoded JSON; a malformed section, or one that makes the
+        domain unbounded, raises ValueError naming it."""
         if not isinstance(data, dict):
             raise ValueError(f"domain JSON must be an object, got {type(data).__name__}")
+        _require_bounded(data, "bounded", True)
+        with malformed("irrational_generators"):
+            for name, value in data.get("irrational_generators", {}).items():
+                declare_generator(name, value)
         if "polygon" in data:
             with malformed("polygon"):
                 return cls.from_polygon(data["polygon"])
         if "arcs" in data:
             with malformed("arcs"):
-                return cls._from_flat_arcs(data)
+                return cls._from_flat_arcs(data["arcs"])
         sites = []
         with malformed("sites"):
             for s in data["sites"]:
-                vertex = complex(s["vertex"][0], s["vertex"][1])
-                comps = []
-                for c in s["components"]:
-                    arc1 = PuiseuxArc([complex(re, im) for re, im in c["arc1"]["coeffs"]], d=c["arc1"].get("d", 1), vertex=vertex)
-                    arc2 = PuiseuxArc([complex(re, im) for re, im in c["arc2"]["coeffs"]], d=c["arc2"].get("d", 1), vertex=vertex)
-                    ang = c.get("angle_over_pi")
-                    if isinstance(ang, dict):
-                        ang = Exponent.from_json(ang)
-                    comps.append(CornerSpec(arc1, arc2, vertex, ang))
-                sites.append(CornerSite(vertex, comps, at_infinity=s.get("at_infinity", False)))
-        return cls(bounded=data.get("bounded", True), sites=sites)
+                _require_bounded(s, "at_infinity", False)
+                vertex = _point(s["vertex"])
+                comps = [
+                    CornerSpec(_arc(c["arc1"], vertex), _arc(c["arc2"], vertex), vertex, _angle(c.get("angle_over_pi")))
+                    for c in s["components"]
+                ]
+                sites.append(CornerSite(vertex, comps))
+        return cls(sites)
 
     @classmethod
-    def _from_flat_arcs(cls, data: dict) -> "DomainSpec":
+    def _from_flat_arcs(cls, arcs) -> "DomainSpec":
         """Flat schema: arcs listed with their vertex; consecutive arcs at the
-        same vertex pair up into germ components in listed order."""
-        from .exponents import declare_generator
-
-        for name, value in data.get("irrational_generators", {}).items():
-            declare_generator(name, value)
-        arcs = []
-        for a in data["arcs"]:
-            vertex = complex(a["vertex"][0], a["vertex"][1])
-            coeffs = [complex(re, im) for re, im in a["coeffs"]]
-            arc = PuiseuxArc(coeffs, d=a.get("d", 1), vertex=vertex)
-            if "m" in a and arc.multiplicity != a["m"]:
-                raise ValueError(f"declared multiplicity {a['m']} != jet multiplicity {arc.multiplicity}")
-            ang = a.get("angle_over_pi")
-            arcs.append((vertex, arc, Exponent.from_json(ang) if isinstance(ang, dict) else ang))
+        same vertex pair up into germ components in listed order, each taking
+        the angle of its first arc."""
+        listed = []
+        for a in arcs:
+            vertex = _point(a["vertex"])
+            listed.append((vertex, _arc(a, vertex), _angle(a.get("angle_over_pi"))))
         sites = []
-        i = 0
-        while i < len(arcs):
-            vertex = arcs[i][0]
-            group = []
-            while i < len(arcs) and arcs[i][0] == vertex:
-                group.append(arcs[i])
-                i += 1
+        for vertex, group in groupby(listed, key=itemgetter(0)):
+            group = list(group)
             if len(group) % 2:
                 raise ValueError(f"odd number of arcs at vertex {vertex}")
-            comps = []
-            for j in range(0, len(group), 2):
-                _, a1, ang = group[j]
-                _, a2, _ = group[j + 1]
-                if ang is None:
-                    ang = _snap_rational_angle(measured_angle_over_pi(a1, a2))
-                comps.append(CornerSpec(a1, a2, vertex, ang))
+            comps = [CornerSpec(a1, a2, vertex, angle) for (_, a1, angle), (_, a2, _) in zip(group[::2], group[1::2])]
             sites.append(CornerSite(vertex, comps))
-        return cls(bounded=data.get("bounded", True), sites=sites)
+        return cls(sites)
 
 
-def _snap_rational_angle(gap: float):
-    """Snap a measured angle/pi to a rational with denominator <= 720 within 1e-12, else keep the float."""
-    fr = Fraction(gap).limit_denominator(720)
-    if abs(float(fr) - gap) < 1e-12:
-        return Exponent(fr)
-    return gap
+def _require_bounded(data: dict, key: str, value: bool) -> None:
+    """Refuse a key that would make the domain unbounded: it may be absent or hold ``value``."""
+    if data.get(key, value) is not value:
+        raise ValueError(f"{key!r} must be {str(value).lower()} (the domain must be bounded), got {data[key]!r}")
+
+
+def _point(xy) -> complex:
+    return complex(xy[0], xy[1])
+
+
+def _arc(data: dict, vertex: complex) -> PuiseuxArc:
+    """One arc germ of domain JSON: its coeffs as [re, im] pairs, d (default 1),
+    and an optional multiplicity m that must match the jet's."""
+    arc = PuiseuxArc([_point(c) for c in data["coeffs"]], d=data.get("d", 1), vertex=vertex)
+    if "m" in data and arc.multiplicity != data["m"]:
+        raise ValueError(f"declared multiplicity {data['m']} != jet multiplicity {arc.multiplicity}")
+    return arc
+
+
+def _angle(data):
+    """A declared angle/pi of domain JSON: an Exponent object, a number, or None to measure it."""
+    if data is None:
+        return None
+    return Exponent.from_json(data) if isinstance(data, dict) else float(data)
 
 
 def singular_points(domain: DomainSpec):
@@ -294,7 +290,7 @@ def singular_points(domain: DomainSpec):
         for comp in site.components:
             gap = measured_angle_over_pi(comp.arc1, comp.arc2)
             declared = comp.interior_angle
-            if abs(gap - 1.0) < 1e-9 and abs(_angle_value(declared) - 1.0) < 1e-9:
+            if abs(gap - 1.0) < 1e-9 and abs(value_of(declared) - 1.0) < 1e-9:
                 if _arcs_glue_analytically(comp.arc1, comp.arc2):
                     continue
             angles.append(declared)
@@ -346,7 +342,7 @@ class AnalyticCorner:
 
     @property
     def angle_radians(self) -> float:
-        return _angle_value(self.angle) * math.pi
+        return value_of(self.angle) * math.pi
 
 
 class TransformChain:
@@ -363,20 +359,14 @@ class TransformChain:
         self.rev1 = rev1
         self.rho = complex(rho)
         self.theta1 = float(theta1)
-        self.original_angle = original_angle
+        self.original_angle = exact_or_float(original_angle)
 
     @property
     def final_angle(self):
-        a = self.original_angle
-        if isinstance(a, Exponent):
-            return a / (self.m1 * self.m2)
-        return float(a) / (self.m1 * self.m2)
+        return self.original_angle / (self.m1 * self.m2)
 
     def angle_ledger_exact(self) -> bool:
-        a = self.final_angle
-        if isinstance(a, Exponent):
-            return a * (self.m1 * self.m2) == self.original_angle
-        return a * self.m1 * self.m2 == float(_angle_value(self.original_angle))
+        return self.final_angle * (self.m1 * self.m2) == self.original_angle
 
 
 def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorner, TransformChain]:
@@ -386,7 +376,7 @@ def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorne
     exact ledger final_angle * m1 * m2 = original_angle holds by construction.
     """
     angle = corner.interior_angle
-    if _angle_value(angle) <= 0:
+    if value_of(angle) <= 0:
         raise CuspAngleZero("cannot normalize a cusp")
     m1 = corner.arc1.multiplicity
     arc2 = corner.arc2.reparametrized_power(m1) if m1 > 1 else corner.arc2
@@ -411,7 +401,7 @@ def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorne
 
     chain = TransformChain(m1, m2, phi1_root, rev1, rho, theta1, angle)
     final_angle = chain.final_angle
-    theta2_final = math.pi + _angle_value(final_angle) * math.pi
+    theta2_final = math.pi + value_of(final_angle) * math.pi
     arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius), exact=lambda z: -np.asarray(z, dtype=complex))
     arc2_norm = AnalyticFunc(arc2_series)
     normalized = AnalyticCorner(arc1_norm, arc2_norm, final_angle, math.pi, theta2_final)

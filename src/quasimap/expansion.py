@@ -132,8 +132,7 @@ class FitResult:
     method: str = "shell least squares (numerical fit, not a closed-form recursion)"
 
     def coefficient(self, alpha, log_degree: int = 0) -> complex:
-        a = Exponent.coerce(alpha) if not isinstance(alpha, Exponent) else alpha
-        q = self.series.terms.get(a)
+        q = self.series.terms.get(Exponent.coerce(alpha))
         if q is None or log_degree > q.degree:
             return 0j
         return q.coeffs[log_degree]
@@ -193,12 +192,12 @@ def fit_expansion(
     basis = [bd for bd, k in zip(basis, keep) if k]
     A = A[:, keep]
     col = col[keep]
-    col[col == 0] = 1.0
     As = A / col
-    cond = np.linalg.cond(As)
+    sol, _, _, sv = np.linalg.lstsq(As, rhs, rcond=None)
+    # the condition number from the singular values lstsq computed anyway; a zero one is unbounded
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     if cond > 1e12:
         raise IllConditioned(cond)
-    sol, res, *_ = np.linalg.lstsq(As, rhs, rcond=None)
     coeffs = sol / col
 
     # stability diagnostic: refit on the deeper half of the shells and track
@@ -239,13 +238,18 @@ class ShellRecord:
 
 @dataclass
 class AsymptoticCertificate:
-    """Per-shell remainder ratios sup |f - g_R| / rho^R on a shrunken domain."""
+    """Per-shell remainder ratios sup |f - g_R| / rho^R on a shrunken domain.
+
+    ``samples`` holds every sample as (point, |f - g_R|) in sampling order;
+    ``to_json`` leaves it out.
+    """
 
     R: float
     tol: float
     domain: QuadraticDomain
     shells: list = field(default_factory=list)
     passed: bool = False
+    samples: list = field(default_factory=list)
 
     @property
     def ratios(self) -> list[float]:
@@ -305,6 +309,7 @@ def verify_asymptotic(
         worst, wit, rem = -1.0, None, 0.0
         for p, v in zip(pts, _values(f, pts).tolist()):
             r = abs(v - g_R.eval_finite(p))
+            cert.samples.append((p, r))
             ratio = r / rho ** float(R)
             if ratio > worst:
                 worst, wit, rem = ratio, p, r
@@ -389,7 +394,7 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
     it, the gap is taken in the full lattice N0 + N*alpha.  Every constant is
     computed as its log; the defining recurrences are exact there.
     """
-    a = alpha if isinstance(alpha, Exponent) else Exponent.coerce(alpha)
+    a = Exponent.coerce(alpha)
     av = a.value()
     model = ExpansionModel(a, R)
     if series is not None and series.terms:

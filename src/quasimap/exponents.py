@@ -263,6 +263,16 @@ RATIONAL_PI_MULTIPLE = "RATIONAL_PI_MULTIPLE"
 IRRATIONAL_PI_MULTIPLE = "IRRATIONAL_PI_MULTIPLE"
 
 
+def exact_or_float(x):
+    """An Exponent or a float kept as given; any other real (int, Fraction, str) made an exact Exponent."""
+    return x if isinstance(x, (Exponent, float)) else Exponent.coerce(x)
+
+
+def value_of(x) -> float:
+    """The double value of an Exponent or of a plain real number."""
+    return x.value() if isinstance(x, Exponent) else float(x)
+
+
 def rationality_class(angle_over_pi) -> str:
     """Decide rationality of angle/pi symbolically; floats raise UnknownClass."""
     if isinstance(angle_over_pi, float):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GermTooSmall, NormalizationError, OutsideExtensionDomain
-from .exponents import Exponent
+from .exponents import value_of
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
 from .surface import LPoint, QuadraticDomain, sector_index_point, sheet_walk
 
@@ -73,7 +73,7 @@ class MapGerm:
 
     @property
     def alpha_value(self) -> float:
-        return self.alpha.value() if isinstance(self.alpha, Exponent) else float(self.alpha)
+        return value_of(self.alpha)
 
     def mirrored(self) -> "MapGerm":
         """Germ z -> conj(Phi(-conj z)) with swapped, conjugated arcs."""

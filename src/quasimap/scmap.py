@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateTransform, InvalidAngles, NonConvergence
-from .exponents import Exponent
+from .exponents import Exponent, exact_or_float, value_of
 from .powerseries import AnalyticFunc, PowerSeries, series_power
 from .reflection import MapGerm
 from .series import LogPolynomial, LogPowerSeries, zpow
@@ -89,8 +89,8 @@ class MobiusTransform:
 
 def model_corner_germ(alpha) -> MapGerm:
     """The sector model z -> z^alpha on H-bar: arcs are the two bounding rays."""
-    a = Exponent.coerce(alpha) if not isinstance(alpha, (Exponent, float)) else alpha
-    av = a.value() if isinstance(a, Exponent) else float(a)
+    a = exact_or_float(alpha)
+    av = value_of(a)
     if not (0 < av <= 2):
         raise ValueError("model corner needs 0 < alpha <= 2")
 

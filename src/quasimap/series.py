@@ -23,20 +23,12 @@ import math
 from fractions import Fraction
 
 from .errors import NonPositiveValuation
-from .exponents import Exponent
+from .exponents import Exponent, value_of
 
 INF = math.inf
 
 PURE_POWER = "PURE_POWER"
 LOG_POWER = "LOG_POWER"
-
-
-def _bound_value(r) -> float:
-    if r is INF or r == INF:
-        return INF
-    if isinstance(r, Exponent):
-        return r.value()
-    return float(r)
 
 
 class LogPolynomial:
@@ -182,14 +174,14 @@ class LogPowerSeries:
         return (
             isinstance(other, LogPowerSeries)
             and self.terms == other.terms
-            and _bound_value(self.r_max) == _bound_value(other.r_max)
+            and value_of(self.r_max) == value_of(other.r_max)
         )
 
     def __repr__(self):
         bits = []
         for a in self.support():
             bits.append(f"({self.terms[a]!r})*z^({a})")
-        r = "inf" if _bound_value(self.r_max) == INF else str(self.r_max)
+        r = "inf" if value_of(self.r_max) == INF else str(self.r_max)
         return " + ".join(bits or ["0"]) + f"  [r_max={r}]"
 
     # -- algebra ----------------------------------------------------------------
@@ -320,8 +312,8 @@ class LogPowerSeries:
         term = LogPowerSeries({Exponent(0): LogPolynomial.constant(1)}, INF)
         # number of binomial terms needed: nu(tail) * n <= bound
         nt = tail.valuation()
-        if nt is not None and _bound_value(bound) < INF:
-            nmax = int(_bound_value(bound) / nt.value()) + 1
+        if nt is not None and value_of(bound) < INF:
+            nmax = int(value_of(bound) / nt.value()) + 1
         else:
             nmax = 0 if nt is None else 1
         coeff = 1.0
@@ -358,7 +350,7 @@ class LogPowerSeries:
                     "log_poly": [[c.real, c.imag] for c in q.coeffs],
                 }
             )
-        r = _bound_value(self.r_max)
+        r = value_of(self.r_max)
         return {"terms": terms, "truncation_bound": None if r == INF else r}
 
     @classmethod
@@ -385,7 +377,7 @@ def series_class(f: LogPowerSeries) -> str:
 
 
 def _le_bound(a: Exponent, r) -> bool:
-    if r is INF or _bound_value(r) == INF:
+    if r is INF or value_of(r) == INF:
         return True
     if isinstance(r, Exponent):
         return a <= r
@@ -393,14 +385,14 @@ def _le_bound(a: Exponent, r) -> bool:
 
 
 def _min_bound(r1, r2):
-    v1, v2 = _bound_value(r1), _bound_value(r2)
+    v1, v2 = value_of(r1), value_of(r2)
     if v1 <= v2:
         return r1
     return r2
 
 
 def _add_bound(r, e: Exponent):
-    if _bound_value(r) == INF:
+    if value_of(r) == INF:
         return INF
     if isinstance(r, Exponent):
         return r + e
@@ -408,7 +400,7 @@ def _add_bound(r, e: Exponent):
 
 
 def _sub_bound(r, e: Exponent):
-    if _bound_value(r) == INF:
+    if value_of(r) == INF:
         return INF
     if isinstance(r, Exponent):
         return r - e
@@ -424,7 +416,7 @@ def _product_bound(f: LogPowerSeries, g: LogPowerSeries):
     if nf is not None:
         candidates.append(_add_bound(g.r_max, nf))
     if nf is None and ng is None:
-        vf, vg = _bound_value(f.r_max), _bound_value(g.r_max)
+        vf, vg = value_of(f.r_max), value_of(g.r_max)
         return INF if vf == INF or vg == INF else vf + vg
     out = candidates[0]
     for c in candidates[1:]:
@@ -436,9 +428,9 @@ def _compose_bound(f: LogPowerSeries, inner: LogPowerSeries):
     """Truncation bound for f(inner): min of inner's own bound and the first
     exponent contributed by f's unrepresented tail."""
     bound = inner.r_max
-    if _bound_value(f.r_max) != INF:
+    if value_of(f.r_max) != INF:
         nu = inner.valuation()
         if nu is not None:
-            n_known = math.floor(_bound_value(f.r_max) + 1e-12)
+            n_known = math.floor(value_of(f.r_max) + 1e-12)
             bound = _min_bound(bound, nu * (n_known + 1))
     return bound

@@ -55,6 +55,23 @@ class TestAnalyze:
         assert (out / "samples.csv").exists() and (out / "plot.svg").exists()
         assert report["config_hash"] and report["version"]
 
+    def test_square_reads_alike_in_every_schema(self, tmp_path):
+        # polygon shorthand, flat arcs and sites without angles: four measured angles, snapped to exact 1/2
+        vs = [complex(x, y) for x, y in SQUARE]
+        arcs, sites = [], []
+        for k, w in enumerate(vs):
+            pair = [{"coeffs": [[0, 0], [(to - w).real, (to - w).imag]]} for to in (vs[(k + 1) % 4], vs[k - 1])]
+            arcs += [dict(a, vertex=[w.real, w.imag]) for a in pair]
+            sites.append({"vertex": [w.real, w.imag], "components": [{"arc1": pair[0], "arc2": pair[1]}]})
+        found = []
+        for name, data in (("polygon", {"polygon": SQUARE}), ("arcs", {"arcs": arcs}), ("sites", {"sites": sites})):
+            inp = tmp_path / f"{name}.json"
+            inp.write_text(json.dumps(data))
+            assert run(JobConfig(command="analyze", input=str(inp), out=str(tmp_path / name))) == EXIT_OK
+            found.append(json.loads((tmp_path / name / "report.json").read_text())["singular_points"])
+        assert found[0] == found[1] == found[2]
+        assert [p["angles_over_pi"] for p in found[0]] == [[{"irrational_multiples": {}, "rational": [1, 2]}]] * 4
+
 
 class TestContinue:
     def test_model_corner_continuation(self, tmp_path):
@@ -176,6 +193,16 @@ class TestGeneratorRegistry:
         assert "'sqrt2'" in capsys.readouterr().err
         assert parse_exponent("sqrt2").value() == 1.4142135623730951
 
+    def test_sites_declare_the_generators_their_angles_use(self, tmp_path):
+        angle = {"rational": [0, 1], "irrational_multiples": {"cli_sites_gen": [1, 2]}}
+        arc1, arc2 = {"coeffs": [[0, 0], [1, 0]]}, {"coeffs": [[0, 0], [0, 1]]}
+        site = {"vertex": [0, 0], "components": [{"arc1": arc1, "arc2": arc2, "angle_over_pi": angle}]}
+        inp = tmp_path / "domain.json"
+        inp.write_text(json.dumps({"sites": [site], "irrational_generators": {"cli_sites_gen": "1.0625"}}))
+        assert run(JobConfig(command="analyze", input=str(inp), out=str(tmp_path / "out"))) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["singular_points"][0]["angles_over_pi"] == [angle]
+
     def test_same_value_and_new_names_still_declare(self, tmp_path):
         same = "1.41421356237309504880168872420969807856967187537694807317667973799"
         assert self._analyze(tmp_path, {"sqrt2": same, "cli_registry_gen": "1.2345"}) == EXIT_OK
@@ -265,7 +292,8 @@ class TestBadInput:
     def test_bad_flag_exits_4(self, argv, message, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         assert message in capsys.readouterr().err
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        # strict JSON: a non-finite flag such as --tol nan is written as its string
+        report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=pytest.fail)
         assert report["status"] == "bad-input" and message in report["reason"]
 
     @pytest.mark.parametrize(
@@ -281,6 +309,9 @@ class TestBadInput:
             ("analyze", {"sites": [{"vertex": [0, 0], "components": [{"arc1": {"coeffs": 5}}]}]}, "'sites'"),
             ("analyze", [{"polygon": SQUARE}], "domain JSON must be an object"),
             ("analyze", {"polygon": [[math.nan, 1]] + SQUARE[1:]}, "holds NaN, which is not a finite double"),
+            ("analyze", {"bounded": False, "polygon": SQUARE}, "'bounded' must be true"),
+            ("analyze", {"sites": [{"vertex": [0, 0], "at_infinity": True, "components": []}]},
+             "'at_infinity' must be false"),
         ],
     )
     def test_malformed_json_exits_4(self, command, data, message, tmp_path, capsys):

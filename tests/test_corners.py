@@ -118,7 +118,7 @@ class TestCornerAngle:
     def test_slit_tip_wraps_to_two_pi(self):
         seg = segment_arc(-1.0, vertex=0.5)
         assert measured_angle_over_pi(seg, segment_arc(-1.0, vertex=0.5)) == 2.0
-        assert CornerSpec(seg, segment_arc(-1.0, vertex=0.5), 0.5).interior_angle == 2.0
+        assert CornerSpec(seg, segment_arc(-1.0, vertex=0.5), 0.5).interior_angle == Exponent(2)
 
     def test_tangent_circles_cusp(self):
         outer = circle_arc_through_origin(1.0, +1)
@@ -153,7 +153,7 @@ def slit_disk_domain() -> DomainSpec:
     up = PuiseuxArc([0] + [-((1j) ** n) / math.factorial(n) for n in range(1, 9)], vertex=1.0)
     down = PuiseuxArc([0] + [-((-1j) ** n) / math.factorial(n) for n in range(1, 9)], vertex=1.0)
     sites.append(CornerSite(1.0 + 0j, [CornerSpec(up, down, 1.0, Exponent(1))]))
-    return DomainSpec(bounded=True, sites=sites)
+    return DomainSpec(sites=sites)
 
 
 class TestSingularPoints:
@@ -182,7 +182,7 @@ class TestSingularPoints:
     def test_smooth_disk_is_empty(self):
         up = PuiseuxArc([0] + [-((1j) ** n) / math.factorial(n) for n in range(1, 9)], vertex=1.0)
         down = PuiseuxArc([0] + [-((-1j) ** n) / math.factorial(n) for n in range(1, 9)], vertex=1.0)
-        disk = DomainSpec(bounded=True, sites=[CornerSite(1.0 + 0j, [CornerSpec(up, down, 1.0, Exponent(1))])])
+        disk = DomainSpec(sites=[CornerSite(1.0 + 0j, [CornerSpec(up, down, 1.0, Exponent(1))])])
         assert singular_points(disk) == []
 
     def test_json_roundtrip(self):
@@ -219,8 +219,8 @@ def domains(draw) -> DomainSpec:
             CornerSpec(draw(arcs_at(vertex)), draw(arcs_at(vertex)), vertex, draw(angles))
             for _ in range(draw(st.integers(min_value=0, max_value=2)))
         ]
-        sites.append(CornerSite(vertex, comps, at_infinity=draw(st.booleans())))
-    return DomainSpec(bounded=draw(st.booleans()), sites=sites)
+        sites.append(CornerSite(vertex, comps))
+    return DomainSpec(sites=sites)
 
 
 @given(domains())

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasimap.errors import DichotomyViolation, FailedCertificate, IllConditioned
@@ -127,6 +128,20 @@ class TestFit:
         with pytest.raises(IllConditioned) as err:
             fit_expansion(pointwise(lambda p: zpow(p.log(), 1.0)), model, plan, domain=WIDE)
         assert err.value.cond > 1e12
+
+    def test_zero_singular_value_is_ill_conditioned(self, monkeypatch):
+        # the condition number comes from lstsq's singular values; a zero one raises without a division warning
+        lstsq = np.linalg.lstsq
+
+        def singular(a, b, rcond=None):
+            sol, res, rank, sv = lstsq(a, b, rcond=rcond)
+            return sol, res, rank, np.append(sv[:-1], 0.0)
+
+        monkeypatch.setattr(np.linalg, "lstsq", singular)
+        plan = SamplingPlan(rho0=0.2, n_shells=8, points_per_shell=24)
+        with pytest.raises(IllConditioned) as err:
+            fit_expansion(pointwise(lambda p: zpow(p.log(), 0.5)), ExpansionModel(Exponent(Fraction(1, 2)), R=1.2), plan)
+        assert err.value.cond == math.inf
 
 
 class TestVerify:

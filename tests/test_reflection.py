@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasimap.errors import NormalizationError, OutsideExtensionDomain
 from quasimap.exponents import Exponent
@@ -128,6 +130,24 @@ class TestSchwarzReflect:
             for _ in range(5):
                 z = complex(rng.uniform(-0.05, 0.05), rng.uniform(0.005, 0.05))
                 assert abs(twice(z) - f(z)) < 1e-12
+
+    @given(
+        tail=st.lists(st.complex_numbers(max_magnitude=0.3, allow_nan=False), min_size=1, max_size=4),
+        p=st.lists(st.floats(min_value=0.0, max_value=0.25), min_size=4, max_size=4),
+        x=st.floats(min_value=-0.05, max_value=0.05),
+        y=st.floats(min_value=0.005, max_value=0.05),
+    )
+    def test_double_reflection_is_identity_property(self, tail, p, x, y):
+        # the chart and f of random_chart and random_boundary_matched_f, drawn by hypothesis
+        tail = np.array(tail) / max(1.0, 2.0 * sum(k * abs(c) for k, c in enumerate(tail, start=2)))
+        chart = analytic_polynomial(np.concatenate(([0.0, 1.0], tail)))
+        p = np.array(p) / max(1.0, sum(p) / 0.8)
+
+        def f(z):
+            return chart.exact(sum(c * np.asarray(z, dtype=complex) ** k for k, c in enumerate(p)))
+
+        z = complex(x, y)
+        assert abs(reflect_across(chart, reflect_across(chart, f))(z) - f(z)) < 1e-12
 
 
 class TestBuildChi:

@@ -189,6 +189,34 @@ class TestRingProperties:
             assert abs(sa - (fa + ga)) < 1e-12 * max(1.0, abs(fa) + abs(ga))
             assert abs(pa - fa * ga) < 1e-12 * max(1.0, abs(fa * ga))
 
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(EXPONENT_POOL),
+                st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False), min_size=1, max_size=3),
+                max_size=5,
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        st.floats(min_value=0.3, max_value=2.0),
+        st.floats(min_value=-4 * math.pi, max_value=4 * math.pi),
+    )
+    def test_eval_is_homomorphism_property(self, terms, r, arg):
+        f, g = (LogPowerSeries({a: LogPolynomial(cs) for a, cs in t.items()}) for t in terms)
+        z = LPoint(r, arg)
+        fa, ga = f.eval_finite(z), g.eval_finite(z)
+        # rounding is relative to the terms' magnitudes, which cancelling coefficients can leave far above |f(z)|
+        mf, mg = _magnitude(f, z), _magnitude(g, z)
+        assert abs((f + g).eval_finite(z) - (fa + ga)) <= 1e-12 * max(1.0, mf + mg)
+        assert abs((f * g).eval_finite(z) - fa * ga) <= 1e-12 * max(1.0, mf * mg)
+
+
+def _magnitude(f: LogPowerSeries, z: LPoint) -> float:
+    """sum |c| |log z|^d |z|^a over the terms c (log z)^d z^a of f."""
+    log_abs = abs(z.log())
+    return sum(abs(c) * log_abs**d * z.r ** a.value() for a, q in f.terms.items() for d, c in enumerate(q.coeffs))
+
 
 class TestSerialization:
     def test_json_roundtrip(self, rng):
