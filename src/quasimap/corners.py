@@ -180,8 +180,12 @@ class DomainSpec:
 
     @classmethod
     def from_polygon(cls, vertices) -> "DomainSpec":
-        """Polygon, vertices in counterclockwise order, read as the flat arc list of its edges."""
+        """Polygon, vertices in counterclockwise order, read as the flat arc list of its edges.
+
+        Vertices in clockwise order (signed area not positive) raise ValueError.
+        """
         vs = [v if isinstance(v, complex) else complex(v[0], v[1]) for v in vertices]
+        require_counterclockwise(vs)
         arcs = [
             {"vertex": [w.real, w.imag], "coeffs": [[0.0, 0.0], [(to - w).real, (to - w).imag]]}
             for k, w in enumerate(vs)
@@ -249,6 +253,13 @@ class DomainSpec:
             comps = [CornerSpec(a1, a2, vertex, angle) for (_, a1, angle), (_, a2, _) in zip(group[::2], group[1::2])]
             sites.append(CornerSite(vertex, comps))
         return cls(sites)
+
+
+def require_counterclockwise(vertices: list) -> None:
+    """Raise ValueError unless the polygon's signed (shoelace) area is positive, i.e. its vertices run counterclockwise."""
+    area = 0.5 * sum((a.conjugate() * b).imag for a, b in zip(vertices, vertices[1:] + vertices[:1]))
+    if not area > 0:
+        raise ValueError(f"polygon vertices must run counterclockwise, but their signed area is {area:.6g}")
 
 
 def _require_bounded(data: dict, key: str, value: bool) -> None:

@@ -80,7 +80,7 @@ class NonConvergence(QuasimapError):
 
 
 class InvalidAngles(QuasimapError):
-    """Polygon angles violate the closure sum rule or the admissible range."""
+    """Polygon angles violate the closure sum rule or the admissible range, or its vertices run clockwise."""
 
 
 class DegenerateTransform(QuasimapError):

@@ -12,7 +12,10 @@ decreasing to 0 inside a shrunken quadratic domain, the ratios
     sup |f - (expansion truncated at R)| / rho_j^R
 
 must end below tolerance and either decrease monotonically over the last
-shells or sit entirely at the rounding floor.
+shells or sit entirely at the rounding floor.  Both the fit and the
+verification sample their function once, on the points of all shells
+together, so a tower unwinds them as one list; verification evaluates the
+truncated expansion once on the same list.
 
 The error-tracking ladder mirrors the remainder bookkeeping of the tower
 construction: with S_R strictly inside the support gap past R, m minimal with
@@ -56,35 +59,43 @@ class ExpansionModel:
 
     def lattice(self, upto: float | None = None) -> list[Exponent]:
         limit = self.R if upto is None else upto
+        return sorted(self._scan(limit, limit)[0])
+
+    def _scan(self, limit: float, split: float) -> tuple[set, set]:
+        """One enumeration of the lattice up to ``limit``: the exponents of the
+        lattice up to ``split`` (by the same test), and all of them."""
         av = self.alpha.value()
-        out = set()
+        low, every = set(), set()
         j = 1
         while j * av <= limit + 1e-12:
             i = 0
             while i + j * av <= limit + 1e-12:
-                out.add(Exponent(i) + self.alpha * j)
+                e = Exponent(i) + self.alpha * j
+                every.add(e)
+                if i + j * av <= split + 1e-12:
+                    low.add(e)
                 i += 1
             j += 1
         if self.include_integer_axis:
             for i in range(1, int(limit) + 1):
-                out.add(Exponent(i))
-        return sorted(out)
+                every.add(Exponent(i))
+                if i <= int(split):
+                    low.add(Exponent(i))
+        return low, every
+
+    def basis_exponents(self) -> tuple[list[Exponent], list[Exponent]]:
+        """The lattice up to R and its guard band, the first ``guard_terms`` exponents past R, from one scan.
+
+        The guard band lies within guard_terms * max(alpha, 1) of R (the points
+        i + alpha past it), so the scan runs to that horizon with a margin.
+        """
+        horizon = self.R + self.guard_terms * max(self.alpha.value(), 1.0) + 2.0
+        low, every = self._scan(horizon, self.R)
+        return sorted(low), [e for e in sorted(every) if e.value() > self.R + 1e-12][: self.guard_terms]
 
     def guard_band(self) -> list[Exponent]:
         """First few lattice points beyond R (tail absorbers for the fit)."""
-        return self.lattice_beyond(self.R, self.guard_terms)
-
-    def next_exponent_after(self, R: float) -> Exponent:
-        return self.lattice_beyond(R, 1)[0]
-
-    def lattice_beyond(self, bound: float, n: int) -> list[Exponent]:
-        """The first n lattice exponents above bound.
-
-        They lie within n * max(alpha, 1) of it (the points i + alpha past it),
-        so the lattice is scanned to that horizon with a margin.
-        """
-        horizon = bound + n * max(self.alpha.value(), 1.0) + 2.0
-        return [e for e in self.lattice(upto=horizon) if e.value() > bound + 1e-12][:n]
+        return self.basis_exponents()[1]
 
 
 @dataclass
@@ -164,13 +175,13 @@ def fit_expansion(
             f"horizon R = {model.R:g} needs more than R/alpha = {model.R / model.alpha.value():.6g} lattice "
             f"exponents; the sampling plan's {n_samples} samples cannot determine them"
         )
-    lattice = model.lattice()
+    lattice, guard = model.basis_exponents()
     if not lattice:
         raise ValueError(
             f"horizon R = {model.R:g} is below alpha = {model.alpha.value():g}: the lattice has no exponent up to R"
         )
     basis = []
-    for e in lattice + model.guard_band():
+    for e in lattice + guard:
         for d in range(model.max_log_degree + 1):
             basis.append((e, d))
     pts = [p for _, shell_pts in plan.points(domain) for p in shell_pts]
@@ -292,7 +303,8 @@ def verify_asymptotic(
     (the latter covers exact remainders sitting at the rounding floor).
     Failure raises :class:`FailedCertificate` carrying the witness unless
     ``strict=False``.  ``f`` maps a list of :class:`LPoint` to the list of
-    their values; it is called once per shell.
+    their values; it is called once, on the samples of every shell, and the
+    truncated series is evaluated once on the same list.
     """
     if plan is None:
         plan = SamplingPlan(rho0=min(0.5 * domain.c, 0.1))
@@ -303,16 +315,19 @@ def verify_asymptotic(
             f"rho = {rho_min:.3e}"
         )
     sub = quad_intersect(domain, QuadraticDomain(min(domain.c, 2.0 * plan.rho0), domain.C, domain.mirrored))
-    g_R = g.truncate(R)
-    cert = AsymptoticCertificate(R=float(R), tol=tol, domain=sub)
-    for rho, pts in plan.points(sub):
+    shells = list(plan.points(sub))
+    pts = [p for _, shell_pts in shells for p in shell_pts]
+    # Python's abs (hypot): numpy's complex abs differs from it in the last bit
+    remainders = [abs(d) for d in (_values(f, pts) - g.truncate(R).eval_finite(pts)).tolist()]
+    cert = AsymptoticCertificate(R=float(R), tol=tol, domain=sub, samples=list(zip(pts, remainders)))
+    start = 0
+    for rho, shell_pts in shells:
         worst, wit, rem = -1.0, None, 0.0
-        for p, v in zip(pts, _values(f, pts).tolist()):
-            r = abs(v - g_R.eval_finite(p))
-            cert.samples.append((p, r))
+        for p, r in zip(shell_pts, remainders[start : start + len(shell_pts)]):
             ratio = r / rho ** float(R)
             if ratio > worst:
                 worst, wit, rem = ratio, p, r
+        start += len(shell_pts)
         if wit is not None:
             cert.shells.append(ShellRecord(float(rho), float(worst), wit, float(rem)))
     if not cert.shells:
@@ -396,12 +411,12 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
     """
     a = Exponent.coerce(alpha)
     av = a.value()
-    model = ExpansionModel(a, R)
+    model = ExpansionModel(a, R, guard_terms=1)
     if series is not None and series.terms:
         beyond = [e.value() for e in series.terms if e.value() > R + 1e-12]
-        nxt = min(beyond) if beyond else model.next_exponent_after(R).value()
+        nxt = min(beyond) if beyond else model.guard_band()[0].value()
     else:
-        nxt = model.next_exponent_after(R).value()
+        nxt = model.guard_band()[0].value()
     S = 0.5 * (R + nxt)
     m = int(math.floor(2.0 * R / av)) + 1
     while m * av / 2.0 <= R:

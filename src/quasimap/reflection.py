@@ -30,6 +30,14 @@ Negative arguments are reached by running the same construction on the
 mirrored germ  z -> conj(Phi(-conj z))  with the two arcs swapped and
 conjugated, gluing along (r, phi) -> (r, pi - phi).
 
+Evaluation unwinds a point: its argument phi = n pi + rem is walked down the
+levels by the tau_k, the germ is evaluated on T_0 and the recorded chi_k are
+applied on the way back up.  One point is walked on exact Python ints.  A
+list is walked as arrays, one int64 walk per tower, with the germ evaluated
+on arrays when it has ``eval_array`` and each chi_k applied to all the points
+it reflects at once; a list whose multiples or sector indices leave what
+int64 holds exactly goes point by point instead.
+
 Since t_k decays at the exact geometric rate (32*4)^(1/alpha) per level, the
 union of the sector balls contains a region r < c exp(-C sqrt|phi|): a
 quadratic domain, whose constants are certified from the ladder.
@@ -46,7 +54,17 @@ import numpy as np
 from .errors import GermTooSmall, NormalizationError, OutsideExtensionDomain
 from .exponents import value_of
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
-from .surface import LPoint, QuadraticDomain, sector_index_point, sheet_walk
+from .surface import (
+    ARRAY_LEVEL_LIMIT,
+    ARRAY_MULTIPLE_LIMIT,
+    LPoint,
+    QuadraticDomain,
+    cmp_pi_array,
+    sector_index_array,
+    sector_index_point,
+    sheet_walk,
+    sheet_walk_array,
+)
 
 DEFAULT_ORDER = 40
 
@@ -58,8 +76,10 @@ class MapGerm:
     ``eval_lpoint`` takes log-surface points with arg in [0, pi] (keeping
     closed-form models branch-exact) and is how the tower evaluates the germ;
     ``eval_complex`` is the same map on points of H-bar as complex numbers.
-    ``growth`` is E in the certified bound |Phi(z)| <= E |z|^alpha for
-    |z| < t_bar.
+    The optional ``eval_array`` is the map on arrays (r, n, rem) of the points
+    (r, n pi + rem), int64 n; a tower unwinding a list uses it when set and
+    ``eval_lpoint`` point by point otherwise.  ``growth`` is E in the
+    certified bound |Phi(z)| <= E |z|^alpha for |z| < t_bar.
     """
 
     eval_complex: object
@@ -70,6 +90,7 @@ class MapGerm:
     arc2: AnalyticFunc
     eval_lpoint: object
     label: str = ""
+    eval_array: object = None
 
     @property
     def alpha_value(self) -> float:
@@ -85,6 +106,9 @@ class MapGerm:
             flipped = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
             return complex(inner_l(flipped)).conjugate()
 
+        inner_a = self.eval_array
+        # the mirror is formed on the exact multiple, 1 - n, before any float
+        mirror_a = None if inner_a is None else lambda r, n, rem: np.conj(inner_a(r, 1 - n, -rem))
         return MapGerm(
             eval_complex=mirror_c,
             t_bar=self.t_bar,
@@ -94,6 +118,7 @@ class MapGerm:
             arc2=self.arc1.conjugated(),
             eval_lpoint=mirror_l,
             label=self.label + "*",
+            eval_array=mirror_a,
         )
 
 
@@ -163,8 +188,8 @@ class ReflectionTower:
     def evaluate(self, z):
         """Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi)); a list of points gives a list of values."""
         if isinstance(z, LPoint):
-            return self._unwind([z], [self._level(z, z)])[0]
-        return self._unwind(z, [self._level(p, p) for p in z])
+            return self._unwind_point(z, self._level(z, z), z)
+        return _evaluate_list(list(z), self)
 
     def _level(self, z: LPoint, caller: LPoint) -> int:
         """Sector index of z, which must lie in a built sector ball; errors name the caller's point."""
@@ -176,33 +201,40 @@ class ReflectionTower:
             raise OutsideExtensionDomain(f"{caller!r}: |z| = {z.r:.3e} >= t_{k}{tower} = {self.levels[k].t:.3e}")
         return k
 
-    def _unwind(self, points: list, ks: list) -> list:
-        """Phi_k at each point, in one walk.
+    def _unwind_point(self, z: LPoint, k: int, caller: LPoint):
+        """Phi_k at one point of level k: walk its argument down to T_0, evaluate
+        the germ there and apply the recorded chi_j on the way back up."""
+        reflected, n, rem = sheet_walk(z, k)
+        value = self.germ.eval_lpoint(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
+        for j in reversed(reflected):
+            require_in_disk(value, self.levels[j].r / 8.0, f"chi_{j} argument at {caller!r}")
+            value = complex(self.chi(j, value)).conjugate()
+        return value
 
-        Each point's argument is walked down to T_0 and the germ evaluated
-        there; then the recorded chi_j are applied level by level, j = 0, 1,
-        ..., to all points due at level j in one call.  A point's reflecting
-        levels rise on the way up, so this keeps each point's order.  A level
-        due for one point gets a plain complex, not an array of one.
+    def _unwind_arrays(self, r, n, rem, k, callers: list) -> np.ndarray:
+        """Phi_k at points (r, n pi + rem) of levels k, as arrays, in one walk.
+
+        Every argument is walked down to T_0 at once and the germ evaluated
+        there, on arrays when it has ``eval_array`` and point by point
+        otherwise; then the recorded chi_j are applied level by level, j = 0,
+        1, ..., each to all the points it reflects in one call.  A point's
+        reflecting levels rise on the way up, so this keeps each point's
+        order.  ``callers`` are the points as the caller gave them, for errors.
         """
-        values = []
-        due = {}  # level j -> indices of the points reflected by tau_j
-        for i, (z, k) in enumerate(zip(points, ks)):
-            reflected, n, rem = sheet_walk(z, k)
-            values.append(self.germ.eval_lpoint(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z))
-            for j in reflected:
-                due.setdefault(j, []).append(i)
-        for j in sorted(due):
-            idx = due[j]
-            radius, what = self.levels[j].r / 8.0, f"chi_{j} argument"
-            for i in idx:
-                require_in_disk(values[i], radius, what)
-            if len(idx) == 1:
-                values[idx[0]] = complex(self.chi(j, values[idx[0]])).conjugate()
-                continue
-            w = np.array([values[i] for i in idx], dtype=complex)
-            for i, v in zip(idx, np.conj(self.chi(j, w)).tolist()):
-                values[i] = v
+        reflected, n, rem = sheet_walk_array(n, rem, k)
+        germ = self.germ
+        if germ.eval_array is not None:
+            values = germ.eval_array(r, n, rem)
+        else:
+            points = [LPoint(x, phi_pi=m, phi_rem=y) for x, m, y in zip(r.tolist(), n.tolist(), rem.tolist())]
+            values = np.array([germ.eval_lpoint(p) for p in points], dtype=complex)
+        for j, idx in reversed(reflected):
+            w = values[idx]
+            radius = self.levels[j].r / 8.0
+            escaped = np.flatnonzero(np.abs(w) >= radius)
+            if len(escaped):
+                require_in_disk(complex(w[escaped[0]]), radius, f"chi_{j} argument at {callers[idx[escaped[0]]]!r}")
+            values[idx] = np.conj(self.chi(j, w))
         return values
 
     def chi(self, j: int, w):
@@ -324,21 +356,78 @@ class Extension:
         unwound; an error names the first point, as the caller gave it, that
         lies outside the built sector balls.
         """
-        points = [z] if isinstance(z, LPoint) else z
-        # per tower: the caller's indices, the points the tower sees and their levels
-        sides = ((self.positive, [], [], []), (self.negative, [], [], []))
-        for i, p in enumerate(points):
-            negative = p._phi_cmp_pi(0) < 0
-            tower, idx, seen, ks = sides[negative]
-            q = LPoint(p.r, phi_pi=1 - p.phi_pi, phi_rem=-p.phi_rem) if negative else p
-            ks.append(tower._level(q, p))
-            idx.append(i)
-            seen.append(q)
-        values = [None] * len(points)
-        for tower, idx, seen, ks in sides:
-            for i, v in zip(idx, tower._unwind(seen, ks)):
-                values[i] = v if tower is self.positive else v.conjugate()
-        return values[0] if isinstance(z, LPoint) else values
+        if isinstance(z, LPoint):
+            tower, q, k = _place(z, self.positive, self.negative)
+            v = tower._unwind_point(q, k, z)
+            return v if tower is self.positive else v.conjugate()
+        return _evaluate_list(list(z), self.positive, self.negative)
+
+
+def _place(p: LPoint, positive: ReflectionTower, negative: ReflectionTower | None):
+    """The tower that evaluates p, the point it sees there and its level; raises for a point outside."""
+    if negative is not None and p._phi_cmp_pi(0) < 0:
+        q = LPoint(p.r, phi_pi=1 - p.phi_pi, phi_rem=-p.phi_rem)
+        return negative, q, negative._level(q, p)
+    return positive, p, positive._level(p, p)
+
+
+def _evaluate_list(points: list, positive: ReflectionTower, negative: ReflectionTower | None = None) -> list:
+    """Phi at each point of a list: negative arguments on the mirrored tower when there is one.
+
+    The list is unwound as arrays, one exact int64 walk per tower, when every
+    multiple of pi is an int below ARRAY_MULTIPLE_LIMIT in magnitude and no
+    sector index on a tower deeper than ARRAY_LEVEL_LIMIT exceeds it.  Any
+    other list is checked and unwound point by point, as single points are.
+    """
+    walk = _walk_input(points, positive, negative)
+    if walk is None:
+        placed = [_place(p, positive, negative) for p in points]
+        values = []
+        for p, (tower, q, k) in zip(points, placed):
+            v = tower._unwind_point(q, k, p)
+            values.append(v if tower is positive else v.conjugate())
+        return values
+    r, sides = walk
+    outside = [idx[r[idx] >= t[k]] for tower, idx, n, rem, k, t in sides]
+    first = min((int(o[0]) for o in outside if len(o)), default=None)
+    if first is not None:
+        _place(points[first], positive, negative)  # raises, naming the point as the caller gave it
+    values = np.empty(len(points), dtype=complex)
+    for tower, idx, n, rem, k, t in sides:
+        v = tower._unwind_arrays(r[idx], n, rem, k, [points[i] for i in idx])
+        values[idx] = v if tower is positive else np.conj(v)
+    return values.tolist()
+
+
+def _walk_input(points: list, positive: ReflectionTower, negative: ReflectionTower | None):
+    """Radii and, per tower, (tower, indices, n, rem, levels, t by level) for the array walk; None if it is not exact.
+
+    A level above a tower's K reads t = 0, so the point is outside there.
+    """
+    multiples = [p.phi_pi for p in points]
+    if not set(map(type, multiples)) <= {int}:
+        return None
+    try:
+        n = np.array(multiples, dtype=np.int64)
+    except OverflowError:
+        return None
+    if not ((n > -ARRAY_MULTIPLE_LIMIT) & (n < ARRAY_MULTIPLE_LIMIT)).all():
+        return None
+    rem = np.array([p.phi_rem for p in points], dtype=float)
+    r = np.array([p.r for p in points], dtype=float)
+    mirrored = cmp_pi_array(n, rem, 0) < 0 if negative is not None else np.zeros(len(points), dtype=bool)
+    sides = []
+    for tower, on_side in ((positive, ~mirrored), (negative, mirrored)):
+        idx = np.flatnonzero(on_side)
+        if not len(idx):
+            continue
+        n_side, rem_side = (1 - n[idx], -rem[idx]) if tower is negative else (n[idx], rem[idx])
+        k = sector_index_array(n_side, rem_side, min(tower.K, ARRAY_LEVEL_LIMIT))
+        if tower.K > ARRAY_LEVEL_LIMIT and (k > ARRAY_LEVEL_LIMIT).any():
+            return None
+        t = np.array([lv.t for lv in tower.levels] + [0.0])
+        sides.append((tower, idx, n_side, rem_side, k, t))
+    return r, sides
 
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:

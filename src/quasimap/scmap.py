@@ -28,12 +28,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from .corners import require_counterclockwise
 from .errors import DegenerateTransform, InvalidAngles, NonConvergence
 from .exponents import Exponent, exact_or_float, value_of
 from .powerseries import AnalyticFunc, PowerSeries, series_power
 from .reflection import MapGerm
 from .series import LogPolynomial, LogPowerSeries, zpow
-from .surface import LPoint
+from .surface import LPoint, log_array
 
 
 # -- Moebius transforms ----------------------------------------------------------
@@ -102,6 +103,10 @@ def model_corner_germ(alpha) -> MapGerm:
     def on_L(z: LPoint) -> complex:
         return zpow(z.log(), av)
 
+    def on_arrays(r, n, rem):
+        # the argument as LPoint.phi forms it: float(n) pi + rem
+        return zpow(log_array(r, n * math.pi + rem), av)
+
     rot = cmath.exp(1j * math.pi * av)
     arc1 = AnalyticFunc(PowerSeries.linear(1.0, scale=1.0, radius=np.inf), exact=lambda z: np.asarray(z, dtype=complex) + 0j)
     arc2 = AnalyticFunc(PowerSeries.linear(rot, scale=1.0, radius=np.inf), exact=lambda z, r=rot: r * np.asarray(z, dtype=complex))
@@ -114,6 +119,7 @@ def model_corner_germ(alpha) -> MapGerm:
         arc2=arc2,
         eval_lpoint=on_L,
         label=f"sector[{a}]",
+        eval_array=on_arrays,
     )
 
 
@@ -190,7 +196,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
 
     ``angles`` are the interior angles divided by pi, as exact rationals in
     (0, 2]; they must satisfy the closure rule sum(1 - alpha_k) = 2.  Vertices
-    are in counterclockwise order.
+    are in counterclockwise order; clockwise ones raise InvalidAngles.
     """
     vs = [complex(v[0], v[1]) if isinstance(v, (tuple, list)) else complex(v) for v in vertices]
     als = [Fraction(a) for a in angles]
@@ -203,6 +209,10 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
         raise InvalidAngles("angle sum rule sum(1 - alpha_k) = 2 violated")
     if any(vs[j] == vs[j - 1] for j in range(n)):
         raise InvalidAngles("consecutive vertices must be distinct")
+    try:
+        require_counterclockwise(vs)
+    except ValueError as exc:
+        raise InvalidAngles(str(exc)) from None
     exponents = np.array([float(a) - 1.0 for a in als])
     # every side integral of this solve draws its Gauss-Jacobi rules from one table
     rules = {}

@@ -22,8 +22,11 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import NonPositiveValuation
 from .exponents import Exponent, value_of
+from .surface import LPoint, log_array
 
 INF = math.inf
 
@@ -330,10 +333,18 @@ class LogPowerSeries:
 
     # -- evaluation --------------------------------------------------------------
 
-    def eval_finite(self, z) -> complex:
-        """Evaluate at a log-surface point; exact branch tracking via arg."""
-        logz = z.log()
-        total = 0j
+    def eval_finite(self, z):
+        """Evaluate at a log-surface point, or at a list of them as one complex array; exact branch tracking via arg.
+
+        A list's logs come from :func:`~quasimap.surface.log_array`, as the
+        array germ of a model corner forms them, so exact model remainders
+        cancel to the bit there too.
+        """
+        if isinstance(z, LPoint):
+            logz, total = z.log(), 0j
+        else:
+            logz = log_array(np.array([p.r for p in z], dtype=float), np.array([p.phi for p in z], dtype=float))
+            total = np.zeros(len(logz), dtype=complex)
         for a, q in self.terms.items():
             total += q(logz) * zpow(logz, a.value())
         return total
@@ -363,9 +374,11 @@ class LogPowerSeries:
         return cls(terms, INF if r is None else r)
 
 
-def zpow(logz: complex, alpha: float) -> complex:
-    """exp(alpha * log z); the one shared power path, so exact-model remainders
-    cancel to the bit."""
+def zpow(logz, alpha: float):
+    """exp(alpha * log z) for a complex log z or an array of them; the one shared
+    power path, so exact-model remainders cancel to the bit."""
+    if isinstance(logz, np.ndarray):
+        return np.exp(alpha * logz)
     return cmath.exp(alpha * logz)
 
 

@@ -11,6 +11,13 @@ the exact part.
 Sectors follow the dyadic ladder: T_k = {0 <= phi <= 2^k pi}, and for k >= 1
 T'_k = {2^(k-1) pi <= phi <= 2^k pi}.  The reflection tau_k maps T'_(k+1) onto
 T_k by phi -> -phi + 2^(k+1) pi, fixing the ray phi = 2^k pi.
+
+The sector index and the sheet walk also run on arrays, int64 multiples n
+beside float64 remainders: ``sector_index_array`` and ``sheet_walk_array``
+make the same float comparisons as their one-point forms, so they decide
+every ray alike.  They are exact while |n| < 2^60 and the sector index stays
+at most 61 (``ARRAY_MULTIPLE_LIMIT``, ``ARRAY_LEVEL_LIMIT``), where every
+n - 2^k and 2^j - n they form stays inside int64.
 """
 
 from __future__ import annotations
@@ -18,7 +25,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import OutOfSector
+
+ARRAY_MULTIPLE_LIMIT = 2**60
+ARRAY_LEVEL_LIMIT = 61
 
 
 def _cmp_pi(n, rem: float, q) -> int:
@@ -35,6 +47,12 @@ def _cmp_pi(n, rem: float, q) -> int:
     except OverflowError:
         return 1 if d > 0 else -1
     return (approx > 0) - (approx < 0)
+
+
+def cmp_pi_array(n: np.ndarray, rem: np.ndarray, q: int) -> np.ndarray:
+    """:func:`_cmp_pi` elementwise on int64 n and float64 rem, by the same float operations."""
+    d = n - q
+    return np.where(d == 0, np.sign(rem), np.sign(d * math.pi + rem))
 
 
 class LPoint:
@@ -158,6 +176,52 @@ def sheet_walk(z: LPoint, k: int) -> tuple[list, object, float]:
             reflected.append(j - 1)
             n, rem = top - n, -rem
     return reflected, n, rem
+
+
+def sector_index_array(n: np.ndarray, rem: np.ndarray, limit: int) -> np.ndarray:
+    """:func:`sector_index_point` of each phi = n pi + rem, for limit <= ARRAY_LEVEL_LIMIT;
+    limit + 1 where phi lies above 2^limit pi."""
+    k = np.full(len(n), limit + 1)
+    above = np.ones(len(n), dtype=bool)
+    for j in range(limit + 1):
+        if not above.any():
+            break
+        below = above & (cmp_pi_array(n, rem, 1 << j) <= 0)
+        k[below] = j
+        above &= ~below
+    return k
+
+
+def sheet_walk_array(n: np.ndarray, rem: np.ndarray, k: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """:func:`sheet_walk` of every point from its own level k.
+
+    Returns, from the top down, (j - 1, indices of the points tau_(j-1)
+    reflects) for each level j at which some point is reflected, and the
+    final (n, rem) as new arrays.
+    """
+    n, rem = n.copy(), rem.copy()
+    reflected = []
+    for j in range(int(k.max(initial=0)), 0, -1):
+        top = 1 << j
+        hit = np.flatnonzero((k >= j) & (cmp_pi_array(n, rem, top >> 1) >= 0) & (cmp_pi_array(n, rem, top) <= 0))
+        if len(hit):
+            n[hit] = top - n[hit]
+            rem[hit] = -rem[hit]
+            reflected.append((j - 1, hit))
+    return reflected, n, rem
+
+
+def log_array(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """log z = log r + i phi elementwise, as one complex array.
+
+    log r is taken by ``math.log``, as ``LPoint.log`` takes it (numpy's log
+    differs from it in the last bit now and then), so a point's log is the
+    same bits in a list as alone.
+    """
+    out = np.empty(len(r), dtype=complex)
+    out.real = list(map(math.log, r.tolist()))
+    out.imag = phi
+    return out
 
 
 # -- quadratic domains -------------------------------------------------------------

@@ -312,6 +312,8 @@ class TestBadInput:
             ("analyze", {"bounded": False, "polygon": SQUARE}, "'bounded' must be true"),
             ("analyze", {"sites": [{"vertex": [0, 0], "at_infinity": True, "components": []}]},
              "'at_infinity' must be false"),
+            ("analyze", {"polygon": SQUARE[::-1]}, "must run counterclockwise"),
+            ("sc-solve", {"polygon": SQUARE[::-1], "angles_over_pi": ["1/2"] * 4}, "must run counterclockwise"),
         ],
     )
     def test_malformed_json_exits_4(self, command, data, message, tmp_path, capsys):

@@ -194,6 +194,16 @@ class TestSingularPoints:
         d = DomainSpec.from_json({"polygon": [[1, 1], [-1, 1], [-1, -1], [1, -1]]})
         assert len(singular_points(d)) == 4
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [[(1, -1), (-1, -1), (-1, 1), (1, 1)], [(0, 0), (1, 0), (2, 0)]],
+        ids=["clockwise square", "no area"],
+    )
+    def test_polygon_must_run_counterclockwise(self, vertices):
+        # read as given, these would be the square's exterior (four 3/2 angles) or no domain at all
+        with pytest.raises(ValueError, match="counterclockwise"):
+            DomainSpec.from_polygon(vertices)
+
 
 coordinates = st.floats(min_value=-10.0, max_value=10.0)
 points = st.builds(complex, coordinates, coordinates)
@@ -206,13 +216,19 @@ def arcs_at(draw, vertex: complex) -> PuiseuxArc:
     return PuiseuxArc([0j] + coeffs, d=draw(st.integers(min_value=1, max_value=3)), vertex=vertex)
 
 
+def signed_area(vs: list) -> float:
+    return 0.5 * sum((a.conjugate() * b).imag for a, b in zip(vs, vs[1:] + vs[:1]))
+
+
 @st.composite
 def domains(draw) -> DomainSpec:
     if draw(st.booleans()):
+        # the polygon shorthand takes counterclockwise vertices: a clockwise draw is reversed
         polygon = st.lists(points, min_size=3, max_size=6).filter(
-            lambda vs: all(v != vs[k - 1] for k, v in enumerate(vs))
+            lambda vs: all(v != vs[k - 1] for k, v in enumerate(vs)) and signed_area(vs) != 0
         )
-        return DomainSpec.from_polygon(draw(polygon))
+        vs = draw(polygon)
+        return DomainSpec.from_polygon(vs if signed_area(vs) > 0 else vs[::-1])
     sites = []
     for vertex in draw(st.lists(points, max_size=3)):
         comps = [

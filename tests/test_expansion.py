@@ -58,6 +58,18 @@ class TestModel:
         assert all(e.value() > 1.0 for e in m.guard_band())
         assert len(m.guard_band()) == 3
 
+    @pytest.mark.parametrize("alpha", [Exponent(Fraction(1, 3)), Exponent(Fraction(3, 2)), SQRT2])
+    def test_a_fit_scans_the_lattice_once(self, alpha, monkeypatch):
+        model = ExpansionModel(alpha, R=3 * alpha.value())
+        # the basis from the one scan: the lattice up to R and the first exponents of a separate, wider scan
+        wide = model.lattice(upto=model.R + model.guard_terms * max(alpha.value(), 1.0) + 2.0)
+        assert model.basis_exponents() == (model.lattice(), [e for e in wide if e.value() > model.R + 1e-12][:3])
+        scans = []
+        scan = ExpansionModel._scan
+        monkeypatch.setattr(ExpansionModel, "_scan", lambda self, *limits: scans.append(limits) or scan(self, *limits))
+        fit_expansion(pointwise(lambda p: zpow(p.log(), alpha.value())), model, SamplingPlan(rho0=0.1, n_shells=8))
+        assert len(scans) == 1
+
 
 class TestFit:
     def test_single_term_target(self):
@@ -171,6 +183,23 @@ class TestVerify:
         plan = SamplingPlan(rho0=0.3 * cert_q.quad.c, n_shells=8)
         cert = verify_asymptotic(ext.evaluate, g, 2 * SQRT2.value(), cert_q.quad, plan=plan, tol=1e-6)
         assert cert.passed
+
+    @pytest.mark.parametrize("alpha", [Exponent(Fraction(1, 2)), SQRT2, Exponent.generator("golden")])
+    def test_unreflected_tower_samples_cancel_exactly(self, alpha):
+        # the array germ and the series share one log and one power path: on T_0 the remainder is 0
+        ext = build_extension(model_corner_germ(alpha), K=8)
+        quad = certify_quadratic_domain(ext).quad
+        calls = []
+
+        def f(pts):
+            calls.append(len(pts))
+            return ext.evaluate(pts)
+
+        plan = SamplingPlan(rho0=0.25 * quad.c)
+        cert = verify_asymptotic(f, LogPowerSeries.monomial(1.0, alpha), 2 * alpha.value(), quad, plan=plan, strict=False)
+        assert calls == [len(cert.samples)] == [plan.n_shells * plan.points_per_shell]
+        unreflected = [rem for p, rem in cert.samples if p._phi_cmp_pi(0) >= 0 and p._phi_cmp_pi(1) <= 0]
+        assert len(unreflected) > 100 and all(rem == 0.0 for rem in unreflected)
 
     def test_monotone_in_R(self):
         f = lambda p: zpow(p.log(), 0.5) + 0.5 * zpow(p.log(), 3.0)

@@ -234,7 +234,7 @@ class TestSectorTower:
             phi = rng.uniform(0, 2 ** (k - 1) * math.pi)
             r = rng.uniform(0.05, 0.5) * tw.levels[k].t
             z = LPoint(r, phi)
-            assert abs(tw._unwind([z], [k])[0] - tw._unwind([z], [k - 1])[0]) < 1e-12
+            assert abs(tw._unwind_point(z, k, z) - tw._unwind_point(z, k - 1, z)) < 1e-12
 
     def test_fixed_ray_well_defined(self, sqrt2_ext):
         # on the ray phi = 2^k pi the reflector fixes the values: conj(chi_k(w)) = w
@@ -613,3 +613,47 @@ class TestBatchEvaluation:
         far = LPoint(0.9, phi_pi=-2)
         with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(far))):
             ext.evaluate(far)
+
+    def test_inputs_the_array_walk_cannot_take_go_point_by_point(self, ext):
+        # a Fraction multiple: the whole list takes the single-point path
+        cert = certify_quadratic_domain(ext)
+        pts = sample_quadratic_domain(cert.quad, 40, 3, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+        odd = LPoint(0.5 * ext.positive.levels[2].t, phi_pi=Fraction(7, 2), phi_rem=0.125)
+        mixed = pts[:20] + [odd] + pts[20:]
+        assert ext.evaluate(mixed) == [ext.evaluate(p) for p in mixed]
+        beyond = LPoint(1e-300, phi_pi=Fraction(2**9 + 1, 2))
+        with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(beyond))):
+            ext.evaluate(mixed + [beyond, LPoint(1e-300, phi_pi=-300)])
+
+
+class TestDeepBatch:
+    """Sector indices above 61 leave int64 on a K = 72 tower: such lists go point by point."""
+
+    @pytest.fixture(scope="class")
+    def ext(self):
+        return build_extension(model_corner_germ(Fraction(1, 2)), K=72)
+
+    def test_a_point_above_sector_61_sends_the_list_point_by_point(self, ext):
+        deep = LPoint(0.5 * ext.positive.levels[65].t, phi_pi=2**64 + 3, phi_rem=0.25)
+        mirrored = LPoint(0.5 * ext.negative.levels[63].t, phi_pi=-(2**62) - 5, phi_rem=-0.5)
+        shallow = [LPoint(0.5 * ext.positive.levels[k].t, phi_pi=2**k - 1, phi_rem=0.5) for k in range(1, 9)]
+        for points in (shallow + [deep] + shallow, shallow + [mirrored]):
+            assert ext.evaluate(points) == [ext.evaluate(p) for p in points]
+
+    def test_the_first_point_outside_is_named(self, ext):
+        inside = [LPoint(0.5 * ext.positive.levels[k].t, phi_pi=2**k - 1, phi_rem=0.5) for k in (3, 64)]
+        for beyond in (LPoint(1e-300, phi_pi=2**80), LPoint(0.9, phi_pi=2**62 + 1), LPoint(1e-300, phi_pi=-(2**75))):
+            with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(beyond))):
+                ext.evaluate(inside + [beyond, LPoint(1e-300, phi_pi=2**90)])
+
+    def test_shallow_lists_keep_the_array_walk(self, ext):
+        # every index at most 61 on the deep tower: the array walk, within the batch tolerance
+        pts = [
+            LPoint(0.5 * ext.positive.levels[k].t, phi_pi=sign * (2**k - 1), phi_rem=0.5)
+            for k in range(1, 61)
+            for sign in (1, -1)
+        ]
+        for p, v in zip(pts, ext.evaluate(pts)):
+            want = ext.evaluate(p)
+            assert abs(v - want) <= 4e-15 * abs(want)
+

@@ -113,6 +113,13 @@ class TestSolve:
         with pytest.raises(InvalidAngles):
             solve_sc([0, 1, 1j], [Fraction(5, 2), Fraction(-1, 2), Fraction(0, 1)])
 
+    @pytest.mark.parametrize("polygon", [SQUARE, L_HEXAGON, CROSS], ids=["square", "L-hexagon", "cross"])
+    def test_clockwise_vertices_are_refused(self, polygon):
+        # the same polygon walked the other way: bad input, not a solve that stalls
+        vertices, angles = polygon
+        with pytest.raises(InvalidAngles, match="counterclockwise"):
+            solve_sc(vertices[::-1], angles[::-1])
+
     def test_boundary_correspondence(self, unit_square):
         # prevertex intervals land on the polygon sides
         poly = unit_square

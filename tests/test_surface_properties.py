@@ -3,16 +3,29 @@
 The reference for ``sheet_walk`` is the chain of public sector operations it
 replaces in the tower: ``sector_index_point`` for the start level, then
 ``in_Tp`` and ``reflect_tau`` level by level.  ``sector_index_point`` itself
-is checked against the definition of the index on integral multiples.
+is checked against the definition of the index on integral multiples, and
+the int64 array forms against the one-point forms, point by point.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasimap.surface import LPoint, in_Tp, reflect_tau, sector_index_point, sheet_walk
+from quasimap.surface import (
+    ARRAY_LEVEL_LIMIT,
+    LPoint,
+    _cmp_pi,
+    cmp_pi_array,
+    in_Tp,
+    reflect_tau,
+    sector_index_array,
+    sector_index_point,
+    sheet_walk,
+    sheet_walk_array,
+)
 
 K_MAX = 12
 
@@ -106,3 +119,57 @@ huge_multiples = st.one_of(
 @given(huge_multiples, st.one_of(st.sampled_from([0.0, 1e-300, -1e-300]), st.floats(min_value=-3.0, max_value=3.0)))
 def test_sector_index_is_exact_without_a_cap(n, rem):
     assert sector_index_point(LPoint(0.5, phi_pi=n, phi_rem=rem)) == reference_index(n, rem)
+
+
+# -- the int64 array forms ------------------------------------------------------------
+
+array_multiples = st.one_of(
+    st.integers(min_value=-(2**12), max_value=2**12),
+    st.integers(min_value=-(2**59), max_value=2**59),
+    st.builds(lambda j, d: 2**j + d, st.integers(min_value=0, max_value=58), st.integers(min_value=-2, max_value=2)),
+)
+array_remainders = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+)
+ray_points = st.tuples(
+    st.builds(lambda j, sign: sign * 2**j, st.integers(min_value=0, max_value=58), st.sampled_from([1, -1])),
+    st.sampled_from([0.0, -0.0]),
+)
+array_points = st.lists(st.one_of(st.tuples(array_multiples, array_remainders), ray_points), min_size=1, max_size=40)
+
+
+@given(array_points)
+def test_array_sector_index_and_walk_match_the_point_forms(pairs):
+    n = np.array([m for m, _ in pairs], dtype=np.int64)
+    rem = np.array([x for _, x in pairs], dtype=float)
+    limit = ARRAY_LEVEL_LIMIT
+    k = sector_index_array(n, rem, limit)
+    # every level, not only the point's own: a walk may start at any level up to its index
+    start = np.minimum(k, limit)
+    reflected, n_end, rem_end = sheet_walk_array(n, rem, start)
+    levels = [[] for _ in pairs]
+    for level, idx in reflected:
+        for i in idx:
+            levels[i].append(level)
+    for i, (m, x) in enumerate(pairs):
+        z = LPoint(0.5, phi_pi=m, phi_rem=x)
+        want_k = sector_index_point(z)
+        assert k[i] == (want_k if want_k <= limit else limit + 1)
+        want_levels, want_n, want_rem = sheet_walk(z, int(start[i]))
+        assert levels[i] == want_levels
+        assert int(n_end[i]) == want_n
+        # the same float, sign of zero included
+        assert math.copysign(1.0, rem_end[i]) == math.copysign(1.0, want_rem) and rem_end[i] == want_rem
+    # the inputs are left as they were
+    assert n.tolist() == [m for m, _ in pairs] and rem.tolist() == [x for _, x in pairs]
+
+
+@given(array_points)
+def test_array_comparison_matches_the_exact_one(pairs):
+    n = np.array([m for m, _ in pairs], dtype=np.int64)
+    rem = np.array([x for _, x in pairs], dtype=float)
+    for q in (0, 1, 2**30, -(2**30)):
+        got = cmp_pi_array(n, rem, q)
+        assert [int(g) for g in got] == [_cmp_pi(m, x, q) for m, x in pairs]
