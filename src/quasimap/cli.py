@@ -327,8 +327,9 @@ def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
         "remainder_ladder": error_tower_constants(ext.positive, R, alpha, series=g).to_json(),
     }
     samples = [["abs_z", "arg_z", "remainder_over_absz_R"]]
-    for p, rem in cert_a.samples:
-        samples.append([p.r, p.phi, rem / p.r ** float(R)])
+    pts = cert_a.points
+    for r, phi, rem in zip(pts.r.tolist(), pts.phi.tolist(), cert_a.remainders.tolist()):
+        samples.append([r, phi, rem / r ** float(R)])
     plot = svg_plot(
         [("remainder ratio", [s.rho for s in cert_a.shells], [max(s.ratio, 1e-300) for s in cert_a.shells])],
         title="remainder ratios per shell",

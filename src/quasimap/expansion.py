@@ -41,7 +41,10 @@ import numpy as np
 from .errors import DichotomyViolation, FailedCertificate, IllConditioned
 from .exponents import Exponent, IRRATIONAL_PI_MULTIPLE
 from .series import LogPolynomial, LogPowerSeries
-from .surface import LPoint, QuadraticDomain, quad_intersect
+from .surface import LPoint, LPointArray, QuadraticDomain, quad_intersect
+
+# far above the rounding of i + j alpha and of Exponent.value() at any horizon a fit can reach
+_FLOAT_SLACK = 1e-9
 
 
 # -- models and sampling -----------------------------------------------------------
@@ -59,29 +62,54 @@ class ExpansionModel:
 
     def lattice(self, upto: float | None = None) -> list[Exponent]:
         limit = self.R if upto is None else upto
-        return sorted(self._scan(limit, limit)[0])
+        return self._below(self._scan(limit), limit)
 
-    def _scan(self, limit: float, split: float) -> tuple[set, set]:
-        """One enumeration of the lattice up to ``limit``: the exponents of the
-        lattice up to ``split`` (by the same test), and all of them."""
+    def _scan(self, limit: float) -> list[tuple[float, int, int]]:
+        """The lattice up to ``limit`` on floats: (i + j alpha, i, j) for each
+        pair with j >= 1 and i + j alpha <= limit + 1e-12, and (i, i, 0) for the
+        integer axis i = 1, ..., floor(limit) when the model has it."""
         av = self.alpha.value()
-        low, every = set(), set()
+        pairs = []
         j = 1
         while j * av <= limit + 1e-12:
             i = 0
             while i + j * av <= limit + 1e-12:
-                e = Exponent(i) + self.alpha * j
-                every.add(e)
-                if i + j * av <= split + 1e-12:
-                    low.add(e)
+                pairs.append((i + j * av, i, j))
                 i += 1
             j += 1
         if self.include_integer_axis:
-            for i in range(1, int(limit) + 1):
-                every.add(Exponent(i))
-                if i <= int(split):
-                    low.add(Exponent(i))
-        return low, every
+            pairs.extend((float(i), i, 0) for i in range(1, int(limit) + 1))
+        return pairs
+
+    def _exponent(self, i: int, j: int) -> Exponent:
+        return Exponent(i) if j == 0 else Exponent(i) + self.alpha * j
+
+    def _below(self, pairs: list, split: float) -> list[Exponent]:
+        """The exponents of the scanned pairs up to ``split`` by the scan's own
+        float test (the integer axis by i <= floor(split)), exactly sorted."""
+        keep = {self._exponent(i, j) for v, i, j in pairs if (i <= int(split) if j == 0 else v <= split + 1e-12)}
+        return sorted(keep)
+
+    def _guard(self, pairs: list) -> list[Exponent]:
+        """The first ``guard_terms`` exponents of the scanned pairs with value() > R + 1e-12, in exact order.
+
+        Pairs are visited by their float values from just below the cut; an
+        exponent's float and its exact value() differ by far less than
+        _FLOAT_SLACK, so once guard_terms exponents are kept, every pair more
+        than that above the last of them is past the band.  Only the kept
+        exponents are made and sorted exactly.
+        """
+        cut = self.R + 1e-12
+        kept, last = set(), None
+        for v, i, j in sorted(p for p in pairs if p[0] > cut - _FLOAT_SLACK):
+            if last is not None and v > last + _FLOAT_SLACK:
+                break
+            e = self._exponent(i, j)
+            if e.value() > cut:
+                kept.add(e)
+                if last is None and len(kept) >= self.guard_terms:
+                    last = v
+        return sorted(kept)[: self.guard_terms]
 
     def basis_exponents(self) -> tuple[list[Exponent], list[Exponent]]:
         """The lattice up to R and its guard band, the first ``guard_terms`` exponents past R, from one scan.
@@ -89,13 +117,15 @@ class ExpansionModel:
         The guard band lies within guard_terms * max(alpha, 1) of R (the points
         i + alpha past it), so the scan runs to that horizon with a margin.
         """
-        horizon = self.R + self.guard_terms * max(self.alpha.value(), 1.0) + 2.0
-        low, every = self._scan(horizon, self.R)
-        return sorted(low), [e for e in sorted(every) if e.value() > self.R + 1e-12][: self.guard_terms]
+        pairs = self._scan(self._horizon())
+        return self._below(pairs, self.R), self._guard(pairs)
 
     def guard_band(self) -> list[Exponent]:
         """First few lattice points beyond R (tail absorbers for the fit)."""
-        return self.basis_exponents()[1]
+        return self._guard(self._scan(self._horizon()))
+
+    def _horizon(self) -> float:
+        return self.R + self.guard_terms * max(self.alpha.value(), 1.0) + 2.0
 
 
 @dataclass
@@ -111,9 +141,12 @@ class SamplingPlan:
     def shells(self) -> np.ndarray:
         return self.rho0 * 2.0 ** (-np.arange(self.n_shells, dtype=float))
 
-    def points(self, domain: QuadraticDomain | None):
-        """Yield (rho_j, [LPoint...]) per shell, swept across the widest
-        admissible sector, or 95% of it inside a quadratic domain."""
+    def samples(self, domain: QuadraticDomain | None) -> tuple[LPointArray, list[tuple[float, slice]]]:
+        """The samples of every shell as one LPointArray, and (rho_j, its slice
+        of them) per shell.  Each shell's arguments sweep the widest admissible
+        sector, or 95% of it inside a quadratic domain; a shell that admits no
+        argument is left out."""
+        radii, args, shells = [], [], []
         for rho in self.shells():
             if domain is not None:
                 cap = domain.max_arg_at(rho) * 0.95
@@ -126,8 +159,11 @@ class SamplingPlan:
                 lo = max(lo, -self.arg_cap) if not self.one_sided else 0.0
             if cap <= 0:
                 continue
-            args = np.linspace(lo, cap, self.points_per_shell)
-            yield rho, [LPoint(rho, a) for a in args]
+            shells.append((rho, slice(len(radii), len(radii) + self.points_per_shell)))
+            radii += [rho] * self.points_per_shell
+            args.append(np.linspace(lo, cap, self.points_per_shell))
+        phi_rem = np.concatenate(args) if args else np.empty(0)
+        return LPointArray(radii, np.zeros(len(radii), dtype=np.int64), phi_rem), shells
 
 
 # -- fitting ---------------------------------------------------------------------
@@ -157,8 +193,9 @@ def fit_expansion(
 ) -> FitResult:
     """Least-squares fit of the expansion coefficients on shrinking shells.
 
-    ``f`` maps a list of :class:`LPoint` to the list of their values; it is
-    called once, on the samples of every shell.  The basis is the model lattice up
+    ``f`` maps an :class:`LPointArray` to the list of its values; it is
+    called once, on the samples of every shell, and a value that is not
+    finite raises ValueError naming its sample.  The basis is the model lattice up
     to R plus a guard band past R (absorbing the first tail terms); only the
     terms up to R are reported.  Rows are weighted by |z|^(-nu) with nu the
     smallest basis exponent, columns are normalized, and a condition number
@@ -184,12 +221,12 @@ def fit_expansion(
     for e in lattice + guard:
         for d in range(model.max_log_degree + 1):
             basis.append((e, d))
-    pts = [p for _, shell_pts in plan.points(domain) for p in shell_pts]
+    pts = plan.samples(domain)[0]
     # the drift refit below solves on the deeper half of the samples alone
     half = len(pts) // 2
     if len(pts) - half < len(basis):
         raise ValueError(f"the deeper half of {len(pts)} samples cannot determine {len(basis)} coefficients")
-    logs = np.array([p.log() for p in pts])
+    logs = pts.log()
     b = _values(f, pts)
     nu = min(e.value() for e, _ in basis)
     weights = np.exp(-nu * logs.real)
@@ -228,11 +265,20 @@ def fit_expansion(
     return FitResult(series, float(cond), resid, drift, basis)
 
 
-def _values(f, pts: list) -> np.ndarray:
-    """f on a list of sample points, as a complex array of one value per point."""
+def _values(f, pts: LPointArray) -> np.ndarray:
+    """f on the sample points, as a complex array of one finite value per point."""
     vals = np.array(f(pts), dtype=complex)
     if vals.shape != (len(pts),):
         raise ValueError(f"the sampled function returned shape {vals.shape} for {len(pts)} points")
+    return _finite(vals, pts, "the sampled function f")
+
+
+def _finite(vals: np.ndarray, pts: LPointArray, source: str) -> np.ndarray:
+    """vals, if every one is finite; else ValueError naming the first sample that is not."""
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"{source} is {complex(vals[i])} at sample {i}, {pts[i]!r}; every sample needs a finite value")
     return vals
 
 
@@ -251,16 +297,22 @@ class ShellRecord:
 class AsymptoticCertificate:
     """Per-shell remainder ratios sup |f - g_R| / rho^R on a shrunken domain.
 
-    ``samples`` holds every sample as (point, |f - g_R|) in sampling order;
-    ``to_json`` leaves it out.
+    ``points`` holds every sample and ``remainders`` its |f - g_R|, in
+    sampling order; ``to_json`` leaves both out.
     """
 
     R: float
     tol: float
     domain: QuadraticDomain
+    points: LPointArray
+    remainders: np.ndarray
     shells: list = field(default_factory=list)
     passed: bool = False
-    samples: list = field(default_factory=list)
+
+    @property
+    def samples(self) -> list[tuple[LPoint, float]]:
+        """Every sample as (point, |f - g_R|), in sampling order."""
+        return list(zip(self.points, self.remainders.tolist()))
 
     @property
     def ratios(self) -> list[float]:
@@ -302,9 +354,10 @@ def verify_asymptotic(
     monotonically decreasing over the last four shells or all below ``tol`` there
     (the latter covers exact remainders sitting at the rounding floor).
     Failure raises :class:`FailedCertificate` carrying the witness unless
-    ``strict=False``.  ``f`` maps a list of :class:`LPoint` to the list of
-    their values; it is called once, on the samples of every shell, and the
-    truncated series is evaluated once on the same list.
+    ``strict=False``.  ``f`` maps an :class:`LPointArray` to the list of its
+    values; it is called once, on the samples of every shell, and the
+    truncated series is evaluated once on the same points.  A value of
+    either that is not finite raises ValueError naming its sample.
     """
     if plan is None:
         plan = SamplingPlan(rho0=min(0.5 * domain.c, 0.1))
@@ -315,23 +368,19 @@ def verify_asymptotic(
             f"rho = {rho_min:.3e}"
         )
     sub = quad_intersect(domain, QuadraticDomain(min(domain.c, 2.0 * plan.rho0), domain.C, domain.mirrored))
-    shells = list(plan.points(sub))
-    pts = [p for _, shell_pts in shells for p in shell_pts]
-    # Python's abs (hypot): numpy's complex abs differs from it in the last bit
-    remainders = [abs(d) for d in (_values(f, pts) - g.truncate(R).eval_finite(pts)).tolist()]
-    cert = AsymptoticCertificate(R=float(R), tol=tol, domain=sub, samples=list(zip(pts, remainders)))
-    start = 0
-    for rho, shell_pts in shells:
-        worst, wit, rem = -1.0, None, 0.0
-        for p, r in zip(shell_pts, remainders[start : start + len(shell_pts)]):
-            ratio = r / rho ** float(R)
-            if ratio > worst:
-                worst, wit, rem = ratio, p, r
-        start += len(shell_pts)
-        if wit is not None:
-            cert.shells.append(ShellRecord(float(rho), float(worst), wit, float(rem)))
-    if not cert.shells:
+    pts, shells = plan.samples(sub)
+    if not len(pts):
         raise ValueError("sampling plan produced no shells inside the domain")
+    diff = _values(f, pts) - _finite(g.truncate(R).eval_finite(pts), pts, "the truncated series g_R")
+    # Python's abs (hypot): numpy's complex abs differs from it in the last bit
+    remainders = np.fromiter(map(abs, diff.tolist()), dtype=float, count=len(diff))
+    cert = AsymptoticCertificate(R=float(R), tol=tol, domain=sub, points=pts, remainders=remainders)
+    for rho, sl in shells:
+        # the first sample of the shell's largest ratio
+        ratios = remainders[sl] / rho ** float(R)
+        i = int(np.argmax(ratios))
+        j = sl.start + i
+        cert.shells.append(ShellRecord(float(rho), float(ratios[i]), pts[j], float(remainders[j])))
     ratios = cert.ratios
     tail = ratios[-4:]
     monotone = all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))

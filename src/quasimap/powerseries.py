@@ -77,8 +77,7 @@ class PowerSeries:
         try:
             return self._top
         except AttributeError:
-            nonzero = np.flatnonzero(self.coeffs)
-            self._top = int(nonzero[-1]) if len(nonzero) else 0
+            self._top = _last_nonzero(self.coeffs)
             return self._top
 
     def __call__(self, z):
@@ -142,7 +141,8 @@ class PowerSeries:
         coefficients lam [x^(n-1)] h^n / n.  One triangular recurrence gives
         h and one running product gives its powers, so the cost is about
         ``order`` convolutions of length ``order``.  Exact-zero top
-        coefficients are dropped first, so a linear chart skips the recurrence.
+        coefficients up to ``order`` are sliced off first, so a linear chart
+        skips the recurrence.
 
         ``out_scale`` defaults to |f'(0)| * scale / 4, the Koebe-guaranteed
         image radius for normalized univalent charts.
@@ -158,8 +158,9 @@ class PowerSeries:
         out_abs = abs(c1) / 4.0 if out_scale is None else float(out_scale)
         # numpy's complex division, so that lam matches array arithmetic bit for bit
         lam = np.complex128(out_abs) / c1
-        # F(x)/x = 1 + sum_j b_j x^j with b_j = (c_(j+1)/c_1) lam^j
-        b = np.trim_zeros(self.coeffs[2 : order + 1], "b") / c1
+        # F(x)/x = 1 + sum_j b_j x^j with b_j = (c_(j+1)/c_1) lam^j, up to the last nonzero c_(j+1), j < order
+        top = self.top() if self.top() <= order else _last_nonzero(self.coeffs[: order + 1])
+        b = self.coeffs[2 : top + 1] / c1
         b *= lam ** np.arange(1, len(b) + 1)
         # h = 1/(F(x)/x) to order x^(order-1); it stays a constant for linear charts
         h = series_power(np.concatenate(([1.0], b)), -1.0, order - 1 if len(b) else 0)
@@ -281,3 +282,9 @@ def series_power(c, p: float, order: int) -> np.ndarray:
 def require_in_disk(value: complex, radius: float, what: str) -> None:
     if abs(value) >= radius:
         raise ImageEscapesChart(f"{what}: |{abs(value):.3e}| >= chart radius {radius:.3e}")
+
+
+def _last_nonzero(c: np.ndarray) -> int:
+    """Index of the last nonzero entry of c, 0 if there is none."""
+    nonzero = np.flatnonzero(c)
+    return int(nonzero[-1]) if len(nonzero) else 0

@@ -32,11 +32,12 @@ conjugated, gluing along (r, phi) -> (r, pi - phi).
 
 Evaluation unwinds a point: its argument phi = n pi + rem is walked down the
 levels by the tau_k, the germ is evaluated on T_0 and the recorded chi_k are
-applied on the way back up.  One point is walked on exact Python ints.  A
-list is walked as arrays, one int64 walk per tower, with the germ evaluated
-on arrays when it has ``eval_array`` and each chi_k applied to all the points
-it reflects at once; a list whose multiples or sector indices leave what
-int64 holds exactly goes point by point instead.
+applied on the way back up.  One point is walked on exact Python ints.  An
+``LPointArray``, or a list of points made into one, is walked as arrays, one
+int64 walk per tower, with the germ evaluated on arrays when it has
+``eval_array`` and each chi_k applied to all the points it reflects at once;
+a list whose multiples or sector indices leave what int64 holds exactly goes
+point by point instead.
 
 Since t_k decays at the exact geometric rate (32*4)^(1/alpha) per level, the
 union of the sector balls contains a region r < c exp(-C sqrt|phi|): a
@@ -56,8 +57,8 @@ from .exponents import value_of
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
 from .surface import (
     ARRAY_LEVEL_LIMIT,
-    ARRAY_MULTIPLE_LIMIT,
     LPoint,
+    LPointArray,
     QuadraticDomain,
     cmp_pi_array,
     sector_index_array,
@@ -186,10 +187,11 @@ class ReflectionTower:
         return len(self.levels) - 1
 
     def evaluate(self, z):
-        """Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi)); a list of points gives a list of values."""
+        """Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi)); a list of points or an
+        LPointArray gives a list of values."""
         if isinstance(z, LPoint):
             return self._unwind_point(z, self._level(z, z), z)
-        return _evaluate_list(list(z), self)
+        return _evaluate_list(z, self)
 
     def _level(self, z: LPoint, caller: LPoint) -> int:
         """Sector index of z, which must lie in a built sector ball; errors name the caller's point."""
@@ -211,7 +213,7 @@ class ReflectionTower:
             value = complex(self.chi(j, value)).conjugate()
         return value
 
-    def _unwind_arrays(self, r, n, rem, k, callers: list) -> np.ndarray:
+    def _unwind_arrays(self, r, n, rem, k, callers, side) -> np.ndarray:
         """Phi_k at points (r, n pi + rem) of levels k, as arrays, in one walk.
 
         Every argument is walked down to T_0 at once and the germ evaluated
@@ -219,7 +221,7 @@ class ReflectionTower:
         otherwise; then the recorded chi_j are applied level by level, j = 0,
         1, ..., each to all the points it reflects in one call.  A point's
         reflecting levels rise on the way up, so this keeps each point's
-        order.  ``callers`` are the points as the caller gave them, for errors.
+        order.  ``callers[side[i]]`` is point i as the caller gave it, for errors.
         """
         reflected, n, rem = sheet_walk_array(n, rem, k)
         germ = self.germ
@@ -233,7 +235,8 @@ class ReflectionTower:
             radius = self.levels[j].r / 8.0
             escaped = np.flatnonzero(np.abs(w) >= radius)
             if len(escaped):
-                require_in_disk(complex(w[escaped[0]]), radius, f"chi_{j} argument at {callers[idx[escaped[0]]]!r}")
+                caller = callers[int(side[idx[escaped[0]]])]
+                require_in_disk(complex(w[escaped[0]]), radius, f"chi_{j} argument at {caller!r}")
             values[idx] = np.conj(self.chi(j, w))
         return values
 
@@ -349,7 +352,7 @@ class Extension:
         return self.positive.alpha
 
     def evaluate(self, z):
-        """Phi at one LPoint, or the list of its values at a list of points.
+        """Phi at one LPoint, or the list of its values at a list of points or an LPointArray.
 
         A negative argument is mirrored, phi -> pi - phi, onto the twin tower
         and its value conjugated back.  Every point is checked before any is
@@ -360,7 +363,7 @@ class Extension:
             tower, q, k = _place(z, self.positive, self.negative)
             v = tower._unwind_point(q, k, z)
             return v if tower is self.positive else v.conjugate()
-        return _evaluate_list(list(z), self.positive, self.negative)
+        return _evaluate_list(z, self.positive, self.negative)
 
 
 def _place(p: LPoint, positive: ReflectionTower, negative: ReflectionTower | None):
@@ -371,50 +374,46 @@ def _place(p: LPoint, positive: ReflectionTower, negative: ReflectionTower | Non
     return positive, p, positive._level(p, p)
 
 
-def _evaluate_list(points: list, positive: ReflectionTower, negative: ReflectionTower | None = None) -> list:
-    """Phi at each point of a list: negative arguments on the mirrored tower when there is one.
+def _evaluate_list(points, positive: ReflectionTower, negative: ReflectionTower | None = None) -> list:
+    """Phi at each of many points: negative arguments on the mirrored tower when there is one.
 
-    The list is unwound as arrays, one exact int64 walk per tower, when every
-    multiple of pi is an int below ARRAY_MULTIPLE_LIMIT in magnitude and no
-    sector index on a tower deeper than ARRAY_LEVEL_LIMIT exceeds it.  Any
-    other list is checked and unwound point by point, as single points are.
+    The points are unwound as arrays, one exact int64 walk per tower, when
+    they make an LPointArray (every multiple of pi an int below
+    ARRAY_MULTIPLE_LIMIT in magnitude) and no sector index on a tower deeper
+    than ARRAY_LEVEL_LIMIT exceeds it.  Any other points are checked and
+    unwound one by one, as single points are.
     """
-    walk = _walk_input(points, positive, negative)
-    if walk is None:
+    if isinstance(points, LPointArray):
+        arr = points
+    else:
+        points = list(points)
+        arr = LPointArray.from_points(points)
+    sides = None if arr is None else _walk_input(arr, positive, negative)
+    if sides is None:
         placed = [_place(p, positive, negative) for p in points]
         values = []
         for p, (tower, q, k) in zip(points, placed):
             v = tower._unwind_point(q, k, p)
             values.append(v if tower is positive else v.conjugate())
         return values
-    r, sides = walk
+    r = arr.r
     outside = [idx[r[idx] >= t[k]] for tower, idx, n, rem, k, t in sides]
     first = min((int(o[0]) for o in outside if len(o)), default=None)
     if first is not None:
         _place(points[first], positive, negative)  # raises, naming the point as the caller gave it
     values = np.empty(len(points), dtype=complex)
     for tower, idx, n, rem, k, t in sides:
-        v = tower._unwind_arrays(r[idx], n, rem, k, [points[i] for i in idx])
+        v = tower._unwind_arrays(r[idx], n, rem, k, points, idx)
         values[idx] = v if tower is positive else np.conj(v)
     return values.tolist()
 
 
-def _walk_input(points: list, positive: ReflectionTower, negative: ReflectionTower | None):
-    """Radii and, per tower, (tower, indices, n, rem, levels, t by level) for the array walk; None if it is not exact.
+def _walk_input(points: LPointArray, positive: ReflectionTower, negative: ReflectionTower | None):
+    """Per tower, (tower, indices, n, rem, levels, t by level) for the array walk; None if it is not exact.
 
     A level above a tower's K reads t = 0, so the point is outside there.
     """
-    multiples = [p.phi_pi for p in points]
-    if not set(map(type, multiples)) <= {int}:
-        return None
-    try:
-        n = np.array(multiples, dtype=np.int64)
-    except OverflowError:
-        return None
-    if not ((n > -ARRAY_MULTIPLE_LIMIT) & (n < ARRAY_MULTIPLE_LIMIT)).all():
-        return None
-    rem = np.array([p.phi_rem for p in points], dtype=float)
-    r = np.array([p.r for p in points], dtype=float)
+    n, rem = points.phi_pi, points.phi_rem
     mirrored = cmp_pi_array(n, rem, 0) < 0 if negative is not None else np.zeros(len(points), dtype=bool)
     sides = []
     for tower, on_side in ((positive, ~mirrored), (negative, mirrored)):
@@ -427,7 +426,7 @@ def _walk_input(points: list, positive: ReflectionTower, negative: ReflectionTow
             return None
         t = np.array([lv.t for lv in tower.levels] + [0.0])
         sides.append((tower, idx, n_side, rem_side, k, t))
-    return r, sides
+    return sides
 
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:

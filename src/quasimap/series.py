@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonPositiveValuation
 from .exponents import Exponent, value_of
-from .surface import LPoint, log_array
+from .surface import LPoint
 
 INF = math.inf
 
@@ -334,16 +334,16 @@ class LogPowerSeries:
     # -- evaluation --------------------------------------------------------------
 
     def eval_finite(self, z):
-        """Evaluate at a log-surface point, or at a list of them as one complex array; exact branch tracking via arg.
+        """Evaluate at a log-surface point, or at an LPointArray as one complex array; exact branch tracking via arg.
 
-        A list's logs come from :func:`~quasimap.surface.log_array`, as the
-        array germ of a model corner forms them, so exact model remainders
-        cancel to the bit there too.
+        An LPointArray's logs come from :func:`~quasimap.surface.log_array`,
+        as the array germ of a model corner forms them, so exact model
+        remainders cancel to the bit there too.
         """
         if isinstance(z, LPoint):
             logz, total = z.log(), 0j
         else:
-            logz = log_array(np.array([p.r for p in z], dtype=float), np.array([p.phi for p in z], dtype=float))
+            logz = z.log()
             total = np.zeros(len(logz), dtype=complex)
         for a, q in self.terms.items():
             total += q(logz) * zpow(logz, a.value())

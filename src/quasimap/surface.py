@@ -17,7 +17,9 @@ beside float64 remainders: ``sector_index_array`` and ``sheet_walk_array``
 make the same float comparisons as their one-point forms, so they decide
 every ray alike.  They are exact while |n| < 2^60 and the sector index stays
 at most 61 (``ARRAY_MULTIPLE_LIMIT``, ``ARRAY_LEVEL_LIMIT``), where every
-n - 2^k and 2^j - n they form stays inside int64.
+n - 2^k and 2^j - n they form stays inside int64.  A set of such points is
+held as one ``LPointArray``, which makes an ``LPoint`` only when indexed or
+iterated.
 """
 
 from __future__ import annotations
@@ -113,6 +115,69 @@ class LPoint:
 
     def _phi_cmp_pi(self, q) -> int:
         return _cmp_pi(self.phi_pi, self.phi_rem, q)
+
+
+class LPointArray:
+    """Points (r, phi_pi * pi + phi_rem) as arrays: float64 r and phi_rem, int64 phi_pi.
+
+    A sequence of :class:`LPoint`: indexing or iterating makes them one at a
+    time, equal to the points the arrays were made from.  Every multiple is
+    below ARRAY_MULTIPLE_LIMIT in magnitude, so the int64 sheet walk takes
+    the arrays as they are.
+    """
+
+    __slots__ = ("r", "phi_pi", "phi_rem")
+
+    def __init__(self, r, phi_pi, phi_rem):
+        self.r = np.asarray(r, dtype=float)
+        self.phi_pi = np.asarray(phi_pi, dtype=np.int64)
+        self.phi_rem = np.asarray(phi_rem, dtype=float)
+        if not self.r.ndim == 1 or not self.r.shape == self.phi_pi.shape == self.phi_rem.shape:
+            raise ValueError("an LPointArray needs three 1-d arrays of one length")
+        bad = np.flatnonzero(
+            ~((self.r > 0) & (self.r < math.inf) & np.isfinite(self.phi_rem))
+            | (self.phi_pi <= -ARRAY_MULTIPLE_LIMIT)
+            | (self.phi_pi >= ARRAY_MULTIPLE_LIMIT)
+        )
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(
+                f"log-surface point arrays need 0 < r < inf, a finite remainder and |phi_pi| < 2^60; point {i} has "
+                f"r = {self.r[i]}, phi = {self.phi_pi[i]}*pi + {self.phi_rem[i]}"
+            )
+
+    @classmethod
+    def from_points(cls, points: list) -> "LPointArray | None":
+        """The points of a list as arrays; None if some multiple is a Fraction or at least 2^60 in magnitude."""
+        multiples = [p.phi_pi for p in points]
+        if not set(map(type, multiples)) <= {int}:
+            return None
+        try:
+            n = np.array(multiples, dtype=np.int64)
+        except OverflowError:
+            return None
+        if not ((n > -ARRAY_MULTIPLE_LIMIT) & (n < ARRAY_MULTIPLE_LIMIT)).all():
+            return None
+        return cls([p.r for p in points], n, [p.phi_rem for p in points])
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, i: int) -> LPoint:
+        return LPoint(float(self.r[i]), phi_pi=int(self.phi_pi[i]), phi_rem=float(self.phi_rem[i]))
+
+    def __iter__(self):
+        for r, n, rem in zip(self.r.tolist(), self.phi_pi.tolist(), self.phi_rem.tolist()):
+            yield LPoint(r, phi_pi=n, phi_rem=rem)
+
+    @property
+    def phi(self) -> np.ndarray:
+        """The arguments as floats, by LPoint.phi's operations: float(n) pi + rem."""
+        return self.phi_pi * math.pi + self.phi_rem
+
+    def log(self) -> np.ndarray:
+        """log z of every point, as :func:`log_array` forms it."""
+        return log_array(self.r, self.phi)
 
 
 # -- sectors ---------------------------------------------------------------------

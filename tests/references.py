@@ -7,8 +7,12 @@ compared with it.
 
 import math
 
+import numpy as np
+
 from quasimap.errors import ImageEscapesChart, InversionFailure
+from quasimap.exponents import Exponent
 from quasimap.powerseries import AnalyticFunc, require_in_disk
+from quasimap.surface import LPoint
 
 
 def reflect_across(chart: AnalyticFunc, F):
@@ -51,3 +55,51 @@ def check_recurrences(schedule) -> bool:
         if row["log_q"] != -(k**2) * schedule.M_log:
             return False
     return True
+
+
+def reference_basis(model) -> tuple[list, list]:
+    """The lattice up to R and the guard band of an ExpansionModel by a full exact scan.
+
+    Every lattice point up to the guard horizon is made as an Exponent; the
+    lattice keeps those whose float i + j alpha passes i + j alpha <= R + 1e-12
+    (the integer axis: i <= floor(R)), and the guard band is the first
+    guard_terms of all of them, exactly sorted, with value() > R + 1e-12.
+    """
+    av = model.alpha.value()
+    R = model.R
+    horizon = R + model.guard_terms * max(av, 1.0) + 2.0
+    low, every = set(), set()
+    j = 1
+    while j * av <= horizon + 1e-12:
+        i = 0
+        while i + j * av <= horizon + 1e-12:
+            e = Exponent(i) + model.alpha * j
+            every.add(e)
+            if i + j * av <= R + 1e-12:
+                low.add(e)
+            i += 1
+        j += 1
+    if model.include_integer_axis:
+        for i in range(1, int(horizon) + 1):
+            every.add(Exponent(i))
+            if i <= int(R):
+                low.add(Exponent(i))
+    return sorted(low), [e for e in sorted(every) if e.value() > R + 1e-12][: model.guard_terms]
+
+
+def reference_plan_points(plan, domain) -> list:
+    """The samples of a SamplingPlan made one LPoint(rho_j, arg) at a time, shell by shell."""
+    pts = []
+    for rho in plan.shells():
+        if domain is not None:
+            cap = domain.max_arg_at(rho) * 0.95
+            lo = -cap if (domain.mirrored and not plan.one_sided) else 0.0
+        else:
+            cap = plan.arg_cap if plan.arg_cap is not None else math.pi
+            lo = 0.0 if plan.one_sided else -cap
+        if plan.arg_cap is not None:
+            cap = min(cap, plan.arg_cap)
+            lo = max(lo, -plan.arg_cap) if not plan.one_sided else 0.0
+        if cap > 0:
+            pts += [LPoint(rho, a) for a in np.linspace(lo, cap, plan.points_per_shell)]
+    return pts

@@ -389,3 +389,24 @@ class TestNonConvergenceExit:
         assert code == 3
         report = json.loads((out / "report.json").read_text())
         assert report["status"] == "nonconvergence"
+
+
+class TestNonFiniteSampleExit:
+    @pytest.mark.parametrize("command", ["expand", "verify", "dichotomy"])
+    def test_a_nan_sample_exits_4_naming_it(self, tmp_path, monkeypatch, capsys, command):
+        from quasimap.reflection import Extension
+
+        evaluate = Extension.evaluate
+
+        def planted(self, pts):
+            values = evaluate(self, pts)
+            values[5] = complex(math.nan, 0.0)
+            return values
+
+        monkeypatch.setattr(Extension, "evaluate", planted)
+        out = tmp_path / "out"
+        assert run(JobConfig(command=command, alpha="1/2", K=5, shells=4, out=str(out))) == EXIT_BAD_INPUT
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "bad-input"
+        assert report["reason"].startswith("the sampled function f is (nan+0j) at sample 5, LPoint(")
+        assert report["reason"] in capsys.readouterr().err

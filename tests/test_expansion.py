@@ -1,6 +1,7 @@
 """Expansion fitting, asymptotic certificates, dichotomy, error ladder."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from quasimap.scmap import model_corner_germ, sc_corner_germ, solve_sc
 from quasimap.series import LogPowerSeries, zpow
 from quasimap.surface import LPoint, QuadraticDomain
 
-from references import check_recurrences
+from references import check_recurrences, reference_basis, reference_plan_points
 
 SQRT2 = Exponent.generator("sqrt2")
 WIDE = QuadraticDomain(0.5, 0.5)
@@ -61,7 +62,8 @@ class TestModel:
     @pytest.mark.parametrize("alpha", [Exponent(Fraction(1, 3)), Exponent(Fraction(3, 2)), SQRT2])
     def test_a_fit_scans_the_lattice_once(self, alpha, monkeypatch):
         model = ExpansionModel(alpha, R=3 * alpha.value())
-        # the basis from the one scan: the lattice up to R and the first exponents of a separate, wider scan
+        # the basis from the one scan: the lattice up to R and the first exponents past it of a full exact scan
+        assert model.basis_exponents() == reference_basis(model)
         wide = model.lattice(upto=model.R + model.guard_terms * max(alpha.value(), 1.0) + 2.0)
         assert model.basis_exponents() == (model.lattice(), [e for e in wide if e.value() > model.R + 1e-12][:3])
         scans = []
@@ -69,6 +71,74 @@ class TestModel:
         monkeypatch.setattr(ExpansionModel, "_scan", lambda self, *limits: scans.append(limits) or scan(self, *limits))
         fit_expansion(pointwise(lambda p: zpow(p.log(), alpha.value())), model, SamplingPlan(rho0=0.1, n_shells=8))
         assert len(scans) == 1
+
+
+GRID_ANGLES = [Exponent(Fraction(p, q)) for p, q in [(1, 3), (1, 2), (2, 3), (3, 4), (1, 1), (3, 2), (2, 1), (2, 5)]]
+GRID_ANGLES += [SQRT2, Exponent.generator("golden"), Exponent.generator("sqrt3")]
+
+
+class TestSamplingPlan:
+    @pytest.mark.parametrize(
+        "plan, domain",
+        [
+            (SamplingPlan(rho0=0.1, n_shells=8), WIDE),
+            (SamplingPlan(rho0=0.2, n_shells=5, points_per_shell=7), QuadraticDomain(0.5, 0.5, mirrored=False)),
+            (SamplingPlan(rho0=0.3, n_shells=4, one_sided=True), WIDE),
+            (SamplingPlan(rho0=0.02, n_shells=6, points_per_shell=40, arg_cap=math.pi * 0.999), None),
+            (SamplingPlan(rho0=0.05, n_shells=3, one_sided=True), None),
+            (SamplingPlan(rho0=0.9, n_shells=6), QuadraticDomain(0.3, 0.5)),  # the outer shells admit no argument
+        ],
+    )
+    def test_samples_are_the_points_one_at_a_time(self, plan, domain):
+        pts, shells = plan.samples(domain)
+        want = reference_plan_points(plan, domain)
+        assert list(pts) == want and [pts[i] for i in range(len(pts))] == want
+        assert [repr(p) for p in pts] == [repr(p) for p in want]
+        assert pts.log().tobytes() == np.array([p.log() for p in want]).tobytes()
+        # each shell's slice holds its radius, and the slices tile the samples in order
+        assert [sl.start for _, sl in shells] == list(range(0, len(pts), plan.points_per_shell))
+        for rho, sl in shells:
+            assert (pts.r[sl] == rho).all() and sl.stop - sl.start == plan.points_per_shell
+
+
+class TestFloatFirstScan:
+    """The float lattice scan keeps exactly the exponents of the full exact scan (tests/references.py)."""
+
+    @pytest.mark.parametrize("alpha", GRID_ANGLES, ids=str)
+    def test_matches_the_full_scan_on_the_grid(self, alpha):
+        av = alpha.value()
+        # R on lattice points, between them, and within 1e-13 of an integer
+        horizons = [f * av for f in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0)] + [n + d for n in (1, 2) for d in (-1e-13, 1e-13)]
+        for R in horizons:
+            for axis in (False, True):
+                for guard_terms in (1, 2, 3, 4):
+                    model = ExpansionModel(alpha, R, include_integer_axis=axis, guard_terms=guard_terms)
+                    want = reference_basis(model)
+                    assert model.basis_exponents() == want, (R, axis, guard_terms)
+                    assert model.guard_band() == want[1]
+                    assert model.lattice() == want[0]
+
+    def test_irrational_near_ties(self):
+        # float values that coincide for distinct exponents, and horizons at a lattice float
+        declare_generator("near_half", "0.50000000000000001")
+        near_half = Exponent.generator("near_half")
+        assert near_half.value() == 0.5
+        cases = [(near_half, R) for R in (1.0, 1.5, 2.0, 2.5 + 1e-13)]
+        cases += [(SQRT2, 1.0 + SQRT2.value()), (SQRT2, 2 * SQRT2.value() - 1e-13), (SQRT2, 2 * SQRT2.value() + 1e-12)]
+        golden = Exponent.generator("golden")
+        cases += [(golden, 2 * golden.value() - 1.0), (golden, golden.value() + 3.0)]
+        # R + 1e-12 equal to the float 1 + 2 (1/3), one ulp below 5/3's value(): the float test keeps 5/3 in the
+        # lattice and its value() puts it in the guard band too
+        third = Exponent(Fraction(1, 3))
+        for R in (1.6666666666656664, 3.333333333332333):
+            assert R + 1e-12 in (1 + 2 * third.value(), 2 + 4 * third.value())
+            assert (third * round(3 * R)).value() > R + 1e-12
+            cases.append((third, R))
+        for alpha, R in cases:
+            for axis in (False, True):
+                for guard_terms in (1, 3, 6):
+                    model = ExpansionModel(alpha, R, include_integer_axis=axis, guard_terms=guard_terms)
+                    assert model.basis_exponents() == reference_basis(model), (alpha, R, axis, guard_terms)
 
 
 class TestFit:
@@ -221,6 +291,56 @@ class TestVerify:
         cert = verify_asymptotic(pointwise(f), g, 1.0, WIDE, tol=1e-8)
         blob = cert.to_json()
         assert blob["passed"] and len(blob["shells"]) > 0
+
+
+class TestNonFiniteSamples:
+    """A sample that is not finite stops a fit or a certificate with a ValueError naming it."""
+
+    PLAN = SamplingPlan(rho0=0.1, n_shells=8)
+
+    @staticmethod
+    def planted(bad, where):
+        """sqrt z, with the value ``bad`` at every point ``where`` accepts; records the points sampled."""
+        seen = []
+
+        def f(pts):
+            seen.extend(pts)
+            return [bad if where(p) else zpow(p.log(), 0.5) for p in pts]
+
+        return f, seen
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_fit_names_the_sample(self, bad):
+        target = self.PLAN.samples(WIDE)[0][100]
+        f, _ = self.planted(bad, lambda p: p == target)
+        model = ExpansionModel(Exponent(Fraction(1, 2)), R=1.5)
+        with pytest.raises(ValueError, match=re.escape(f"the sampled function f is {bad} at sample 100, {target!r}")):
+            fit_expansion(f, model, self.PLAN, domain=WIDE)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_verify_names_the_sample_of_f(self, bad):
+        g = LogPowerSeries.monomial(1.0, Fraction(1, 2))
+        f, seen = self.planted(bad, lambda p: p.r == self.PLAN.rho0 / 8 and p.phi > 0)
+        with pytest.raises(ValueError, match="the sampled function f is") as info:
+            verify_asymptotic(f, g, 1.0, WIDE, plan=self.PLAN, strict=False)
+        i = next(i for i, p in enumerate(seen) if p.r == self.PLAN.rho0 / 8 and p.phi > 0)
+        assert f"at sample {i}, {seen[i]!r};" in str(info.value)
+
+    def test_verify_refuses_a_whole_nan_shell(self):
+        # NaN ratios compare False against every bound: without the check this shell would drop out and pass
+        g = LogPowerSeries.monomial(1.0, Fraction(1, 2))
+        rho = self.PLAN.rho0 / 2**5
+        f, seen = self.planted(complex(math.nan, math.nan), lambda p: p.r == rho)
+        with pytest.raises(ValueError) as info:
+            verify_asymptotic(f, g, 1.0, WIDE, plan=self.PLAN, strict=False)
+        i = next(i for i, p in enumerate(seen) if p.r == rho)
+        assert i > 0 and f"the sampled function f is (nan+nanj) at sample {i}, {seen[i]!r};" in str(info.value)
+
+    def test_verify_names_the_series_when_g_R_gives_it(self):
+        f = pointwise(lambda p: zpow(p.log(), 0.5))
+        g = LogPowerSeries.monomial(complex(math.nan, 0.0), Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"the truncated series g_R is \(nan\+nanj\) at sample 0, LPoint\("):
+            verify_asymptotic(f, g, 1.0, WIDE, plan=self.PLAN)
 
 
 class TestDichotomy:

@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quasimap.errors import NormalizationError, OutsideExtensionDomain
-from quasimap.exponents import Exponent
+from quasimap.expansion import SamplingPlan
+from quasimap.exponents import Exponent, parse_exponent
 from quasimap.powerseries import AnalyticFunc, PowerSeries
 from quasimap.reflection import (
     Extension,
@@ -24,7 +25,7 @@ from quasimap.reflection import (
     sample_quadratic_domain,
 )
 from quasimap.scmap import model_corner_germ
-from quasimap.surface import LPoint
+from quasimap.surface import LPoint, LPointArray
 
 from references import reflect_across
 
@@ -626,6 +627,37 @@ class TestBatchEvaluation:
             ext.evaluate(mixed + [beyond, LPoint(1e-300, phi_pi=-300)])
 
 
+class TestPointArrays:
+    """An LPointArray unwinds exactly as the list of the same points does."""
+
+    @pytest.fixture(scope="class", params=["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden", "curved"])
+    def ext(self, request):
+        if request.param == "curved":
+            return build_extension(TestCurvedArcTower._germ(), K=8)
+        return build_extension(model_corner_germ(parse_exponent(request.param)), K=8)
+
+    def test_array_and_list_give_the_same_bits(self, ext):
+        quad = certify_quadratic_domain(ext).quad
+        fit_samples = SamplingPlan(rho0=0.5 * quad.c).samples(quad)[0]
+        deep_points = sample_quadratic_domain(quad, 300, 7, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+        deep = LPointArray.from_points(deep_points)
+        for arr in (fit_samples, deep):
+            got = ext.evaluate(arr)
+            assert isinstance(got, list) and len(got) == len(arr)
+            assert np.array(got).tobytes() == np.array(ext.evaluate(list(arr))).tobytes()
+        half = len(fit_samples) // 2
+        upper = LPointArray(fit_samples.r[half:], fit_samples.phi_pi[half:], fit_samples.phi_rem[half:])
+        tower = ext.positive
+        assert np.array(tower.evaluate(upper)).tobytes() == np.array(tower.evaluate(list(upper))).tobytes()
+
+    def test_a_point_outside_is_named(self, ext):
+        inside = sample_quadratic_domain(certify_quadratic_domain(ext).quad, 4, 5, max_abs_arg=10 * math.pi)
+        outside = (LPoint(1e-300, phi_pi=2**8 + 1, phi_rem=0.5), LPoint(1e-300, phi_pi=-300), LPoint(0.9, phi_pi=-2))
+        for beyond in outside:
+            with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(beyond))):
+                ext.evaluate(LPointArray.from_points(inside + [beyond] + inside))
+
+
 class TestDeepBatch:
     """Sector indices above 61 leave int64 on a K = 72 tower: such lists go point by point."""
 
@@ -645,6 +677,13 @@ class TestDeepBatch:
         for beyond in (LPoint(1e-300, phi_pi=2**80), LPoint(0.9, phi_pi=2**62 + 1), LPoint(1e-300, phi_pi=-(2**75))):
             with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(beyond))):
                 ext.evaluate(inside + [beyond, LPoint(1e-300, phi_pi=2**90)])
+
+    def test_a_point_array_above_sector_61_goes_point_by_point(self, ext):
+        # a multiple below 2^60 reaches past sector 61 only through its float remainder
+        deep = LPoint(0.5 * ext.positive.levels[65].t, phi_pi=3, phi_rem=2.0**64 * math.pi)
+        shallow = [LPoint(0.5 * ext.positive.levels[k].t, phi_pi=2**k - 1, phi_rem=0.5) for k in range(1, 9)]
+        points = shallow + [deep] + shallow
+        assert ext.evaluate(LPointArray.from_points(points)) == [ext.evaluate(p) for p in points]
 
     def test_shallow_lists_keep_the_array_walk(self, ext):
         # every index at most 61 on the deep tower: the array walk, within the batch tolerance

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from quasimap.errors import OutOfSector
 from quasimap.series import zpow
 from quasimap.surface import (
+    ARRAY_MULTIPLE_LIMIT,
     LPoint,
+    LPointArray,
     QuadraticDomain,
     Sector,
     in_Tp,
@@ -59,6 +61,19 @@ class TestPointValidation:
     def test_rejects_non_finite(self, r, phi):
         with pytest.raises(ValueError, match="0 < r < inf and a finite argument"):
             LPoint(r, phi)
+
+    @pytest.mark.parametrize(
+        "r, n, rem",
+        [(0.0, 0, 0.0), (math.inf, 0, 0.0), (math.nan, 0, 0.0), (1.0, 0, math.nan), (1.0, 0, -math.inf),
+         (1.0, ARRAY_MULTIPLE_LIMIT, 0.0), (1.0, -ARRAY_MULTIPLE_LIMIT, 0.0)],
+    )
+    def test_point_arrays_reject_what_points_and_the_int64_walk_do(self, r, n, rem):
+        with pytest.raises(ValueError, match=r"\|phi_pi\| < 2\^60; point 2 has"):
+            LPointArray([0.5, 0.5, r, 0.5], [0, 1, n, 2], [0.0, 0.0, rem, 0.0])
+
+    def test_point_arrays_need_arrays_of_one_length(self):
+        with pytest.raises(ValueError, match="three 1-d arrays of one length"):
+            LPointArray([0.5, 0.5], [0], [0.0, 0.0])
 
 
 class TestLog:

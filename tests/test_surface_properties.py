@@ -4,7 +4,8 @@ The reference for ``sheet_walk`` is the chain of public sector operations it
 replaces in the tower: ``sector_index_point`` for the start level, then
 ``in_Tp`` and ``reflect_tau`` level by level.  ``sector_index_point`` itself
 is checked against the definition of the index on integral multiples, and
-the int64 array forms against the one-point forms, point by point.
+the int64 array forms, ``LPointArray`` among them, against the one-point
+forms, point by point.
 """
 
 import math
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from quasimap.surface import (
     ARRAY_LEVEL_LIMIT,
+    ARRAY_MULTIPLE_LIMIT,
     LPoint,
+    LPointArray,
     _cmp_pi,
     cmp_pi_array,
     in_Tp,
@@ -173,3 +176,36 @@ def test_array_comparison_matches_the_exact_one(pairs):
     for q in (0, 1, 2**30, -(2**30)):
         got = cmp_pi_array(n, rem, q)
         assert [int(g) for g in got] == [_cmp_pi(m, x, q) for m, x in pairs]
+
+
+# -- LPointArray --------------------------------------------------------------------
+
+point_multiples = st.one_of(
+    array_multiples,
+    st.builds(lambda d, sign: sign * (ARRAY_MULTIPLE_LIMIT + d), st.integers(min_value=-2, max_value=2),
+              st.sampled_from([1, -1])),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.builds(Fraction, st.integers(min_value=-(2**13), max_value=2**13).filter(lambda m: m % 2), st.just(2)),
+)
+list_points = st.lists(
+    st.builds(lambda r, n, rem: LPoint(r, phi_pi=n, phi_rem=rem),
+              st.floats(min_value=1e-300, max_value=1e300), point_multiples, array_remainders),
+    max_size=30,
+)
+
+
+@given(list_points)
+def test_point_arrays_hold_exactly_the_lists_the_int64_walk_takes(points):
+    arr = LPointArray.from_points(points)
+    exact = all(type(p.phi_pi) is int and abs(p.phi_pi) < ARRAY_MULTIPLE_LIMIT for p in points)
+    assert (arr is not None) == exact
+    if arr is None:
+        return
+    # indexing and iterating give the points back, with the same types and reprs
+    assert len(arr) == len(points)
+    for got in (list(arr), [arr[i] for i in range(len(arr))]):
+        assert got == points and [repr(p) for p in got] == [repr(p) for p in points]
+        assert all(type(p.r) is float and type(p.phi_pi) is int and type(p.phi_rem) is float for p in got)
+    # the float arguments and logs are the bits LPoint forms
+    assert arr.phi.tobytes() == np.array([p.phi for p in points], dtype=float).tobytes()
+    assert arr.log().tobytes() == np.array([p.log() for p in points], dtype=complex).tobytes()
