@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DichotomyViolation, FailedCertificate, IllConditioned
-from .exponents import Exponent, IRRATIONAL_PI_MULTIPLE
+from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent
 from .series import LogPolynomial, LogPowerSeries
 from .surface import LPoint, LPointArray, QuadraticDomain, quad_intersect
 
@@ -392,7 +392,9 @@ def verify_asymptotic(
 
 
 def dichotomy_check(g: LogPowerSeries, angle_class: str, tol: float = 1e-8) -> dict:
-    """Irrational angles admit no log terms; rational ones are unconstrained."""
+    """Irrational angles admit no log terms; rational ones are unconstrained; any other class raises ValueError."""
+    if angle_class not in (RATIONAL_PI_MULTIPLE, IRRATIONAL_PI_MULTIPLE):
+        raise ValueError(f"angle_class must be {RATIONAL_PI_MULTIPLE!r} or {IRRATIONAL_PI_MULTIPLE!r}, not {angle_class!r}")
     offenders = []
     worst = 0.0
     for e, q in g.terms.items():

@@ -53,8 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GermTooSmall, NormalizationError, OutsideExtensionDomain
-from .exponents import value_of
+from .exponents import Exponent, value_of
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
+from .series import PURE_POWER, LogPowerSeries
 from .surface import (
     ARRAY_LEVEL_LIMIT,
     LPoint,
@@ -75,12 +76,13 @@ class MapGerm:
     """Boundary-matched germ on the closed upper half plane near 0.
 
     ``eval_lpoint`` takes log-surface points with arg in [0, pi] (keeping
-    closed-form models branch-exact) and is how the tower evaluates the germ;
-    ``eval_complex`` is the same map on points of H-bar as complex numbers.
-    The optional ``eval_array`` is the map on arrays (r, n, rem) of the points
-    (r, n pi + rem), int64 n; a tower unwinding a list uses it when set and
-    ``eval_lpoint`` point by point otherwise.  ``growth`` is E in the
-    certified bound |Phi(z)| <= E |z|^alpha for |z| < t_bar.
+    closed-form models branch-exact) and is how the tower evaluates the germ.
+    The optional ``eval_array`` is the map on an ``LPointArray``; a tower
+    unwinding a list uses it when set and ``eval_lpoint`` point by point
+    otherwise.  ``growth`` is E in the certified bound |Phi(z)| <= E |z|^alpha
+    for |z| < t_bar.  ``series`` is the germ's generalized power series when
+    it was built by :meth:`from_series`.  ``eval_complex`` is read by nothing
+    and may be None.
     """
 
     eval_complex: object
@@ -92,6 +94,24 @@ class MapGerm:
     eval_lpoint: object
     label: str = ""
     eval_array: object = None
+    series: LogPowerSeries | None = None
+
+    @classmethod
+    def from_series(cls, series: LogPowerSeries, arc1, arc2, t_bar: float, growth=None, label: str = "") -> "MapGerm":
+        """The germ given by its series on |z| < t_bar, evaluated by ``series.eval_finite``.
+
+        alpha is the series' valuation.  Without a growth, a pure-power series
+        on the ladder alpha + m, m = 0..M, with M = r_max - alpha, is bounded
+        by E = 1.05 sum |c_m| t_bar^m over its dense coefficient vector; a
+        series with log terms, or off that ladder, must be given its growth.
+        """
+        alpha = series.valuation()
+        if alpha is None:
+            raise ValueError("a germ needs a series with a nonzero term")
+        if growth is None:
+            growth = _ladder_growth(series, alpha, t_bar)
+        return cls(eval_complex=None, t_bar=t_bar, alpha=alpha, growth=growth, arc1=arc1, arc2=arc2,
+                   eval_lpoint=series.eval_finite, label=label, eval_array=series.eval_finite, series=series)
 
     @property
     def alpha_value(self) -> float:
@@ -99,19 +119,18 @@ class MapGerm:
 
     def mirrored(self) -> "MapGerm":
         """Germ z -> conj(Phi(-conj z)) with swapped, conjugated arcs."""
-        inner_c = self.eval_complex
-        mirror_c = lambda z: np.conj(inner_c(-np.conj(z)))
-        inner_l = self.eval_lpoint
+        inner_l, inner_a = self.eval_lpoint, self.eval_array
 
         def mirror_l(z: LPoint) -> complex:
             flipped = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
             return complex(inner_l(flipped)).conjugate()
 
-        inner_a = self.eval_array
-        # the mirror is formed on the exact multiple, 1 - n, before any float
-        mirror_a = None if inner_a is None else lambda r, n, rem: np.conj(inner_a(r, 1 - n, -rem))
+        def mirror_a(z: LPointArray) -> np.ndarray:
+            # the mirror is formed on the exact multiple, 1 - n, before any float
+            return np.conj(inner_a(LPointArray(z.r, 1 - z.phi_pi, -z.phi_rem)))
+
         return MapGerm(
-            eval_complex=mirror_c,
+            eval_complex=None,
             t_bar=self.t_bar,
             alpha=self.alpha,
             growth=self.growth,
@@ -119,8 +138,21 @@ class MapGerm:
             arc2=self.arc1.conjugated(),
             eval_lpoint=mirror_l,
             label=self.label + "*",
-            eval_array=mirror_a,
+            eval_array=None if inner_a is None else mirror_a,
         )
+
+
+def _ladder_growth(series: LogPowerSeries, alpha, t_bar: float) -> float:
+    """1.05 sum_m |c_m| t_bar^m over the dense coefficients c_m of z^(alpha + m), m = 0..r_max - alpha."""
+    steps = [e - alpha for e in (series.r_max, *series.terms)] if isinstance(series.r_max, Exponent) else []
+    if series.series_class() != PURE_POWER or not steps or not all(m.is_integer() for m in steps):
+        raise ValueError(
+            "growth=None bounds only a pure-power series on the ladder alpha + m up to an exact bound r_max; "
+            "give this series its growth"
+        )
+    dense = np.zeros(int(steps[0].rational) + 1, dtype=complex)
+    dense[[int(m.rational) for m in steps[1:]]] = [q.leading for q in series.terms.values()]
+    return float(np.sum(np.abs(dense) * t_bar ** np.arange(len(dense)))) * 1.05
 
 
 @dataclass(frozen=True)
@@ -224,12 +256,11 @@ class ReflectionTower:
         order.  ``callers[side[i]]`` is point i as the caller gave it, for errors.
         """
         reflected, n, rem = sheet_walk_array(n, rem, k)
-        germ = self.germ
+        germ, walked = self.germ, LPointArray(r, n, rem)
         if germ.eval_array is not None:
-            values = germ.eval_array(r, n, rem)
+            values = germ.eval_array(walked)
         else:
-            points = [LPoint(x, phi_pi=m, phi_rem=y) for x, m, y in zip(r.tolist(), n.tolist(), rem.tolist())]
-            values = np.array([germ.eval_lpoint(p) for p in points], dtype=complex)
+            values = np.array([germ.eval_lpoint(p) for p in walked], dtype=complex)
         for j, idx in reversed(reflected):
             w = values[idx]
             radius = self.levels[j].r / 8.0

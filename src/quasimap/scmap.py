@@ -30,11 +30,10 @@ import numpy as np
 
 from .corners import require_counterclockwise
 from .errors import DegenerateTransform, InvalidAngles, NonConvergence
-from .exponents import Exponent, exact_or_float, value_of
+from .exponents import Exponent
 from .powerseries import AnalyticFunc, PowerSeries, series_power
 from .reflection import MapGerm
-from .series import LogPolynomial, LogPowerSeries, zpow
-from .surface import LPoint, log_array
+from .series import LogPowerSeries
 
 
 # -- Moebius transforms ----------------------------------------------------------
@@ -89,38 +88,20 @@ class MobiusTransform:
 
 
 def model_corner_germ(alpha) -> MapGerm:
-    """The sector model z -> z^alpha on H-bar: arcs are the two bounding rays."""
-    a = exact_or_float(alpha)
-    av = value_of(a)
+    """The sector model z -> z^alpha on H-bar, the one-term series {alpha: 1}: arcs are the two bounding rays.
+
+    alpha is exact (an Exponent, int, Fraction or str); a bare float raises ValueError.
+    """
+    if isinstance(alpha, float):
+        raise ValueError(f"model corner needs an exact alpha, not the float {alpha!r}")
+    a = Exponent.coerce(alpha)
+    av = a.value()
     if not (0 < av <= 2):
         raise ValueError("model corner needs 0 < alpha <= 2")
-
-    def on_H(z):
-        z = np.asarray(z, dtype=complex)
-        out = np.exp(av * np.log(z))
-        return out if out.shape else complex(out)
-
-    def on_L(z: LPoint) -> complex:
-        return zpow(z.log(), av)
-
-    def on_arrays(r, n, rem):
-        # the argument as LPoint.phi forms it: float(n) pi + rem
-        return zpow(log_array(r, n * math.pi + rem), av)
-
     rot = cmath.exp(1j * math.pi * av)
     arc1 = AnalyticFunc(PowerSeries.linear(1.0, scale=1.0, radius=np.inf), exact=lambda z: np.asarray(z, dtype=complex) + 0j)
     arc2 = AnalyticFunc(PowerSeries.linear(rot, scale=1.0, radius=np.inf), exact=lambda z, r=rot: r * np.asarray(z, dtype=complex))
-    return MapGerm(
-        eval_complex=on_H,
-        t_bar=1.0,
-        alpha=a,
-        growth=1.0,
-        arc1=arc1,
-        arc2=arc2,
-        eval_lpoint=on_L,
-        label=f"sector[{a}]",
-        eval_array=on_arrays,
-    )
+    return MapGerm.from_series(LogPowerSeries({a: 1}), arc1, arc2, t_bar=1.0, growth=1.0, label=f"sector[{a}]")
 
 
 # -- Schwarz-Christoffel -------------------------------------------------------------
@@ -352,41 +333,12 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     # term integrals: Phi(x_k + z) - w_k = A sum_m g_m z^(alpha_k + m) / (alpha_k + m)
     coeffs = poly.A * g / (a_val + np.arange(order + 1))
     ladder = _exponent_ladder(alpha_k, order)
-    terms = {}
-    for m, c in enumerate(coeffs):
-        if c != 0:
-            terms[ladder[m]] = LogPolynomial.constant(c)
-    series = LogPowerSeries(terms, r_max=ladder[order])
-
-    w_k = poly.vertices[k]
-
-    def germ_eval(z):
-        z = np.asarray(z, dtype=complex)
-        flat = np.atleast_1d(z)
-        out = np.array([sc_evaluate(poly, x_k + w) - w_k for w in flat])
-        return out.reshape(z.shape) if z.shape else complex(out[0])
-
-    def germ_eval_lpoint(zp: LPoint) -> complex:
-        # series evaluation is branch-exact on the surface and fast
-        return series.eval_finite(zp)
-
-    growth = float(np.sum(np.abs(coeffs) * t_bar ** np.arange(order + 1))) * 1.05
+    series = LogPowerSeries({ladder[m]: c for m, c in enumerate(coeffs) if c != 0}, r_max=ladder[order])
 
     vs = poly.vertices
+    w_k = vs[k]
     d1 = vs[(k + 1) % n] - w_k
     d2 = vs[(k - 1) % n] - w_k
     arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), scale=1.0, radius=abs(d1)), exact=lambda z, c=d1 / abs(d1): c * np.asarray(z, dtype=complex))
     arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), scale=1.0, radius=abs(d2)), exact=lambda z, c=d2 / abs(d2): c * np.asarray(z, dtype=complex))
-
-    germ = MapGerm(
-        eval_complex=germ_eval,
-        t_bar=t_bar,
-        alpha=ladder[0],
-        growth=growth,
-        arc1=arc1,
-        arc2=arc2,
-        eval_lpoint=germ_eval_lpoint,
-        label=f"sc-vertex-{k}",
-    )
-    germ.series = series
-    return germ
+    return MapGerm.from_series(series, arc1, arc2, t_bar, label=f"sc-vertex-{k}")

@@ -336,9 +336,9 @@ class LogPowerSeries:
     def eval_finite(self, z):
         """Evaluate at a log-surface point, or at an LPointArray as one complex array; exact branch tracking via arg.
 
-        An LPointArray's logs come from :func:`~quasimap.surface.log_array`,
-        as the array germ of a model corner forms them, so exact model
-        remainders cancel to the bit there too.
+        An LPointArray's logs come from :func:`~quasimap.surface.log_array`.  A
+        germ built by ``MapGerm.from_series`` is evaluated by this method, on
+        points and arrays alike, so exact model remainders cancel to the bit.
         """
         if isinstance(z, LPoint):
             logz, total = z.log(), 0j

@@ -12,6 +12,7 @@ import numpy as np
 from quasimap.errors import ImageEscapesChart, InversionFailure
 from quasimap.exponents import Exponent
 from quasimap.powerseries import AnalyticFunc, require_in_disk
+from quasimap.series import zpow
 from quasimap.surface import LPoint
 
 
@@ -103,3 +104,12 @@ def reference_plan_points(plan, domain) -> list:
         if cap > 0:
             pts += [LPoint(rho, a) for a in np.linspace(lo, cap, plan.points_per_shell)]
     return pts
+
+
+def sector_model(z, alpha: float):
+    """z^alpha in closed form, zpow(log z, alpha), at an LPoint or, as one array, at an LPointArray.
+
+    The sector model germ is the one-term series {alpha: 1}; this is the
+    closed form it was evaluated by before.
+    """
+    return zpow(z.log(), alpha)

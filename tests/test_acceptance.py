@@ -334,10 +334,6 @@ def test_criterion_7_end_to_end_pipeline():
         z = zpow(p.log(), 1.0)
         return -rt * (a + b * z)
 
-    def psi_complex(z):
-        z = np.asarray(z, dtype=complex)
-        return -np.exp(0.5 * np.log(z)) * (a + b * z)
-
     t_bar = 0.15
     worst_growth = max(
         abs(psi_lpoint(LPoint(rr, ph))) / rr**0.5
@@ -345,7 +341,7 @@ def test_criterion_7_end_to_end_pipeline():
         for ph in np.linspace(0.0, math.pi, 9)
     )
     germ = MapGerm(
-        eval_complex=psi_complex,
+        eval_complex=None,
         t_bar=t_bar,
         alpha=norm.angle,
         growth=worst_growth * 1.25,

@@ -355,6 +355,13 @@ class TestDichotomy:
         verdict = dichotomy_check(g, RATIONAL_PI_MULTIPLE, tol=1e-8)
         assert verdict["passed"]
 
+    def test_an_unknown_angle_class_is_refused(self):
+        # a class string that is not one of the two constants used to pass any log term unjudged
+        g = LogPowerSeries.monomial(1.0, SQRT2) + LogPowerSeries.monomial(160.0, SQRT2 * 2, log_degree=1)
+        for klass in ("irrational", "rational", "", None):
+            with pytest.raises(ValueError, match="RATIONAL_PI_MULTIPLE.*IRRATIONAL_PI_MULTIPLE"):
+                dichotomy_check(g, klass, tol=1e-8)
+
     def test_planted_violation(self):
         g = LogPowerSeries.monomial(1.0, SQRT2) + LogPowerSeries.monomial(1e-3, SQRT2 * 2, log_degree=1)
         with pytest.raises(DichotomyViolation) as err:

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import math
 import re
 from fractions import Fraction
@@ -24,10 +25,15 @@ from quasimap.reflection import (
     certify_quadratic_domain,
     sample_quadratic_domain,
 )
-from quasimap.scmap import model_corner_germ
+from quasimap.scmap import model_corner_germ, sc_corner_germ, solve_sc
+from quasimap.series import LogPowerSeries
 from quasimap.surface import LPoint, LPointArray
 
 from references import reflect_across
+
+L_HEXAGON = ([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j], [Fraction(1, 2)] * 3 + [Fraction(3, 2)] + [Fraction(1, 2)] * 2)
+# the L-hexagon's reflex 3/2 vertex and one of its 1/2 vertices, on the array walk through their series
+SC_VERTICES = {"hexagon-3/2": 3, "hexagon-1/2": 0}
 
 
 def schwarz_reflect(f, chart: AnalyticFunc):
@@ -367,7 +373,7 @@ class TestCertification:
 
         norm, _ = normalize_corner(CornerSpec(PuiseuxArc([0, 0, 1, 1j]), PuiseuxArc([0, -1]), 0j, Exponent(1)))
         return MapGerm(
-            eval_complex=lambda z: -np.sqrt(np.asarray(z, dtype=complex)) * (0.5 + 0.15 * np.asarray(z)),
+            eval_complex=None,
             t_bar=0.15,
             alpha=norm.angle,
             growth=0.65,
@@ -468,7 +474,7 @@ class TestTowerKoebeValidation:
         cusp = PuiseuxArc([0, 0, 1, 1j])
         norm, _ = normalize_corner(CornerSpec(cusp, PuiseuxArc([0, -1]), 0j, Exponent(1)))
         germ = MapGerm(
-            eval_complex=lambda z: -np.exp(0.5 * np.log(np.asarray(z, dtype=complex))) * 0.5,
+            eval_complex=None,
             t_bar=0.15,
             alpha=norm.angle,
             growth=0.51,
@@ -497,11 +503,6 @@ class TestCurvedArcTower:
             w = zpow(p.log(), av)
             return w / (1 - w)
 
-        def on_H(z):
-            z = np.asarray(z, dtype=complex)
-            w = np.exp(av * np.log(z))
-            return w / (1 - w)
-
         t_bar = 0.25
         arc1 = AnalyticFunc(
             PowerSeries.from_unscaled([0, 1], radius=0.8),
@@ -513,7 +514,7 @@ class TestCurvedArcTower:
             order=40,
         )
         return MapGerm(
-            eval_complex=on_H,
+            eval_complex=None,
             t_bar=t_bar,
             alpha=Exponent(alpha),
             growth=1.0 / (1.0 - t_bar**av),
@@ -558,6 +559,37 @@ class TestCurvedArcTower:
         assert abs(fit.coefficient(a + 1)) < 1e-5
 
 
+class TestFromSeries:
+    """MapGerm.from_series: the germ given by its series, evaluated through eval_finite."""
+
+    RAYS = tuple(AnalyticFunc(PowerSeries.linear(c, scale=1.0, radius=np.inf)) for c in (1.0, 1j))
+
+    def test_fields_come_from_the_series(self):
+        half = Exponent(Fraction(1, 2))
+        series = LogPowerSeries({half: 2.0, half + 1: -1j}, r_max=half + 2)
+        germ = MapGerm.from_series(series, *self.RAYS, t_bar=0.5, label="two-term")
+        assert germ.alpha is half and germ.series is series and germ.eval_complex is None
+        assert germ.eval_lpoint == series.eval_finite and germ.eval_array == series.eval_finite
+        # 1.05 (|2| + |-1j| 0.5 + 0 0.5^2) over the dense coefficients up to r_max
+        assert germ.growth == (2.0 + 0.5 + 0.0) * 1.05
+        with pytest.raises(ValueError, match="nonzero term"):
+            MapGerm.from_series(LogPowerSeries.zero(), *self.RAYS, t_bar=0.5, growth=1.0)
+
+    def test_growth_is_required_off_a_pure_power_ladder(self):
+        half = Exponent(Fraction(1, 2))
+        logged = LogPowerSeries.monomial(1.0, half, r_max=half + 2) + LogPowerSeries.monomial(0.1, half + 1, log_degree=1)
+        unbounded = LogPowerSeries.monomial(1.0, half)
+        off_ladder = LogPowerSeries({half: 1.0, Exponent.generator("sqrt2"): 1.0}, r_max=half + 2)
+        for series in (logged, unbounded, off_ladder):
+            with pytest.raises(ValueError, match="give this series its growth"):
+                MapGerm.from_series(series, *self.RAYS, t_bar=0.5)
+        assert MapGerm.from_series(logged, *self.RAYS, t_bar=0.5, growth=3.0).growth == 3.0
+
+    def test_sc_germs_walk_lists_as_arrays(self):
+        germ = sc_corner_germ(l_hexagon(), 3)
+        assert germ.eval_array == germ.series.eval_finite and germ.mirrored().eval_array is not None
+
+
 class TestErrorPaths:
     def test_germ_too_small(self):
         from quasimap.errors import GermTooSmall
@@ -576,14 +608,26 @@ class TestErrorPaths:
             runaway(0.01 - 0.01j)
 
 
+@functools.lru_cache(maxsize=None)
+def l_hexagon():
+    return solve_sc(*L_HEXAGON)
+
+
+def extension_of(name: str) -> Extension:
+    """K = 8 extension of a named germ: a model angle, the curved germ, or an L-hexagon SC vertex."""
+    if name == "curved":
+        return build_extension(TestCurvedArcTower._germ(), K=8)
+    if name in SC_VERTICES:
+        return build_extension(sc_corner_germ(l_hexagon(), SC_VERTICES[name]), K=8)
+    return build_extension(model_corner_germ(parse_exponent(name)), K=8)
+
+
 class TestBatchEvaluation:
     """A list of points unwinds in one walk, each level's chi applied to its group at once."""
 
-    @pytest.fixture(scope="class", params=["sqrt2", "golden", "curved"])
+    @pytest.fixture(scope="class", params=["sqrt2", "golden", "curved", *SC_VERTICES])
     def ext(self, request):
-        if request.param == "curved":
-            return build_extension(TestCurvedArcTower._germ(), K=8)
-        return build_extension(model_corner_germ(Exponent.generator(request.param)), K=8)
+        return extension_of(request.param)
 
     def test_batch_matches_per_point_calls(self, ext):
         cert = certify_quadratic_domain(ext)
@@ -630,11 +674,9 @@ class TestBatchEvaluation:
 class TestPointArrays:
     """An LPointArray unwinds exactly as the list of the same points does."""
 
-    @pytest.fixture(scope="class", params=["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden", "curved"])
+    @pytest.fixture(scope="class", params=["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden", "curved", *SC_VERTICES])
     def ext(self, request):
-        if request.param == "curved":
-            return build_extension(TestCurvedArcTower._germ(), K=8)
-        return build_extension(model_corner_germ(parse_exponent(request.param)), K=8)
+        return extension_of(request.param)
 
     def test_array_and_list_give_the_same_bits(self, ext):
         quad = certify_quadratic_domain(ext).quad

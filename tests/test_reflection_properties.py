@@ -57,10 +57,6 @@ def curved_germ(arc1_closed_form: bool = True) -> MapGerm:
     av = 2.0 / 3.0
     rot = cmath.exp(1j * av * math.pi)
 
-    def on_H(z):
-        w = np.exp(av * np.log(np.asarray(z, dtype=complex)))
-        return w / (1 - w)
-
     def on_L(p):
         w = zpow(p.log(), av)
         return w / (1 - w)
@@ -75,7 +71,7 @@ def curved_germ(arc1_closed_form: bool = True) -> MapGerm:
         radius=0.8,
         order=40,
     )
-    return MapGerm(on_H, t_bar, Exponent(Fraction(2, 3)), 1.0 / (1.0 - t_bar**av), arc1, arc2, on_L)
+    return MapGerm(None, t_bar, Exponent(Fraction(2, 3)), 1.0 / (1.0 - t_bar**av), arc1, arc2, on_L)
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from scipy.special import ellipk, ellipkm1
 from quasimap import scmap
 from quasimap.corners import PuiseuxArc, measured_angle_over_pi
 from quasimap.errors import DegenerateTransform, InvalidAngles, NonConvergence
-from quasimap.exponents import Exponent
+from quasimap.exponents import Exponent, parse_exponent
 from quasimap.scmap import (
     MobiusTransform,
     SCPolygon,
@@ -24,9 +24,10 @@ from quasimap.scmap import (
     sc_evaluate,
     solve_sc,
 )
-from quasimap.surface import LPoint
+from quasimap.series import LogPolynomial
+from quasimap.surface import LPoint, LPointArray
 
-from references import cross_ratio
+from references import cross_ratio, sector_model
 
 
 class TestMobius:
@@ -352,6 +353,29 @@ class TestModelGerm:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             model_corner_germ(Fraction(5, 2))
+
+    def test_a_bare_float_angle_is_refused(self):
+        with pytest.raises(ValueError, match="exact alpha"):
+            model_corner_germ(0.5)
+
+    @pytest.mark.parametrize("angle", ["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden"])
+    def test_the_one_term_series_is_the_closed_form_bit_for_bit(self, angle, rng):
+        germ = model_corner_germ(parse_exponent(angle))
+        mirror = germ.mirrored()
+        av = germ.alpha_value
+        assert germ.series.terms == {germ.alpha: LogPolynomial.constant(1)}
+        r = rng.uniform(1e-6, 1.0, 400)
+        n = rng.integers(-3, 4, 400)
+        rem = rng.uniform(-math.pi, math.pi, 400)
+        rem[:8] = 0.0  # on the rays themselves
+        pts = LPointArray(r, n, rem)
+        flipped = LPointArray(r, 1 - n, -rem)
+        assert germ.eval_array(pts).tobytes() == sector_model(pts, av).tobytes()
+        assert mirror.eval_array(pts).tobytes() == np.conj(sector_model(flipped, av)).tobytes()
+        single = np.array([germ.eval_lpoint(p) for p in pts])
+        assert single.tobytes() == np.array([sector_model(p, av) for p in pts]).tobytes()
+        mirrored = np.array([mirror.eval_lpoint(p) for p in pts])
+        assert mirrored.tobytes() == np.array([sector_model(q, av).conjugate() for q in flipped]).tobytes()
 
 
 class TestNonConvergence:
