@@ -107,9 +107,7 @@ def _emit(config: JobConfig, report: dict, samples: list | None = None, plot: st
     (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     if samples is not None:
         with open(outdir / "samples.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in samples:
-                writer.writerow(row)
+            csv.writer(fh).writerows(samples)
     if plot is not None:
         (outdir / "plot.svg").write_text(plot)
 

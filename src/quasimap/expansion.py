@@ -57,7 +57,6 @@ class ExpansionModel:
     alpha: Exponent
     R: float
     max_log_degree: int = 0
-    include_integer_axis: bool = False
     guard_terms: int = 3
 
     def lattice(self, upto: float | None = None) -> list[Exponent]:
@@ -66,8 +65,7 @@ class ExpansionModel:
 
     def _scan(self, limit: float) -> list[tuple[float, int, int]]:
         """The lattice up to ``limit`` on floats: (i + j alpha, i, j) for each
-        pair with j >= 1 and i + j alpha <= limit + 1e-12, and (i, i, 0) for the
-        integer axis i = 1, ..., floor(limit) when the model has it."""
+        pair with j >= 1 and i + j alpha <= limit + 1e-12."""
         av = self.alpha.value()
         pairs = []
         j = 1
@@ -77,18 +75,14 @@ class ExpansionModel:
                 pairs.append((i + j * av, i, j))
                 i += 1
             j += 1
-        if self.include_integer_axis:
-            pairs.extend((float(i), i, 0) for i in range(1, int(limit) + 1))
         return pairs
 
     def _exponent(self, i: int, j: int) -> Exponent:
-        return Exponent(i) if j == 0 else Exponent(i) + self.alpha * j
+        return Exponent(i) + self.alpha * j
 
     def _below(self, pairs: list, split: float) -> list[Exponent]:
-        """The exponents of the scanned pairs up to ``split`` by the scan's own
-        float test (the integer axis by i <= floor(split)), exactly sorted."""
-        keep = {self._exponent(i, j) for v, i, j in pairs if (i <= int(split) if j == 0 else v <= split + 1e-12)}
-        return sorted(keep)
+        """The exponents of the scanned pairs up to ``split`` by the scan's own float test, exactly sorted."""
+        return sorted({self._exponent(i, j) for v, i, j in pairs if v <= split + 1e-12})
 
     def _guard(self, pairs: list) -> list[Exponent]:
         """The first ``guard_terms`` exponents of the scanned pairs with value() > R + 1e-12, in exact order.
@@ -135,7 +129,6 @@ class SamplingPlan:
     rho0: float
     n_shells: int = 12
     points_per_shell: int = 64
-    arg_cap: float | None = None
     one_sided: bool = False
 
     def shells(self) -> np.ndarray:
@@ -144,19 +137,17 @@ class SamplingPlan:
     def samples(self, domain: QuadraticDomain | None) -> tuple[LPointArray, list[tuple[float, slice]]]:
         """The samples of every shell as one LPointArray, and (rho_j, its slice
         of them) per shell.  Each shell's arguments sweep the widest admissible
-        sector, or 95% of it inside a quadratic domain; a shell that admits no
-        argument is left out."""
+        sector, or 95% of it inside a quadratic domain; without a domain they
+        sweep [0, pi] one-sided, or [-pi, pi].  A shell that admits no argument
+        is left out."""
         radii, args, shells = [], [], []
         for rho in self.shells():
             if domain is not None:
                 cap = domain.max_arg_at(rho) * 0.95
                 lo = -cap if (domain.mirrored and not self.one_sided) else 0.0
             else:
-                cap = self.arg_cap if self.arg_cap is not None else math.pi
+                cap = math.pi
                 lo = 0.0 if self.one_sided else -cap
-            if self.arg_cap is not None:
-                cap = min(cap, self.arg_cap)
-                lo = max(lo, -self.arg_cap) if not self.one_sided else 0.0
             if cap <= 0:
                 continue
             shells.append((rho, slice(len(radii), len(radii) + self.points_per_shell)))
@@ -346,15 +337,14 @@ def verify_asymptotic(
     domain: QuadraticDomain,
     plan: SamplingPlan | None = None,
     tol: float = 1e-6,
-    strict: bool = True,
 ) -> AsymptoticCertificate:
     """Certify f(z) - sum_(alpha <= R) = o(|z|^R) on a quadratic subdomain.
 
     PASS requires the last-shell ratio below ``tol`` and the ratios either
     monotonically decreasing over the last four shells or all below ``tol`` there
     (the latter covers exact remainders sitting at the rounding floor).
-    Failure raises :class:`FailedCertificate` carrying the witness unless
-    ``strict=False``.  ``f`` maps an :class:`LPointArray` to the list of its
+    Failure raises :class:`FailedCertificate`, which carries the certificate
+    and its witness.  ``f`` maps an :class:`LPointArray` to the list of its
     values; it is called once, on the samples of every shell, and the
     truncated series is evaluated once on the same points.  A value of
     either that is not finite raises ValueError naming its sample.
@@ -386,7 +376,7 @@ def verify_asymptotic(
     monotone = all(tail[i + 1] <= tail[i] * (1 + 1e-9) for i in range(len(tail) - 1))
     floor = max(tail) < tol
     cert.passed = bool(ratios[-1] < tol) and bool(monotone or floor)
-    if strict and not cert.passed:
+    if not cert.passed:
         raise FailedCertificate(cert)
     return cert
 

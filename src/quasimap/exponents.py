@@ -65,7 +65,7 @@ class Exponent:
     integers, exact equality and a numeric total order.
     """
 
-    __slots__ = ("rational", "irrational", "_value")
+    __slots__ = ("rational", "irrational", "_value", "_key_cache")
 
     def __init__(self, rational=0, irrational=None):
         irr = {}
@@ -86,6 +86,7 @@ class Exponent:
                     irr[name] = c
         self.irrational = irr
         self._value = None
+        self._key_cache = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -166,7 +167,10 @@ class Exponent:
     # -- comparisons -----------------------------------------------------------
 
     def _key(self):
-        return (self.rational, tuple(sorted(self.irrational.items())))
+        """(rational, generator terms in name order), made once: the exponent is immutable."""
+        if self._key_cache is None:
+            self._key_cache = (self.rational, tuple(self.irrational.items()))
+        return self._key_cache
 
     def __eq__(self, other):
         if not isinstance(other, (Exponent, int, Fraction)):
@@ -178,7 +182,7 @@ class Exponent:
 
     def __lt__(self, other):
         other = Exponent.coerce(other)
-        if self == other:
+        if self._key() == other._key():
             return False
         a, b = self.value(), other.value()
         if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):

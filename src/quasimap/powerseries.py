@@ -172,8 +172,8 @@ class PowerSeries:
             p = np.convolve(p, h)[: len(h)]
         return PowerSeries(g * self.scale, out_abs, out_abs)
 
-    def newton_inverse(self, w, z0=None, maxiter: int = 60):
-        """Solve f(z) = w near 0 by damped Newton to 1e-14 relative, seeded by w / f'(0) if no z0.
+    def newton_inverse(self, w, z0=None):
+        """Solve f(z) = w near 0 by at most 60 damped Newton steps to 1e-14 relative, seeded by w / f'(0) if no z0.
 
         ``w`` and ``z0`` are complex numbers or arrays of one shape.  A number
         is solved in Python complex arithmetic.  For an array the seeds are
@@ -184,17 +184,17 @@ class PowerSeries:
             z0 = w / self.deriv0()
         if not isinstance(w, np.ndarray):
             w, z = complex(w), complex(z0)
-            return self._damped_newton(w, z, self(z) - w, maxiter)
+            return self._damped_newton(w, z, self(z) - w)
         z = np.array(z0, dtype=complex)
         fz = self(z) - w
         target = 1e-14 * np.maximum(np.abs(w), abs(self.coeffs[1]))
         for i in np.flatnonzero(~(np.abs(fz) <= target)):
-            z[i] = self._damped_newton(complex(w[i]), complex(z[i]), complex(fz[i]), maxiter)
+            z[i] = self._damped_newton(complex(w[i]), complex(z[i]), complex(fz[i]))
         return z
 
-    def _damped_newton(self, w: complex, z: complex, fz: complex, maxiter: int) -> complex:
+    def _damped_newton(self, w: complex, z: complex, fz: complex) -> complex:
         target = 1e-14 * max(abs(w), abs(self.coeffs[1]))
-        for _ in range(maxiter):
+        for _ in range(60):
             if abs(fz) <= target:
                 return z
             d = self.eval_deriv(z)

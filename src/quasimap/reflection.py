@@ -409,7 +409,7 @@ def _evaluate_list(points, positive: ReflectionTower, negative: ReflectionTower 
     """Phi at each of many points: negative arguments on the mirrored tower when there is one.
 
     The points are unwound as arrays, one exact int64 walk per tower, when
-    they make an LPointArray (every multiple of pi an int below
+    they make an LPointArray (every multiple of pi below
     ARRAY_MULTIPLE_LIMIT in magnitude) and no sector index on a tower deeper
     than ARRAY_LEVEL_LIMIT exceeds it.  Any other points are checked and
     unwound one by one, as single points are.

@@ -172,12 +172,13 @@ def _side_integral_complex(xs, es, j: int, rules: dict) -> complex:
     return left - _jacobi_integral(b, mid, es[j + 1], xs, es, 24, 384, rules)
 
 
-def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPolygon:
+def solve_sc(vertices, angles, tol: float = 1e-10) -> SCPolygon:
     """Solve the SC parameter problem for a bounded polygon.
 
     ``angles`` are the interior angles divided by pi, as exact rationals in
     (0, 2]; they must satisfy the closure rule sum(1 - alpha_k) = 2.  Vertices
-    are in counterclockwise order; clockwise ones raise InvalidAngles.
+    are in counterclockwise order; clockwise ones raise InvalidAngles.  A
+    residual above ``tol`` after 60 Newton steps raises NonConvergence.
     """
     vs = [complex(v[0], v[1]) if isinstance(v, (tuple, list)) else complex(v) for v in vertices]
     als = [Fraction(a) for a in angles]
@@ -230,7 +231,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10, max_iter: int = 60) -> SCPoly
         res = residual_of(u)
         norm = np.linalg.norm(res, np.inf)
         it = 0
-        while norm > tol and it < max_iter:
+        while norm > tol and it < 60:
             jac = np.empty((n - 3, n - 3))
             h = 1e-6
             for i in range(n - 3):

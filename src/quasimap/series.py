@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonPositiveValuation
-from .exponents import Exponent, value_of
+from .exponents import ZERO, Exponent, value_of
 from .surface import LPoint
 
 INF = math.inf
@@ -119,7 +119,7 @@ class LogPowerSeries:
             items = terms.items() if isinstance(terms, dict) else terms
             for alpha, poly in items:
                 alpha = Exponent.coerce(alpha)
-                if alpha < Exponent(0):
+                if alpha < ZERO:
                     raise ValueError("exponents must be >= 0")
                 if not isinstance(poly, LogPolynomial):
                     poly = LogPolynomial.constant(poly) if not isinstance(poly, (list, tuple)) else LogPolynomial(poly)
@@ -241,7 +241,7 @@ class LogPowerSeries:
     def power(self, n: int) -> "LogPowerSeries":
         if n < 0:
             raise ValueError("nonnegative integer powers only")
-        out = LogPowerSeries({Exponent(0): LogPolynomial.constant(1)}, self.r_max if n == 0 else INF)
+        out = LogPowerSeries({ZERO: LogPolynomial.constant(1)}, self.r_max if n == 0 else INF)
         base = self
         k = n
         while k:
@@ -273,10 +273,10 @@ class LogPowerSeries:
         nu = inner.valuation()
         if nu is None:
             # inner is 0 up to its bound; f(0) = constant term
-            c = self.terms.get(Exponent(0))
-            out = LogPowerSeries({Exponent(0): c} if c else {}, _compose_bound(self, inner))
+            c = self.terms.get(ZERO)
+            out = LogPowerSeries({ZERO: c} if c else {}, _compose_bound(self, inner))
             return out
-        if not (nu > Exponent(0)):
+        if not (nu > ZERO):
             raise NonPositiveValuation("inner series must have valuation > 0")
         bound = _compose_bound(self, inner)
         result = LogPowerSeries.zero(bound)
@@ -290,7 +290,7 @@ class LogPowerSeries:
             acc = (acc * inner).truncate(bound)
             coeff = self.terms.get(Exponent(n))
             if coeff is not None:
-                acc = acc + LogPowerSeries({Exponent(0): coeff}, INF)
+                acc = acc + LogPowerSeries({ZERO: coeff}, INF)
         return acc.truncate(bound)
 
     def pow_rational(self, p: Fraction) -> "LogPowerSeries":
@@ -311,8 +311,8 @@ class LogPowerSeries:
             _sub_bound(self.r_max, nu),
         )
         bound = tail.r_max
-        out = LogPowerSeries({Exponent(0): LogPolynomial.constant(1)}, bound)
-        term = LogPowerSeries({Exponent(0): LogPolynomial.constant(1)}, INF)
+        out = LogPowerSeries({ZERO: LogPolynomial.constant(1)}, bound)
+        term = LogPowerSeries({ZERO: LogPolynomial.constant(1)}, INF)
         # number of binomial terms needed: nu(tail) * n <= bound
         nt = tail.valuation()
         if nt is not None and value_of(bound) < INF:

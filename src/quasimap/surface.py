@@ -2,11 +2,11 @@
 
 Points are (r, phi) with r > 0 and unbounded real argument phi.  To keep
 sector membership and the dyadic reflections exact on the rays where they are
-decided, arguments are stored as an exact rational multiple of pi plus a float
-remainder: phi = phi_pi * pi + phi_rem.  The multiple is a Python int whenever
-it is integral (every float input and everything the reflections make of it)
-and a Fraction otherwise.  The reflections and sector tests only ever touch
-the exact part.
+decided, arguments are stored as an exact integer multiple of pi plus a float
+remainder: phi = phi_pi * pi + phi_rem, with phi_pi a Python int.  Every
+float input has multiple 0, and the reflections map integer multiples to
+integer multiples.  The reflections and sector tests only ever touch the
+exact part.
 
 Sectors follow the dyadic ladder: T_k = {0 <= phi <= 2^k pi}, and for k >= 1
 T'_k = {2^(k-1) pi <= phi <= 2^k pi}.  The reflection tau_k maps T'_(k+1) onto
@@ -25,7 +25,7 @@ iterated.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def cmp_pi_array(n: np.ndarray, rem: np.ndarray, q: int) -> np.ndarray:
 
 
 class LPoint:
-    """Point (r, phi) on the log surface; phi = phi_pi*pi + phi_rem exactly."""
+    """Point (r, phi) on the log surface; phi = phi_pi*pi + phi_rem exactly, phi_pi any integer, stored as an int."""
 
     __slots__ = ("r", "phi_pi", "phi_rem")
 
@@ -67,11 +67,11 @@ class LPoint:
         if phi_pi is None:
             self.phi_pi = 0
             phi_rem = phi
-        elif type(phi_pi) is int:
-            self.phi_pi = phi_pi
         else:
-            q = Fraction(phi_pi)
-            self.phi_pi = int(q.numerator) if q.denominator == 1 else q
+            try:
+                self.phi_pi = operator.index(phi_pi)
+            except TypeError:
+                raise TypeError(f"phi_pi must be an integer multiple of pi, got {phi_pi!r}") from None
         phi_rem = float(phi_rem)
         if not (0 < r < math.inf and -math.inf < phi_rem < math.inf):
             raise ValueError(
@@ -148,12 +148,9 @@ class LPointArray:
 
     @classmethod
     def from_points(cls, points: list) -> "LPointArray | None":
-        """The points of a list as arrays; None if some multiple is a Fraction or at least 2^60 in magnitude."""
-        multiples = [p.phi_pi for p in points]
-        if not set(map(type, multiples)) <= {int}:
-            return None
+        """The points of a list as arrays; None if some multiple is at least 2^60 in magnitude."""
         try:
-            n = np.array(multiples, dtype=np.int64)
+            n = np.array([p.phi_pi for p in points], dtype=np.int64)
         except OverflowError:
             return None
         if not ((n > -ARRAY_MULTIPLE_LIMIT) & (n < ARRAY_MULTIPLE_LIMIT)).all():

@@ -62,8 +62,8 @@ def reference_basis(model) -> tuple[list, list]:
     """The lattice up to R and the guard band of an ExpansionModel by a full exact scan.
 
     Every lattice point up to the guard horizon is made as an Exponent; the
-    lattice keeps those whose float i + j alpha passes i + j alpha <= R + 1e-12
-    (the integer axis: i <= floor(R)), and the guard band is the first
+    lattice keeps those whose float i + j alpha passes i + j alpha <= R + 1e-12,
+    and the guard band is the first
     guard_terms of all of them, exactly sorted, with value() > R + 1e-12.
     """
     av = model.alpha.value()
@@ -80,11 +80,6 @@ def reference_basis(model) -> tuple[list, list]:
                 low.add(e)
             i += 1
         j += 1
-    if model.include_integer_axis:
-        for i in range(1, int(horizon) + 1):
-            every.add(Exponent(i))
-            if i <= int(R):
-                low.add(Exponent(i))
     return sorted(low), [e for e in sorted(every) if e.value() > R + 1e-12][: model.guard_terms]
 
 
@@ -96,11 +91,8 @@ def reference_plan_points(plan, domain) -> list:
             cap = domain.max_arg_at(rho) * 0.95
             lo = -cap if (domain.mirrored and not plan.one_sided) else 0.0
         else:
-            cap = plan.arg_cap if plan.arg_cap is not None else math.pi
+            cap = math.pi
             lo = 0.0 if plan.one_sided else -cap
-        if plan.arg_cap is not None:
-            cap = min(cap, plan.arg_cap)
-            lo = max(lo, -plan.arg_cap) if not plan.one_sided else 0.0
         if cap > 0:
             pts += [LPoint(rho, a) for a in np.linspace(lo, cap, plan.points_per_shell)]
     return pts

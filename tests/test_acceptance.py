@@ -121,7 +121,7 @@ def test_criterion_2_surface_geometry():
     # nesting: T_k inside T_k', and T_(k+1) = T_k union T'_(k+1) on a grid
     for kk in range(0, 8):
         for m8 in range(0, 2 ** (kk + 1) * 8 + 1):
-            z = LPoint(1.0, phi_pi=Fraction(m8, 8))
+            z = LPoint(1.0, phi_pi=m8 // 8, phi_rem=(m8 % 8) * math.pi / 8)
             if Sector("T", kk).contains(z):
                 assert Sector("T", kk + 1).contains(z)
             assert Sector("T", kk + 1).contains(z) == (Sector("T", kk).contains(z) or in_Tp(kk + 1, z))

@@ -660,13 +660,17 @@ class TestBatchEvaluation:
             ext.evaluate(far)
 
     def test_inputs_the_array_walk_cannot_take_go_point_by_point(self, ext):
-        # a Fraction multiple: the whole list takes the single-point path
+        # 7/2 pi + 0.125 on level 2, carried as 3 pi + (pi/2 + 0.125), takes the array walk with the rest
         cert = certify_quadratic_domain(ext)
         pts = sample_quadratic_domain(cert.quad, 40, 3, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
-        odd = LPoint(0.5 * ext.positive.levels[2].t, phi_pi=Fraction(7, 2), phi_rem=0.125)
+        odd = LPoint(0.5 * ext.positive.levels[2].t, phi_pi=3, phi_rem=math.pi / 2 + 0.125)
         mixed = pts[:20] + [odd] + pts[20:]
-        assert ext.evaluate(mixed) == [ext.evaluate(p) for p in mixed]
-        beyond = LPoint(1e-300, phi_pi=Fraction(2**9 + 1, 2))
+        for got, p in zip(ext.evaluate(mixed), mixed):
+            want = ext.evaluate(p)
+            assert abs(got - want) <= 4e-15 * abs(want), p
+        # a multiple of 2^60 leaves the int64 walk: the whole list takes the single-point path
+        beyond = LPoint(1e-300, phi_pi=2**60)
+        assert LPointArray.from_points(mixed + [beyond]) is None
         with pytest.raises(OutsideExtensionDomain, match=re.escape(repr(beyond))):
             ext.evaluate(mixed + [beyond, LPoint(1e-300, phi_pi=-300)])
 

@@ -385,5 +385,5 @@ class TestNonConvergence:
         vs = [0, 2, 2 + 1j, 1 + 2j, 1j]
         als = [Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2), Fraction(3, 4)]
         with pytest.raises(NonConvergence) as err:
-            solve_sc(vs, als, tol=1e-16, max_iter=1)
+            solve_sc(vs, als, tol=1e-16)
         assert err.value.residual > 0

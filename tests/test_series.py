@@ -140,7 +140,7 @@ class TestEvalFinite:
 
     def test_log_term(self):
         f = mono(1, 0, deg=1)  # log z
-        z = LPoint(math.e, phi_pi=Fraction(1, 2))
+        z = LPoint(math.e, phi_pi=0, phi_rem=math.pi / 2)
         assert abs(f.eval_finite(z) - (1 + 1j * math.pi / 2)) < 1e-14
 
     def test_irrational_power_vs_exponential_oracle(self, rng):

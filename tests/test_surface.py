@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -44,8 +45,9 @@ radii = st.floats(min_value=0.05, max_value=2.0)
 
 @st.composite
 def strip_points(draw, k_max: int = 10):
-    """(k, z) with z in T'_(k+1): an exact multiple n/8 of pi in [2^k, 2^(k+1)], plus a
-    remainder that is 0 (the multiple itself, rays included) or keeps z inside the strip."""
+    """(k, z) with z in T'_(k+1): a multiple n/8 of pi in [2^k, 2^(k+1)], carried as
+    (n // 8) pi + (n % 8) pi/8, plus a remainder that is 0 (the multiple itself, rays
+    included) or keeps z inside the strip."""
     k = draw(st.integers(min_value=0, max_value=k_max))
     n = draw(st.integers(min_value=2**k * 8, max_value=2 ** (k + 1) * 8))
     rem = draw(st.one_of(st.just(0.0), st.floats(min_value=-0.3, max_value=0.3)))
@@ -53,10 +55,15 @@ def strip_points(draw, k_max: int = 10):
         rem = abs(rem)
     elif n == 2 ** (k + 1) * 8:
         rem = -abs(rem)
-    return k, LPoint(draw(radii), phi_pi=Fraction(n, 8), phi_rem=rem)
+    return k, LPoint(draw(radii), phi_pi=n // 8, phi_rem=(n % 8) * math.pi / 8 + rem)
 
 
 class TestPointValidation:
+    @pytest.mark.parametrize("multiple", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0])
+    def test_non_integer_multiples_raise(self, multiple):
+        with pytest.raises(TypeError, match=re.escape(f"integer multiple of pi, got {multiple!r}")):
+            LPoint(1.0, phi_pi=multiple)
+
     @pytest.mark.parametrize("r, phi", [(1e-4, math.nan), (1.0, math.inf), (math.inf, 0.0), (math.nan, 0.0)])
     def test_rejects_non_finite(self, r, phi):
         with pytest.raises(ValueError, match="0 < r < inf and a finite argument"):
@@ -110,7 +117,7 @@ class TestReflections:
 
     def test_out_of_sector(self):
         with pytest.raises(OutOfSector):
-            reflect_tau(1, LPoint(1.0, phi_pi=Fraction(1, 2)))
+            reflect_tau(1, LPoint(1.0, phi_pi=0, phi_rem=math.pi / 2))
 
     @given(strip_points())
     def test_involution_through_the_formula(self, kz):
@@ -119,7 +126,7 @@ class TestReflections:
         once = reflect_tau(k, z)
         assert Sector("T", k).contains(once)
         twice = LPoint(once.r, phi_pi=2 ** (k + 1) - once.phi_pi, phi_rem=-once.phi_rem)
-        assert twice == z and type(twice.phi_pi) is type(z.phi_pi)
+        assert twice == z and type(twice.phi_pi) is int
         assert twice.phi == pytest.approx(z.phi, abs=1e-12)
 
 
@@ -132,7 +139,7 @@ class TestTauIdentities:
         assert lhs == rhs == math.log(r)
 
     def test_log_identity_interior_point(self):
-        lhs, rhs = tau_log_identity(0, LPoint(math.e, phi_pi=Fraction(3, 2)))
+        lhs, rhs = tau_log_identity(0, LPoint(math.e, phi_pi=1, phi_rem=math.pi / 2))
         assert abs(lhs - (1 - 1j * math.pi / 2)) < 1e-15
         assert abs(rhs - (1 - 1j * math.pi / 2)) < 1e-15
 
@@ -152,7 +159,7 @@ class TestTauIdentities:
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
     def test_unimodular_factor(self):
-        z = LPoint(0.5, phi_pi=Fraction(7, 4))
+        z = LPoint(0.5, phi_pi=1, phi_rem=3 * math.pi / 4)
         lhs, rhs = tau_pow_identity(0, 0.37, z)
         a = cmath.exp(-1j * 0.37 * 2 * math.pi)
         assert abs(abs(a) - 1) < 1e-15
@@ -199,11 +206,16 @@ class TestQuadraticDomains:
         assert w.contains(LPoint(math.exp(-3), 4.0))
         assert not w.contains(LPoint(math.exp(-2), 4.0))  # boundary excluded
 
-    @pytest.mark.parametrize("multiple", [2**1023, 2**1100, Fraction(2**1100 + 1, 3)], ids=["2^1023", "2^1100", "frac"])
-    def test_arguments_without_a_float_are_outside(self, multiple):
+    @pytest.mark.parametrize(
+        "multiple, rem",
+        # (2^1100 + 1)/3 pi carried as its integer part and 2 pi/3
+        [(2**1023, 0.0), (2**1100, 0.0), ((2**1100 + 1) // 3, 2 * math.pi / 3)],
+        ids=["2^1023", "2^1100", "frac"],
+    )
+    def test_arguments_without_a_float_are_outside(self, multiple, rem):
         # phi_pi * pi has no float here; such a point lies beyond every radius c exp(-C sqrt|phi|)
         for sign in (1, -1):
-            z = LPoint(1e-300, phi_pi=sign * multiple)
+            z = LPoint(1e-300, phi_pi=sign * multiple, phi_rem=sign * rem)
             assert z.phi == sign * math.inf
             assert not QuadraticDomain(0.1, 1.0).contains(z)
             assert not QuadraticDomain(0.1, 1.0, mirrored=False).contains(z)

@@ -9,7 +9,6 @@ forms, point by point.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 from hypothesis import given
@@ -36,15 +35,21 @@ remainders = st.one_of(
     st.sampled_from([0.0, 1e-300, -1e-300]),
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
 )
-multiples = st.one_of(
-    st.integers(min_value=-8, max_value=2**K_MAX),
-    st.builds(Fraction, st.integers(min_value=-16, max_value=2 ** (K_MAX + 1)), st.just(2)),
-    st.builds(Fraction, st.integers(min_value=-64, max_value=2 ** (K_MAX + 3)), st.just(8)),
-)
+multiples = st.integers(min_value=-8, max_value=2**K_MAX)
+
+
+def carried(d: int):
+    """Points at n/d pi + rem for n in [-8 d, 2^K_MAX d], carried as (n // d) pi + ((n % d) pi/d + rem)."""
+    return st.builds(lambda n, rem: LPoint(0.5, phi_pi=n // d, phi_rem=(n % d) * math.pi / d + rem),
+                     st.integers(min_value=-8 * d, max_value=2**K_MAX * d), remainders)
+
+
 dyadic_rays = st.builds(lambda k, rem: LPoint(0.5, phi_pi=2**k, phi_rem=rem),
                         st.integers(min_value=0, max_value=K_MAX), st.sampled_from([0.0, 1e-300, -1e-300]))
 points = st.one_of(
     st.builds(lambda n, rem: LPoint(0.5, phi_pi=n, phi_rem=rem), multiples, remainders),
+    carried(2),
+    carried(8),
     dyadic_rays,
 )
 
@@ -75,30 +80,20 @@ def test_walk_from_any_start_level(z, k):
     assert (reflected, n, rem) == (want_levels, end.phi_pi, end.phi_rem)
 
 
-@given(st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=8), remainders)
-def test_integral_multiples_are_ints(num, den, rem):
-    z = LPoint(1.0, phi_pi=Fraction(num, den), phi_rem=rem)
-    if Fraction(num, den).denominator == 1:
-        assert type(z.phi_pi) is int
-    else:
-        assert isinstance(z.phi_pi, Fraction)
-    assert z.phi_pi == Fraction(num, den)
-
-
-def test_integral_fraction_becomes_int():
-    z = LPoint(1.0, phi_pi=Fraction(4, 2))
-    assert type(z.phi_pi) is int and z.phi_pi == 2 and z.phi_pi == Fraction(2)
+@given(st.integers(min_value=-50, max_value=50), st.sampled_from([int, np.int8, np.int64]), remainders)
+def test_integral_multiples_are_ints(n, kind, rem):
+    # a numpy integer multiple is stored as the Python int of its value
+    z = LPoint(1.0, phi_pi=kind(n), phi_rem=rem)
+    assert type(z.phi_pi) is int and z.phi_pi == n
     assert type(LPoint(1.0, 0.25).phi_pi) is int
 
 
 @given(multiples, remainders)
 def test_repr_and_json_unchanged(n, rem):
-    # the same point with its multiple kept as a Fraction, as before ints were stored
     z = LPoint(0.5, phi_pi=n, phi_rem=rem)
-    q = Fraction(n)
-    old_repr = f"LPoint(r=0.5, phi={q}*pi)" if rem == 0.0 else f"LPoint(r=0.5, phi={q}*pi + {rem!r})"
-    assert repr(z) == old_repr
-    assert z.to_json() == {"r": 0.5, "arg": float(q) * math.pi + rem}
+    want = f"LPoint(r=0.5, phi={n}*pi)" if rem == 0.0 else f"LPoint(r=0.5, phi={n}*pi + {rem!r})"
+    assert repr(z) == want
+    assert z.to_json() == {"r": 0.5, "arg": float(n) * math.pi + rem}
 
 
 def reference_index(n: int, rem: float) -> int:
@@ -185,7 +180,6 @@ point_multiples = st.one_of(
     st.builds(lambda d, sign: sign * (ARRAY_MULTIPLE_LIMIT + d), st.integers(min_value=-2, max_value=2),
               st.sampled_from([1, -1])),
     st.integers(min_value=2**63 - 2, max_value=2**70),
-    st.builds(Fraction, st.integers(min_value=-(2**13), max_value=2**13).filter(lambda m: m % 2), st.just(2)),
 )
 list_points = st.lists(
     st.builds(lambda r, n, rem: LPoint(r, phi_pi=n, phi_rem=rem),
@@ -197,7 +191,7 @@ list_points = st.lists(
 @given(list_points)
 def test_point_arrays_hold_exactly_the_lists_the_int64_walk_takes(points):
     arr = LPointArray.from_points(points)
-    exact = all(type(p.phi_pi) is int and abs(p.phi_pi) < ARRAY_MULTIPLE_LIMIT for p in points)
+    exact = all(abs(p.phi_pi) < ARRAY_MULTIPLE_LIMIT for p in points)
     assert (arr is not None) == exact
     if arr is None:
         return
