@@ -413,7 +413,7 @@ def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorne
     chain = TransformChain(m1, m2, phi1_root, rev1, rho, theta1, angle)
     final_angle = chain.final_angle
     theta2_final = math.pi + value_of(final_angle) * math.pi
-    arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius), exact=lambda z: -np.asarray(z, dtype=complex))
+    arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius))
     arc2_norm = AnalyticFunc(arc2_series)
     normalized = AnalyticCorner(arc1_norm, arc2_norm, final_angle, math.pi, theta2_final)
     return normalized, chain

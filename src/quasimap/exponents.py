@@ -65,7 +65,7 @@ class Exponent:
     integers, exact equality and a numeric total order.
     """
 
-    __slots__ = ("rational", "irrational", "_value", "_key_cache")
+    __slots__ = ("rational", "irrational", "_value", "_key_cache", "_hash")
 
     def __init__(self, rational=0, irrational=None):
         irr = {}
@@ -87,6 +87,7 @@ class Exponent:
         self.irrational = irr
         self._value = None
         self._key_cache = None
+        self._hash = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -167,9 +168,10 @@ class Exponent:
     # -- comparisons -----------------------------------------------------------
 
     def _key(self):
-        """(rational, generator terms in name order), made once: the exponent is immutable."""
+        """(rational, generator terms in name order), made once with its hash: the exponent is immutable."""
         if self._key_cache is None:
             self._key_cache = (self.rational, tuple(self.irrational.items()))
+            self._hash = hash(self._key_cache)
         return self._key_cache
 
     def __eq__(self, other):
@@ -178,7 +180,9 @@ class Exponent:
         return self._key() == Exponent.coerce(other)._key()
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._key()
+        return self._hash
 
     def __lt__(self, other):
         other = Exponent.coerce(other)

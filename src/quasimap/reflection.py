@@ -21,16 +21,18 @@ functions; the Cauchy consequence |c_(k,l)| <= 4 (16/r_k)^(l-1) bounds the
 reflector coefficients.
 
 Each level is plain data: the chart series phi_k, its reversion and the series
-of chi_k.  Where both arcs have closed forms, chi_k is evaluated by one
-explicit descent instead of its series: unfolding the definitions gives
-chi_k = chi_(k-1) . arc1 . phi_k^(-1) for k >= 1 and
-chi_0 = conj . arc2 . conj . phi_0^(-1), one Newton solve per level.
+of chi_k.  Where both normalized arcs have closed forms, chi_k is evaluated
+by one explicit descent instead of its series: unfolding the definitions
+gives chi_k = chi_(k-1) . arc1 . phi_k^(-1) for k >= 1 and
+chi_0 = conj . arc2 . conj . phi_0^(-1), one Newton solve per level.  Where
+either arc has none, every chi_k is its series.
 
 Negative arguments are reached by running the same construction on the
 mirrored germ  z -> conj(Phi(-conj z))  with the two arcs swapped and
 conjugated, gluing along (r, phi) -> (r, pi - phi).
 
-Evaluation unwinds a point: its argument phi = n pi + rem is walked down the
+``Extension.evaluate`` is the one evaluator.  It unwinds a point on the tower
+of its argument's sign: the argument phi = n pi + rem is walked down the
 levels by the tau_k, the germ is evaluated on T_0 and the recorded chi_k are
 applied on the way back up.  One point is walked on exact Python ints.  An
 ``LPointArray``, or a list of points made into one, is walked as arrays, one
@@ -203,7 +205,7 @@ class ReflectionTower:
     """Positive-direction reflection ladder for one germ.
 
     ``arc1`` and ``arc2`` are the germ's arcs normalized to unimodular
-    derivative; their closed forms, when present, drive :meth:`chi`.
+    derivative; when both carry a closed form, :meth:`chi` descends through them.
     """
 
     germ: MapGerm
@@ -217,13 +219,6 @@ class ReflectionTower:
     @property
     def K(self) -> int:
         return len(self.levels) - 1
-
-    def evaluate(self, z):
-        """Phi_k at z = (r, phi) with 0 <= phi <= 2^K pi, r < t_(k(phi)); a list of points or an
-        LPointArray gives a list of values."""
-        if isinstance(z, LPoint):
-            return self._unwind_point(z, self._level(z, z), z)
-        return _evaluate_list(z, self)
 
     def _level(self, z: LPoint, caller: LPoint) -> int:
         """Sector index of z, which must lie in a built sector ball; errors name the caller's point."""
@@ -278,11 +273,10 @@ class ReflectionTower:
         chi_i = chi_(i-1) . arc1 . phi_i^(-1) for i >= 1 and
         chi_0 = conj . arc2 . conj . phi_0^(-1), each phi_i^(-1) one Newton
         solve seeded by the stored inverse series; w = 0 is fixed by every
-        chi_i, with +0 parts.  Otherwise chi_j's series, except that chi_0
-        keeps arc2's closed form whenever arc2 has one.
+        chi_i, with +0 parts.  Otherwise chi_j's series, at every level.
         """
         arc1, arc2 = self.arc1.exact, self.arc2.exact
-        if arc2 is None or (j > 0 and arc1 is None):
+        if arc1 is None or arc2 is None:
             return self.levels[j].chi.series(w)
         for i in range(j, 0, -1):
             ref = self.levels[i].chi
@@ -360,12 +354,7 @@ def _normalize_chart(arc: AnalyticFunc) -> AnalyticFunc:
     if lam == 0:
         raise NormalizationError("arc chart is singular at 0")
     ser = arc.series
-    scaled = PowerSeries(ser.coeffs.copy(), ser.scale * lam, ser.radius * lam)
-    exact = None
-    if arc.exact is not None:
-        inner = arc.exact
-        exact = lambda z: inner(np.asarray(z, dtype=complex) / lam)
-    return AnalyticFunc(scaled, exact=exact)
+    return AnalyticFunc(PowerSeries(ser.coeffs.copy(), ser.scale * lam, ser.radius * lam))
 
 
 # -- two-sided extension -----------------------------------------------------------
@@ -391,73 +380,69 @@ class Extension:
         lies outside the built sector balls.
         """
         if isinstance(z, LPoint):
-            tower, q, k = _place(z, self.positive, self.negative)
-            v = tower._unwind_point(q, k, z)
-            return v if tower is self.positive else v.conjugate()
-        return _evaluate_list(z, self.positive, self.negative)
+            return self._value(z, *self._place(z))
+        return self._evaluate_list(z)
 
+    def _place(self, p: LPoint):
+        """The tower that evaluates p, the point it sees there and its level; raises for a point outside."""
+        if p._phi_cmp_pi(0) < 0:
+            q = LPoint(p.r, phi_pi=1 - p.phi_pi, phi_rem=-p.phi_rem)
+            return self.negative, q, self.negative._level(q, p)
+        return self.positive, p, self.positive._level(p, p)
 
-def _place(p: LPoint, positive: ReflectionTower, negative: ReflectionTower | None):
-    """The tower that evaluates p, the point it sees there and its level; raises for a point outside."""
-    if negative is not None and p._phi_cmp_pi(0) < 0:
-        q = LPoint(p.r, phi_pi=1 - p.phi_pi, phi_rem=-p.phi_rem)
-        return negative, q, negative._level(q, p)
-    return positive, p, positive._level(p, p)
+    def _value(self, p: LPoint, tower: ReflectionTower, q: LPoint, k: int) -> complex:
+        """Phi at p, placed as q on level k of tower."""
+        v = tower._unwind_point(q, k, p)
+        return v if tower is self.positive else v.conjugate()
 
+    def _evaluate_list(self, points) -> list:
+        """Phi at each of many points.
 
-def _evaluate_list(points, positive: ReflectionTower, negative: ReflectionTower | None = None) -> list:
-    """Phi at each of many points: negative arguments on the mirrored tower when there is one.
+        The points are unwound as arrays, one exact int64 walk per tower, when
+        they make an LPointArray (every multiple of pi below
+        ARRAY_MULTIPLE_LIMIT in magnitude) and no sector index on a tower deeper
+        than ARRAY_LEVEL_LIMIT exceeds it.  Any other points are all placed,
+        then unwound one by one, as single points are.
+        """
+        if isinstance(points, LPointArray):
+            arr = points
+        else:
+            points = list(points)
+            arr = LPointArray.from_points(points)
+        sides = None if arr is None else self._walk_input(arr)
+        if sides is None:
+            placed = [self._place(p) for p in points]
+            return [self._value(p, *where) for p, where in zip(points, placed)]
+        r = arr.r
+        outside = [idx[r[idx] >= t[k]] for tower, idx, n, rem, k, t in sides]
+        first = min((int(o[0]) for o in outside if len(o)), default=None)
+        if first is not None:
+            self._place(points[first])  # raises, naming the point as the caller gave it
+        values = np.empty(len(points), dtype=complex)
+        for tower, idx, n, rem, k, t in sides:
+            v = tower._unwind_arrays(r[idx], n, rem, k, points, idx)
+            values[idx] = v if tower is self.positive else np.conj(v)
+        return values.tolist()
 
-    The points are unwound as arrays, one exact int64 walk per tower, when
-    they make an LPointArray (every multiple of pi below
-    ARRAY_MULTIPLE_LIMIT in magnitude) and no sector index on a tower deeper
-    than ARRAY_LEVEL_LIMIT exceeds it.  Any other points are checked and
-    unwound one by one, as single points are.
-    """
-    if isinstance(points, LPointArray):
-        arr = points
-    else:
-        points = list(points)
-        arr = LPointArray.from_points(points)
-    sides = None if arr is None else _walk_input(arr, positive, negative)
-    if sides is None:
-        placed = [_place(p, positive, negative) for p in points]
-        values = []
-        for p, (tower, q, k) in zip(points, placed):
-            v = tower._unwind_point(q, k, p)
-            values.append(v if tower is positive else v.conjugate())
-        return values
-    r = arr.r
-    outside = [idx[r[idx] >= t[k]] for tower, idx, n, rem, k, t in sides]
-    first = min((int(o[0]) for o in outside if len(o)), default=None)
-    if first is not None:
-        _place(points[first], positive, negative)  # raises, naming the point as the caller gave it
-    values = np.empty(len(points), dtype=complex)
-    for tower, idx, n, rem, k, t in sides:
-        v = tower._unwind_arrays(r[idx], n, rem, k, points, idx)
-        values[idx] = v if tower is positive else np.conj(v)
-    return values.tolist()
+    def _walk_input(self, points: LPointArray):
+        """Per tower, (tower, indices, n, rem, levels, t by level) for the array walk; None if it is not exact.
 
-
-def _walk_input(points: LPointArray, positive: ReflectionTower, negative: ReflectionTower | None):
-    """Per tower, (tower, indices, n, rem, levels, t by level) for the array walk; None if it is not exact.
-
-    A level above a tower's K reads t = 0, so the point is outside there.
-    """
-    n, rem = points.phi_pi, points.phi_rem
-    mirrored = cmp_pi_array(n, rem, 0) < 0 if negative is not None else np.zeros(len(points), dtype=bool)
-    sides = []
-    for tower, on_side in ((positive, ~mirrored), (negative, mirrored)):
-        idx = np.flatnonzero(on_side)
-        if not len(idx):
-            continue
-        n_side, rem_side = (1 - n[idx], -rem[idx]) if tower is negative else (n[idx], rem[idx])
-        k = sector_index_array(n_side, rem_side, min(tower.K, ARRAY_LEVEL_LIMIT))
-        if tower.K > ARRAY_LEVEL_LIMIT and (k > ARRAY_LEVEL_LIMIT).any():
-            return None
-        t = np.array([lv.t for lv in tower.levels] + [0.0])
-        sides.append((tower, idx, n_side, rem_side, k, t))
-    return sides
+        A level above a tower's K reads t = 0, so the point is outside there.
+        """
+        n, rem = points.phi_pi, points.phi_rem
+        mirrored = cmp_pi_array(n, rem, 0) < 0
+        sides = []
+        for tower, on_side in ((self.positive, ~mirrored), (self.negative, mirrored)):
+            idx = np.flatnonzero(on_side)
+            if not len(idx):
+                continue
+            n_side, rem_side = (1 - n[idx], -rem[idx]) if tower is self.negative else (n[idx], rem[idx])
+            k = sector_index_array(n_side, rem_side, min(tower.K, ARRAY_LEVEL_LIMIT))
+            if tower.K > ARRAY_LEVEL_LIMIT and (k > ARRAY_LEVEL_LIMIT).any():
+                return None
+            t = np.array([lv.t for lv in tower.levels] + [0.0])
+            sides.append((tower, idx, n_side, rem_side, k, t))
+        return sides
 
 
 def build_extension(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Extension:

@@ -340,6 +340,6 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     w_k = vs[k]
     d1 = vs[(k + 1) % n] - w_k
     d2 = vs[(k - 1) % n] - w_k
-    arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), scale=1.0, radius=abs(d1)), exact=lambda z, c=d1 / abs(d1): c * np.asarray(z, dtype=complex))
-    arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), scale=1.0, radius=abs(d2)), exact=lambda z, c=d2 / abs(d2): c * np.asarray(z, dtype=complex))
+    arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), scale=1.0, radius=abs(d1)))
+    arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), scale=1.0, radius=abs(d2)))
     return MapGerm.from_series(series, arc1, arc2, t_bar, label=f"sc-vertex-{k}")

@@ -382,10 +382,6 @@ def zpow(logz, alpha: float):
     return cmath.exp(alpha * logz)
 
 
-def series_class(f: LogPowerSeries) -> str:
-    return f.series_class()
-
-
 # -- truncation-bound arithmetic ----------------------------------------------------
 
 

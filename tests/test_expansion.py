@@ -376,9 +376,9 @@ class TestDichotomy:
 
 @pytest.fixture(scope="module")
 def sched():
-    tower = build_extension(model_corner_germ(SQRT2), K=8).positive
+    ext = build_extension(model_corner_germ(SQRT2), K=8)
     g = LogPowerSeries.monomial(1.0, SQRT2)
-    return tower, error_tower_constants(tower, R=2.0, alpha=SQRT2, series=g)
+    return ext, error_tower_constants(ext.positive, R=2.0, alpha=SQRT2, series=g)
 
 
 class TestErrorLadder:
@@ -399,16 +399,16 @@ class TestErrorLadder:
             assert row["log_q"] <= row["log_p"] + 1e-12
 
     def test_final_domain_parameters(self, sched):
-        tower, s = sched
+        ext, s = sched
         # c_R = exp(log_c_R) > 0: its log is finite, and at most log s_0
-        assert math.isfinite(s.log_c_R) and s.log_c_R <= math.log(tower.levels[0].s) and s.C_R > 0
+        assert math.isfinite(s.log_c_R) and s.log_c_R <= math.log(ext.positive.levels[0].s) and s.C_R > 0
         assert s.M_bar_log > 0
 
     def test_measured_remainder_below_ladder_bound(self, sched):
         # the sector model has remainder at rounding level; the ladder bound
         # M^(k^2) |z|^T dominates it comfortably on sampled balls (k small
         # enough that q_k is representable)
-        tower, s = sched
+        ext, s = sched
         g = LogPowerSeries.monomial(1.0, SQRT2)
         gR = g.truncate(s.R)
         for k in (1, 2):
@@ -418,7 +418,7 @@ class TestErrorLadder:
             r = 0.5 * math.exp(log_q)
             for phi_frac in (0.2, 0.9):
                 z = LPoint(r, phi_frac * (2**k) * math.pi)
-                eps = abs(tower.evaluate(z) - gR.eval_finite(z))
+                eps = abs(ext.evaluate(z) - gR.eval_finite(z))
                 bound_log = (k**2) * s.M_log + s.T * math.log(r)
                 assert eps == 0.0 or math.log(eps) <= bound_log
 

@@ -230,7 +230,7 @@ class TestSectorTower:
             for _ in range(40):
                 phi = rng.uniform(0, 2**k * math.pi)
                 r = rng.uniform(0.05, 0.95) * lv.t
-                val = tw.evaluate(LPoint(r, phi))
+                val = sqrt2_ext.evaluate(LPoint(r, phi))
                 assert abs(val) <= lv.E * r**alpha * (1 + 1e-9)
 
     def test_extension_consistency_between_levels(self, sqrt2_ext, rng):
@@ -248,7 +248,7 @@ class TestSectorTower:
         tw = sqrt2_ext.positive
         for k in range(0, 6):
             z = LPoint(0.3 * tw.levels[k + 1].t, phi_pi=2**k)
-            w = tw.evaluate(z)
+            w = sqrt2_ext.evaluate(z)
             again = complex(tw.levels[k].chi.series(w)).conjugate()
             assert abs(again - w) < 1e-12 * max(1.0, abs(w))
 
@@ -272,9 +272,9 @@ class TestSectorTower:
 
     def test_outside_domain_raises(self, sqrt2_ext):
         with pytest.raises(OutsideExtensionDomain):
-            sqrt2_ext.positive.evaluate(LPoint(0.9, phi_pi=4))
+            sqrt2_ext.evaluate(LPoint(0.9, phi_pi=4))
         with pytest.raises(OutsideExtensionDomain):
-            sqrt2_ext.positive.evaluate(LPoint(1e-6, phi_pi=2**12))
+            sqrt2_ext.evaluate(LPoint(1e-6, phi_pi=2**12))
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_arguments_past_the_doubles_raise_outside_domain(self, sign):
@@ -410,9 +410,10 @@ class TestMirroredSide:
         # the mirrored germ evaluated through the flip reproduces the original on [0, pi]
         for _ in range(40):
             z = LPoint(rng.uniform(0.01, 0.3) * ext.positive.levels[0].t, rng.uniform(0.0, math.pi))
-            direct = ext.positive.evaluate(z)
+            direct = ext.evaluate(z)
             flipped = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
-            via_mirror = ext.negative.evaluate(flipped).conjugate()
+            # the twin tower as the positive side of a swapped extension, so flipped (arg in [0, pi]) unwinds on it
+            via_mirror = Extension(ext.negative, ext.positive).evaluate(flipped).conjugate()
             assert abs(direct - via_mirror) < 1e-12 * max(1.0, abs(direct))
 
     def test_negative_arguments_match_closed_form(self, rng):
@@ -447,19 +448,18 @@ class TestKoebeCertificates:
 
     def test_sector_evaluation_on_third_sheet(self, sqrt2_ext):
         # explicit spot check at arg 3 pi against the exponential closed form
-        tw = sqrt2_ext.positive
-        r = 0.4 * tw.levels[2].t
+        r = 0.4 * sqrt2_ext.positive.levels[2].t
         z = LPoint(r, phi_pi=3)
         want = cmath.exp(math.sqrt(2.0) * complex(math.log(r), 3 * math.pi))
-        assert abs(tw.evaluate(z) - want) < 1e-10 * max(1.0, abs(want))
+        assert abs(sqrt2_ext.evaluate(z) - want) < 1e-10 * max(1.0, abs(want))
 
     def test_top_level_exact_ray_is_in_domain(self):
         # the domain check must use the exact sector index: the float arg of
         # the ray phi = 2^K pi can round a level up and spuriously reject
-        tower = build_tower(model_corner_germ(Fraction(1, 2)), K=8)
-        z = LPoint(0.4 * tower.levels[8].t, phi_pi=2**8)
+        ext = build_extension(model_corner_germ(Fraction(1, 2)), K=8)
+        z = LPoint(0.4 * ext.positive.levels[8].t, phi_pi=2**8)
         want = cmath.exp(0.5 * complex(math.log(z.r), z.phi))
-        assert abs(tower.evaluate(z) - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(ext.evaluate(z) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 class TestTowerKoebeValidation:
@@ -590,6 +590,61 @@ class TestFromSeries:
         assert germ.eval_array == germ.series.eval_finite and germ.mirrored().eval_array is not None
 
 
+SC_POLYGONS = {
+    "square": ([0, 1, 1 + 1j, 1j], [Fraction(1, 2)] * 4),
+    "rectangle-2x1": ([0, 2, 2 + 1j, 1j], [Fraction(1, 2)] * 4),
+    "L-hexagon": L_HEXAGON,  # its vertex 3 is the reflex 3/2 corner
+}
+
+
+class TestSCTowers:
+    """An SC corner germ's arcs carry no closed form: its tower applies each chi_k by its series."""
+
+    @pytest.mark.parametrize("name", SC_POLYGONS)
+    def test_tower_matches_the_germ_series_on_both_signs(self, name):
+        # the germ's series converges on |z| < t_bar of every sheet, so the continuation is the series itself
+        poly = solve_sc(*SC_POLYGONS[name])
+        for k in range(len(poly.vertices)):
+            germ = sc_corner_germ(poly, k)
+            ext = build_extension(germ, K=8)
+            assert ext.positive.arc1.exact is None and ext.positive.arc2.exact is None
+            quad = certify_quadratic_domain(ext).quad
+            pts = sample_quadratic_domain(quad, 400, k, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+            assert any(p.phi < 0 for p in pts) and any(p.phi > math.pi for p in pts)
+            got = np.array(ext.evaluate(pts))
+            want = np.array([germ.series.eval_finite(p) for p in pts])
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, (name, k)
+
+
+class TestChiRules:
+    """chi_k by the closed-form descent only when both normalized arcs have a closed form."""
+
+    @staticmethod
+    def _count_newton_solves(monkeypatch, ext):
+        calls = []
+        solve = PowerSeries.newton_inverse
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(PowerSeries, "newton_inverse", counted)
+        pts = sample_quadratic_domain(certify_quadratic_domain(ext).quad, 200, 5, max_abs_arg=0.98 * (2**ext.positive.K - 1) * math.pi)
+        ext.evaluate(pts)
+        for p in pts:
+            ext.evaluate(p)
+        return len(calls)
+
+    def test_an_arc_without_a_closed_form_means_no_newton_solve(self, monkeypatch):
+        # the normalized cusp: its straight arc1 and its arc2 carry only their series; neither twin descends
+        ext = build_extension(TestCertification._cusp_germ(), K=6)
+        assert self._count_newton_solves(monkeypatch, ext) == 0
+
+    def test_two_closed_forms_descend_by_newton_solves(self, monkeypatch):
+        ext = build_extension(TestCurvedArcTower._germ(), K=6)
+        assert self._count_newton_solves(monkeypatch, ext) > 0
+
+
 class TestErrorPaths:
     def test_germ_too_small(self):
         from quasimap.errors import GermTooSmall
@@ -637,9 +692,9 @@ class TestBatchEvaluation:
         for p, got in zip(pts, batch):
             want = ext.evaluate(p)
             assert abs(got - want) <= 4e-15 * abs(want), p
-        # the positive tower takes lists on its own
+        # a list on the positive tower alone gives the same values as within the mixed batch
         upper = [p for p in pts if p._phi_cmp_pi(0) >= 0]
-        assert ext.positive.evaluate(upper) == [v for p, v in zip(pts, batch) if p._phi_cmp_pi(0) >= 0]
+        assert ext.evaluate(upper) == [v for p, v in zip(pts, batch) if p._phi_cmp_pi(0) >= 0]
         assert ext.evaluate([]) == []
 
     def test_a_point_beyond_the_built_sheets_is_named(self, ext):
@@ -693,8 +748,7 @@ class TestPointArrays:
             assert np.array(got).tobytes() == np.array(ext.evaluate(list(arr))).tobytes()
         half = len(fit_samples) // 2
         upper = LPointArray(fit_samples.r[half:], fit_samples.phi_pi[half:], fit_samples.phi_rem[half:])
-        tower = ext.positive
-        assert np.array(tower.evaluate(upper)).tobytes() == np.array(tower.evaluate(list(upper))).tobytes()
+        assert np.array(ext.evaluate(upper)).tobytes() == np.array(ext.evaluate(list(upper))).tobytes()
 
     def test_a_point_outside_is_named(self, ext):
         inside = sample_quadratic_domain(certify_quadratic_domain(ext).quad, 4, 5, max_abs_arg=10 * math.pi)

@@ -3,7 +3,8 @@
 The reference is the chain of nested closures that tower levels used to
 carry: chi_k called phi_k's closed form, which called chi_(k-1)'s, and so on
 down to arc2.  It is rebuilt here from a tower's stored data, and the explicit
-descent must reproduce it bit for bit.
+descent must reproduce it bit for bit.  A tower with an arc that has no closed
+form applies chi_k's series at every level.
 """
 
 import cmath
@@ -27,28 +28,25 @@ K = 8
 
 
 def closure_chain(tower) -> list:
-    """chi_k as the nested closures of the levels' closed forms, or chi_k's series where there is none."""
+    """chi_k as the nested closures of the levels' closed forms, or every chi_k's series when an arc has none."""
     arc1, arc2 = tower.arc1.exact, tower.arc2.exact
+    if arc1 is None or arc2 is None:
+        return [lv.chi.series for lv in tower.levels]
     chain = []
     phi_exact = arc2
     for lv in tower.levels:
-        chi = None
-        if phi_exact is not None:
 
-            def chi(z, _ser=lv.chi.chart, _rev=lv.chi.inverse, _phi=phi_exact):
-                z = complex(z)
-                if z == 0:
-                    return 0j
-                pre = _ser.newton_inverse(z, z0=_rev(z))
-                return complex(_phi(complex(pre).conjugate())).conjugate()
+        def chi(z, _ser=lv.chi.chart, _rev=lv.chi.inverse, _phi=phi_exact):
+            z = complex(z)
+            if z == 0:
+                return 0j
+            pre = _ser.newton_inverse(z, z0=_rev(z))
+            return complex(_phi(complex(pre).conjugate())).conjugate()
 
-        phi_exact = None
-        if chi is not None and arc1 is not None:
+        def phi_exact(z, _c=chi, _a=arc1):
+            return complex(_c(complex(_a(complex(z).conjugate())))).conjugate()
 
-            def phi_exact(z, _c=chi, _a=arc1):
-                return complex(_c(complex(_a(complex(z).conjugate())))).conjugate()
-
-        chain.append(lv.chi.series if chi is None else chi)
+        chain.append(chi)
     return chain
 
 
@@ -82,7 +80,7 @@ def tower_and_chain(case: str):
         tower = build_extension(curved_germ(), K).positive
     elif case == "curved-twin":
         tower = build_extension(curved_germ(), K).negative
-    else:  # arc1 without a closed form: chi_0 keeps arc2's, chi_k >= 1 are series
+    else:  # arc1 without a closed form: every chi_k is its series, chi_0 too
         tower = build_extension(curved_germ(arc1_closed_form=False), K).positive
     return tower, closure_chain(tower)
 
@@ -103,11 +101,12 @@ def test_descent_matches_the_closure_chain_bit_for_bit(u, theta):
             assert bits(tower.chi(j, w)) == bits(complex(chain[j](w))), (case, j, w)
 
 
-def test_cases_cover_the_descent_the_series_and_the_level_0_rule():
+def test_cases_cover_the_descent_and_the_series():
     assert not any(isinstance(c, PowerSeries) for c in tower_and_chain("curved")[1])
-    chain = tower_and_chain("arc1-series")[1]
-    assert not isinstance(chain[0], PowerSeries)
-    assert all(isinstance(c, PowerSeries) for c in chain[1:])
+    tower, chain = tower_and_chain("arc1-series")
+    # arc2 keeps its closed form, yet chi_0 is its series like every other level
+    assert tower.arc2.exact is not None
+    assert all(isinstance(c, PowerSeries) for c in chain)
 
 
 def test_zero_is_fixed_at_every_level():
