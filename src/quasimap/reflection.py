@@ -185,8 +185,7 @@ def build_chi(phi: AnalyticFunc, r: float, order: int = DEFAULT_ORDER) -> Reflec
     if ser.scale > r:
         ser = ser.rescaled(r / 2.0)
     rev = ser.reversion(order=order, out_scale=r / 4.0)
-    chi_series = ser.conjugated().compose(rev, order=order).rescaled(r / 8.0)
-    chi_series.radius = r / 8.0
+    chi_series = ser.conjugated().compose(rev, order=order, radius=r / 8.0).rescaled(r / 8.0)
     return Reflector(ser, rev, chi_series)
 
 
@@ -236,7 +235,9 @@ class ReflectionTower:
         reflected, n, rem = sheet_walk(z, k)
         value = self.germ.eval_lpoint(LPoint(z.r, phi_pi=n, phi_rem=rem) if reflected else z)
         for j in reversed(reflected):
-            require_in_disk(value, self.levels[j].r / 8.0, f"chi_{j} argument at {caller!r}")
+            radius = self.levels[j].r / 8.0
+            if abs(value) >= radius:
+                require_in_disk(value, radius, f"chi_{j} argument at {caller!r}")
             value = complex(self.chi(j, value)).conjugate()
         return value
 
@@ -323,9 +324,8 @@ def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Reflection
         if k < K:
             r_next = r_k / 32.0
             phi_next_series = chi_k.series.conjugated().compose(
-                arc1.series.conjugated().rescaled(min(arc1.series.scale, r_next)), order=order
+                arc1.series.conjugated().rescaled(min(arc1.series.scale, r_next)), order=order, radius=r_next
             )
-            phi_next_series.radius = r_next
             phi_k = AnalyticFunc(phi_next_series)
             r_k = r_next
     return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, order=order, arc1=arc1, arc2=arc2)

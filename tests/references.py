@@ -11,7 +11,7 @@ import numpy as np
 
 from quasimap.errors import ImageEscapesChart, InversionFailure
 from quasimap.exponents import Exponent
-from quasimap.powerseries import AnalyticFunc, require_in_disk
+from quasimap.powerseries import AnalyticFunc, PowerSeries, require_in_disk
 from quasimap.series import zpow
 from quasimap.surface import LPoint
 
@@ -37,6 +37,32 @@ def reflect_across(chart: AnalyticFunc, F):
         return complex(chart(pre.conjugate()))
 
     return reflected
+
+
+def horner_full(f: PowerSeries, z: complex) -> complex:
+    """f(z) by Horner's rule over every stored coefficient, the insignificant tail included."""
+    u = complex(z) / f.scale
+    acc = 0j
+    for c in f.coeffs[::-1]:
+        acc = acc * u + complex(c)
+    return acc
+
+
+def compose_untrimmed(outer: PowerSeries, inner: PowerSeries, order: int) -> np.ndarray:
+    """Coefficients of outer(inner(z)) to z^order on inner's scale, by Horner over every stored coefficient of ``outer``, zeros included."""
+    w = np.zeros(order + 1, dtype=complex)
+    m = min(len(inner.coeffs) - 1, order)
+    w[1 : m + 1] = inner.coeffs[1 : m + 1] / outer.scale
+    acc = np.zeros(order + 1, dtype=complex)
+    for c in outer.coeffs[::-1]:
+        acc = np.convolve(acc, w)[: order + 1]
+        acc[0] += c
+    return acc
+
+
+def absolute(f: PowerSeries) -> PowerSeries:
+    """The series of the coefficients' magnitudes, on the same scale and radius."""
+    return PowerSeries(np.abs(f.coeffs), f.scale, f.radius)
 
 
 def cross_ratio(z1, z2, z3, z4) -> complex:

@@ -33,6 +33,7 @@ from quasimap.series import LogPolynomial, LogPowerSeries
 from quasimap.surface import LPoint
 
 from conftest import EXPONENT_POOL
+from references import compose_untrimmed
 
 
 # -- the normalization chain applied to points and series: the round-trip
@@ -254,6 +255,20 @@ class TestNormalizeCorner:
         # arc1 stays the negative real axis; chain is the identity up to sign
         z = 0.01 + 0.02j
         assert abs(inverse_point(chain, forward_point(chain, z, cmath.phase(z))) - z) < 1e-12
+
+    def test_curved_arc2_is_straightened_by_every_term_that_counts(self):
+        # arc1's inverse chart is trusted on |c_1|/4 = 0.25 only, and arc2 maps its unit disk past that, so the
+        # composition must keep the inverse chart's terms that count at arc2's reach, not only those on its own disk
+        arc1, arc2 = PuiseuxArc([0, -1, 0.3j, 0.1]), PuiseuxArc([0, -1j, 0.2, 0.05j])
+        norm, chain = normalize_corner(CornerSpec(arc1, arc2, 0j, Exponent(Fraction(1, 2)), tangent_lift=math.pi))
+        assert chain.m1 == 1 and chain.m2 == 1
+        phi2 = PowerSeries.from_unscaled(arc2.coeffs, radius=arc2.rho)
+        assert float(np.sum(np.abs(phi2.coeffs))) > chain.rev1.radius
+        # m1 = m2 = 1: arc2 is straightened by -rev1 alone, composed to the default order 30
+        ref = -compose_untrimmed(chain.rev1, phi2, 30)
+        got = norm.arc2.series
+        assert got.scale == phi2.scale and got.radius == arc2.rho
+        assert np.max(np.abs(got.coeffs[:31] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_cusp_arc_multiplicity_divides_angle(self):
         cusp = PuiseuxArc([0, 0, 1, 1j])  # (t^2, t^3) graph as t^2 + i t^3

@@ -1,11 +1,13 @@
 """Property tests for series reversion, composition and powers.
 
 The fixed-point sweep that reversion used before Lagrange inversion is kept
-here as the reference, and so is composition without dropping exact-zero top
-coefficients.  Evaluation stops at the last nonzero coefficient, so a
-zero-tailed series must evaluate exactly like the same series without its
-tail.  The plain reciprocal recurrence is the reference for series_power at
-p = -1, and exact binomial coefficients for the powers of b + u.
+here as the reference, and composition by Horner's rule over every stored
+coefficient (tests/references.py) is the one for ``compose``.  Evaluation
+stops at the last significant coefficient: a zero-tailed series must evaluate exactly like the same series without its
+tail, and on a chart of finite radius the cut must stay within its bound of
+full-length Horner (tests/references.py) on the trusted disk.  The plain
+reciprocal recurrence is the reference for series_power at p = -1, and exact
+binomial coefficients for the powers of b + u.
 """
 
 import cmath
@@ -17,8 +19,9 @@ import mpmath
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from references import absolute, compose_untrimmed, horner_full
 
-from quasimap.powerseries import PowerSeries, series_power
+from quasimap.powerseries import TAIL_TOL, PowerSeries, series_power
 
 
 def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = None) -> PowerSeries:
@@ -42,18 +45,6 @@ def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = Non
             break
         g = g_new
     return PowerSeries(g * f.scale, out_abs, out_abs)
-
-
-def compose_untrimmed(outer: PowerSeries, inner: PowerSeries, order: int) -> np.ndarray:
-    """Horner over every stored coefficient of ``outer``, zeros included."""
-    w = np.zeros(order + 1, dtype=complex)
-    m = min(len(inner.coeffs) - 1, order)
-    w[1 : m + 1] = inner.coeffs[1 : m + 1] / outer.scale
-    acc = np.zeros(order + 1, dtype=complex)
-    for c in outer.coeffs[::-1]:
-        acc = np.convolve(acc, w)[: order + 1]
-        acc[0] += c
-    return acc
 
 
 small = st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False)
@@ -105,6 +96,78 @@ def test_compose_ignores_zero_top_coefficients(outer, inner, order, zeros):
     got = padded.compose(inner, order=order).coeffs
     assert got.tobytes() == compose_untrimmed(padded, inner, order).tobytes()
     assert got.tobytes() == outer.compose(inner, order=order).coeffs.tobytes()
+
+
+@st.composite
+def disk_charts(draw):
+    """Charts c_1 x + sum_(n>=2) a_n q^(n-1) x^n, |a_n| <= 1, trusted on rho * scale.
+
+    |c_1| is in [0.5, 2], q in [0.01, 0.6] and rho in [0.25, 1], so the
+    scaled coefficients fall off geometrically on the disk and the
+    significance cut drops a tail of most of them.
+    """
+    c1 = draw(st.floats(0.5, 2.0)) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    a = draw(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=10, max_size=60))
+    q = draw(st.floats(0.01, 0.6))
+    scale = draw(st.floats(0.01, 100.0))
+    rho = draw(st.floats(0.25, 1.0))
+    head = [c * q ** (n + 1) for n, c in enumerate(a)]
+    return PowerSeries([0.0, c1] + head, scale=scale, radius=rho * scale)
+
+
+def dropped_tail(f: PowerSeries, m: int) -> float:
+    """sum_(n>m) |c_n| rho^(n-1) over every stored coefficient, rho = radius/scale."""
+    rho = f.radius / f.scale
+    return math.fsum(abs(c) * rho ** (n - 1) for n, c in enumerate(f.coeffs) if n > m)
+
+
+@given(f=disk_charts(), us=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4), theta=st.floats(-math.pi, math.pi))
+def test_cut_is_within_its_bound_of_full_length_horner_on_the_disk(f, us, theta):
+    t = f.top()
+    c1 = abs(f.coeffs[1])
+    # the smallest index whose dropped tail is below TAIL_TOL |c_1| on the disk
+    assert dropped_tail(f, t) <= TAIL_TOL * c1 * (1 + 1e-12)
+    assert t == 1 or dropped_tail(f, t - 1) > TAIL_TOL * c1 * (1 - 1e-12)
+    rho = f.radius / f.scale
+    for u in us:
+        z = cmath.rect(u * f.radius, theta)
+        size = math.fsum(abs(c) * (u * rho) ** n for n, c in enumerate(f.coeffs))
+        # the tail bound, plus the rounding of two Horner runs over at most 62 terms
+        assert abs(f(z) - horner_full(f, z)) <= TAIL_TOL * c1 * rho + 1e-14 * size
+
+
+@given(f=disk_charts(), pad=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12), u=st.floats(0.0, 0.999),
+       theta=st.floats(-math.pi, math.pi))
+def test_tail_padded_below_the_cut_changes_nothing(f, pad, u, theta):
+    t = f.top()
+    rho = f.radius / f.scale
+    # appended terms whose weighted sum is below 1e-30 |c_1|: the cut cannot move
+    tail = [1e-30 * x * abs(f.coeffs[1]) / len(pad) / rho ** (len(f.coeffs) + i - 1) for i, x in enumerate(pad)]
+    padded = PowerSeries(np.concatenate([f.coeffs, tail]), f.scale, f.radius)
+    assert padded.top() == t
+    z = cmath.rect(u * f.radius, theta)
+    for x in (z, np.array([z, 0.5 * z, -z, 0j])):
+        assert bits(padded(x)) == bits(f(x))
+        assert bits(padded.eval_deriv(x)) == bits(f.eval_deriv(x))
+    # an inner series that maps its disk into half of f's, where f's cut holds
+    inner = PowerSeries([0.0, 0.4 * f.radius, 0.1j * f.radius], scale=f.radius, radius=f.radius)
+    assert padded.compose(inner, order=12).coeffs.tobytes() == f.compose(inner, order=12).coeffs.tobytes()
+
+
+@given(outer=disk_charts(), inner=charts(), order=st.integers(1, 40))
+def test_compose_of_a_cut_series_matches_untrimmed_horner(outer, inner, order):
+    # on |z| < inner.scale the inner series reaches inside the outer's disk or past it, and the cut must hold either way
+    got = outer.compose(inner, order=order, radius=inner.scale).coeffs
+    size = compose_untrimmed(absolute(outer), absolute(inner), order).real
+    assert np.max(np.abs(got - compose_untrimmed(outer, inner, order))) <= 1e-14 * np.max(size)
+
+
+@given(f=disk_charts(), order=st.integers(1, 40))
+def test_reversion_of_a_cut_chart_matches_the_untrimmed_sweep(f, order):
+    got = f.reversion(order=order)
+    ref = reversion_by_sweep(f, order)
+    assert (got.scale, got.radius) == (ref.scale, ref.radius)
+    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
 
 
 def bits(values) -> bytes:

@@ -492,7 +492,7 @@ class TestCurvedArcTower:
     reflectors, and still a closed-form continuation to check against."""
 
     @staticmethod
-    def _germ(alpha=Fraction(2, 3)):
+    def _germ(alpha=Fraction(2, 3), order=40):
         import cmath as _cm
         from quasimap.series import zpow
 
@@ -511,7 +511,7 @@ class TestCurvedArcTower:
         arc2 = AnalyticFunc.from_callable(
             lambda z, r=rot: r * np.asarray(z, dtype=complex) / (1 - r * np.asarray(z, dtype=complex)),
             radius=0.8,
-            order=40,
+            order=order,
         )
         return MapGerm(
             eval_complex=None,
@@ -542,6 +542,14 @@ class TestCurvedArcTower:
         tower = build_tower(germ, K=3)
         quad_term = tower.levels[0].chi.series.coeffs[2]
         assert abs(quad_term) > 1e-6  # not a pure rotation
+
+    def test_orders_40_and_80_keep_the_same_significant_terms(self):
+        # each level's disk is 32 times smaller, so its charts need ever fewer terms, and none needs more than 40
+        towers = [build_tower(self._germ(order=order), K=8, order=order) for order in (40, 80)]
+        tops = [[(lv.chi.chart.top(), lv.chi.inverse.top(), lv.chi.series.top()) for lv in t.levels] for t in towers]
+        assert tops[0] == tops[1]
+        assert max(max(level) for level in tops[0]) < 40
+        assert [max(level) for level in tops[0]] == sorted((max(level) for level in tops[0]), reverse=True)
 
     def test_expansion_is_the_geometric_lattice(self):
         germ = self._germ()
