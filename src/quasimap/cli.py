@@ -3,9 +3,9 @@
 Each run writes report.json (sorted keys, embedded config hash and package
 version), samples.csv, and plot.svg into the output directory and returns a
 conventional exit code: 0 pass, 2 certificate failure or dichotomy violation,
-3 solver nonconvergence, 4 bad input.  Every exit but a missing command
-writes a report.json whose status names the outcome (bad input: "bad-input"
-with the reason), as long as the output directory is writable.
+3 solver nonconvergence, 4 bad input (a refused flag too).  Every exit but a
+missing command writes a report.json whose status names the outcome (bad
+input: "bad-input" with the reason), as long as the output directory is writable.
 
 Outputs are byte-identical across repeated runs with the same config: all
 sampling is seeded, keys are sorted, and the SVG emitter is deterministic.
@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -69,7 +69,6 @@ class JobConfig:
     shells: int = 12
     tol: float = 1e-6
     seed: int = 0
-    precision: int = 40
     alpha: str | None = None
     series: str | None = None
     angle_class: str | None = None
@@ -78,8 +77,6 @@ class JobConfig:
         """Raise ValueError naming the limit a field breaks."""
         if self.K < 0:
             raise ValueError(f"--K must be >= 0, got {self.K}")
-        if self.precision < 1:
-            raise ValueError(f"--precision must be >= 1, got {self.precision}")
         if self.shells < 1:
             raise ValueError(f"--shells must be >= 1, got {self.shells}")
         if self.R is not None and not (math.isfinite(self.R) and self.R > 0):
@@ -150,12 +147,16 @@ def run(config: JobConfig) -> int:
         print(f"solver nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (OSError, ValueError, KeyError, json.JSONDecodeError, InvalidAngles, QuasimapError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        try:
-            _emit(config, {"status": "bad-input", "reason": str(exc)})
-        except OSError as write_error:
-            print(f"no report written: {write_error}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _bad_input(config, exc)
+
+
+def _bad_input(config: JobConfig, exc: Exception) -> int:
+    print(f"bad input: {exc}", file=sys.stderr)
+    try:
+        _emit(config, {"status": "bad-input", "reason": str(exc)})
+    except OSError as write_error:
+        print(f"no report written: {write_error}", file=sys.stderr)
+    return EXIT_BAD_INPUT
 
 
 def _load_json(path: str | None) -> dict:
@@ -238,7 +239,7 @@ def _model_setup(config: JobConfig):
     if config.alpha is None:
         raise ValueError("--alpha is required (e.g. 1/2, sqrt2, golden)")
     alpha = parse_exponent(config.alpha)
-    ext = build_extension(model_corner_germ(alpha), K=config.K, order=config.precision)
+    ext = build_extension(model_corner_germ(alpha), K=config.K)
     return alpha, ext, certify_quadratic_domain(ext)
 
 
@@ -360,9 +361,16 @@ def _run_dichotomy(config: JobConfig) -> tuple[dict, list, str]:
     return report, samples, svg_plot([], title="dichotomy check")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError, naming the flag, where argparse exits 2, the certificate-failure code."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Flags named after the JobConfig fields; a flag left out keeps the field's default."""
-    ap = argparse.ArgumentParser(prog="quasimap", description=__doc__, argument_default=argparse.SUPPRESS)
+    ap = _Parser(prog="quasimap", description=__doc__, argument_default=argparse.SUPPRESS)
     ap.add_argument("command", nargs="?", help="analyze | sc-solve | continue | expand | verify | dichotomy")
     ap.add_argument("--input", help="input JSON path")
     ap.add_argument("--out", help="output directory")
@@ -371,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--shells", type=int, help="number of sampling shells")
     ap.add_argument("--tol", type=float, help="certificate tolerance")
     ap.add_argument("--seed", type=int, help="sampling seed")
-    ap.add_argument("--precision", type=int, help="chart series order")
     ap.add_argument("--alpha", help="angle/pi, e.g. 1/2, sqrt2, golden")
     ap.add_argument("--series", help="series JSON path (verify/dichotomy)")
     ap.add_argument("--angle-class", help="rational | irrational")
@@ -379,11 +386,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    try:
+        args = vars(build_parser().parse_args(argv))
+    except argparse.ArgumentError as exc:
+        return _bad_input(_report_config(argv), exc)
     if "command" not in args:
         print("missing command", file=sys.stderr)
         return EXIT_BAD_INPUT
     return run(JobConfig(**args))
+
+
+def _report_config(argv) -> JobConfig:
+    """The command and --out of a refused command line, every flag read as plain text, for its bad-input report."""
+    ap = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    ap.add_argument("command", nargs="?")
+    for field in fields(JobConfig)[1:]:
+        ap.add_argument("--" + field.name.replace("_", "-"))
+    try:
+        args = vars(ap.parse_known_args(argv)[0])
+    except argparse.ArgumentError:  # a flag without its value
+        args = {}
+    return JobConfig(command=args.get("command"), out=args.get("out", JobConfig.out))
 
 
 if __name__ == "__main__":

@@ -108,27 +108,17 @@ class CornerSpec:
     measured from the tangents and snapped to the rational p/q with q <= 720
     within 1e-12, where one lies that close, else kept as the measured float.
     The angle is measured counterclockwise from arc1 to arc2 through the
-    interior; ``tangent_lift`` optionally pins the lifted direction of arc1
-    (defaults to its principal argument).
+    interior, from arc1's tangent at its principal argument.
     """
 
     arc1: PuiseuxArc
     arc2: PuiseuxArc
     vertex: complex = 0j
     interior_angle: object = None  # Exponent | float; None is measured
-    tangent_lift: float | None = None
 
     def __post_init__(self):
         if self.interior_angle is None:
             self.interior_angle = _snap_rational_angle(measured_angle_over_pi(self.arc1, self.arc2))
-
-    @property
-    def theta1(self) -> float:
-        return self.arc1.tangent_arg() if self.tangent_lift is None else self.tangent_lift
-
-    @property
-    def theta2(self) -> float:
-        return self.theta1 + value_of(self.interior_angle) * math.pi
 
 
 def angle_json(angle) -> object:
@@ -343,13 +333,11 @@ def _arcs_glue_analytically(arc1: PuiseuxArc, arc2: PuiseuxArc) -> bool:
 
 @dataclass
 class AnalyticCorner:
-    """Regular-arc corner: arc1 inside R_{<=0}, exact angle, lifted tangents."""
+    """Regular-arc corner: arc1 inside R_{<=0}, exact angle."""
 
     arc1: AnalyticFunc
     arc2: AnalyticFunc
     angle: object  # Exponent | float
-    theta1: float
-    theta2: float
 
     @property
     def angle_radians(self) -> float:
@@ -363,13 +351,12 @@ class TransformChain:
     inverse:  w3 ->  ( phi1_root( -(rho^(-1) w3)^(m2) ) )^(m1)
     """
 
-    def __init__(self, m1: int, m2: int, phi1_root: PowerSeries, rev1: PowerSeries, rho: complex, theta1: float, original_angle):
+    def __init__(self, m1: int, m2: int, phi1_root: PowerSeries, rev1: PowerSeries, rho: complex, original_angle):
         self.m1 = int(m1)
         self.m2 = int(m2)
         self.phi1_root = phi1_root
         self.rev1 = rev1
         self.rho = complex(rho)
-        self.theta1 = float(theta1)
         self.original_angle = exact_or_float(original_angle)
 
     @property
@@ -380,7 +367,11 @@ class TransformChain:
         return self.final_angle * (self.m1 * self.m2) == self.original_angle
 
 
-def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorner, TransformChain]:
+# order of the root, reversion and composition series of the normalization
+NORMALIZE_ORDER = 30
+
+
+def normalize_corner(corner: CornerSpec) -> tuple[AnalyticCorner, TransformChain]:
     """Reduce a Puiseux corner to an analytic corner (Definition-style regular arcs).
 
     Returns the normalized corner and the transform chain realizing it.  The
@@ -392,30 +383,27 @@ def normalize_corner(corner: CornerSpec, order: int = 30) -> tuple[AnalyticCorne
     m1 = corner.arc1.multiplicity
     arc2 = corner.arc2.reparametrized_power(m1) if m1 > 1 else corner.arc2
     m2 = arc2.multiplicity // m1 if m1 > 1 else arc2.multiplicity
-    theta1 = corner.theta1
-    theta2 = corner.theta2
+    theta1 = corner.arc1.tangent_arg()
+    theta2 = theta1 + value_of(angle) * math.pi
 
     # step 1: m1-th root of both arcs
-    phi1_root = _arc_root(corner.arc1, m1, theta1, order)
-    phi2_root = _arc_root(arc2, m1, theta2, order)  # multiplicity m2 now
+    phi1_root = _arc_root(corner.arc1, m1, theta1, NORMALIZE_ORDER)
+    phi2_root = _arc_root(arc2, m1, theta2, NORMALIZE_ORDER)  # multiplicity m2 now
 
     # step 2: straighten arc1 with the inverse chart of phi1_root
-    rev1 = phi1_root.reversion(order=order, out_scale=None)
+    rev1 = phi1_root.reversion(order=NORMALIZE_ORDER, out_scale=None)
     _check_reversion_converges(rev1)
-    arc2_straight = rev1.compose(phi2_root, order=order).scaled_by(-1.0)
+    arc2_straight = rev1.compose(phi2_root, order=NORMALIZE_ORDER).scaled_by(-1.0)
 
     # step 3: m2-th root and rotation back onto R_{<=0}
     theta2_here = theta2 / m1 - theta1 / m1 + math.pi  # lifted tangent of arc2_straight
-    arc2_series = _series_root(arc2_straight, m2, theta2_here, order)
+    arc2_series = _series_root(arc2_straight, m2, theta2_here, NORMALIZE_ORDER)
     rho = cmath.exp(1j * math.pi * (1.0 - 1.0 / m2)) if m2 > 1 else 1.0 + 0j
     arc2_series = arc2_series.scaled_by(rho)
 
-    chain = TransformChain(m1, m2, phi1_root, rev1, rho, theta1, angle)
-    final_angle = chain.final_angle
-    theta2_final = math.pi + value_of(final_angle) * math.pi
+    chain = TransformChain(m1, m2, phi1_root, rev1, rho, angle)
     arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius))
-    arc2_norm = AnalyticFunc(arc2_series)
-    normalized = AnalyticCorner(arc1_norm, arc2_norm, final_angle, math.pi, theta2_final)
+    normalized = AnalyticCorner(arc1_norm, AnalyticFunc(arc2_series), chain.final_angle)
     return normalized, chain
 
 

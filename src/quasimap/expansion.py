@@ -59,10 +59,6 @@ class ExpansionModel:
     max_log_degree: int = 0
     guard_terms: int = 3
 
-    def lattice(self, upto: float | None = None) -> list[Exponent]:
-        limit = self.R if upto is None else upto
-        return self._below(self._scan(limit), limit)
-
     def _scan(self, limit: float) -> list[tuple[float, int, int]]:
         """The lattice up to ``limit`` on floats: (i + j alpha, i, j) for each
         pair with j >= 1 and i + j alpha <= limit + 1e-12."""
@@ -113,10 +109,6 @@ class ExpansionModel:
         """
         pairs = self._scan(self._horizon())
         return self._below(pairs, self.R), self._guard(pairs)
-
-    def guard_band(self) -> list[Exponent]:
-        """First few lattice points beyond R (tail absorbers for the fit)."""
-        return self._guard(self._scan(self._horizon()))
 
     def _horizon(self) -> float:
         return self.R + self.guard_terms * max(self.alpha.value(), 1.0) + 2.0
@@ -452,12 +444,8 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
     """
     a = Exponent.coerce(alpha)
     av = a.value()
-    model = ExpansionModel(a, R, guard_terms=1)
-    if series is not None and series.terms:
-        beyond = [e.value() for e in series.terms if e.value() > R + 1e-12]
-        nxt = min(beyond) if beyond else model.guard_band()[0].value()
-    else:
-        nxt = model.guard_band()[0].value()
+    beyond = [] if series is None else [e.value() for e in series.terms if e.value() > R + 1e-12]
+    nxt = min(beyond) if beyond else ExpansionModel(a, R, guard_terms=1).basis_exponents()[1][0].value()
     S = 0.5 * (R + nxt)
     m = int(math.floor(2.0 * R / av)) + 1
     while m * av / 2.0 <= R:

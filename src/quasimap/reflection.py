@@ -29,17 +29,17 @@ either arc has none, every chi_k is its series.
 
 Negative arguments are reached by running the same construction on the
 mirrored germ  z -> conj(Phi(-conj z))  with the two arcs swapped and
-conjugated, gluing along (r, phi) -> (r, pi - phi).
+conjugated, gluing along (r, phi) -> (r, pi - phi), which ``LPoint.mirrored``
+and ``LPointArray.mirrored`` form on the exact multiple of pi.
 
 ``Extension.evaluate`` is the one evaluator.  It unwinds a point on the tower
 of its argument's sign: the argument phi = n pi + rem is walked down the
 levels by the tau_k, the germ is evaluated on T_0 and the recorded chi_k are
 applied on the way back up.  One point is walked on exact Python ints.  An
 ``LPointArray``, or a list of points made into one, is walked as arrays, one
-int64 walk per tower, with the germ evaluated on arrays when it has
-``eval_array`` and each chi_k applied to all the points it reflects at once;
-a list whose multiples or sector indices leave what int64 holds exactly goes
-point by point instead.
+int64 walk per tower, with one germ call on all the walked points and each
+chi_k applied to all the points it reflects at once; a list whose multiples
+or sector indices leave what int64 holds exactly goes point by point instead.
 
 Since t_k decays at the exact geometric rate (32*4)^(1/alpha) per level, the
 union of the sector balls contains a region r < c exp(-C sqrt|phi|): a
@@ -77,13 +77,12 @@ DEFAULT_ORDER = 40
 class MapGerm:
     """Boundary-matched germ on the closed upper half plane near 0.
 
-    ``eval_lpoint`` takes log-surface points with arg in [0, pi] (keeping
-    closed-form models branch-exact) and is how the tower evaluates the germ.
-    The optional ``eval_array`` is the map on an ``LPointArray``; a tower
-    unwinding a list uses it when set and ``eval_lpoint`` point by point
-    otherwise.  ``growth`` is E in the certified bound |Phi(z)| <= E |z|^alpha
-    for |z| < t_bar.  ``series`` is the germ's generalized power series when
-    it was built by :meth:`from_series`.  ``eval_complex`` is read by nothing
+    ``eval_lpoint`` is the one germ evaluator: it takes an ``LPoint`` with arg
+    in [0, pi] to a complex value, and an ``LPointArray`` of such points to a
+    complex array (through ``p.log()``, which both have, closed-form models
+    stay branch-exact on either).  ``growth`` is E in the certified bound
+    |Phi(z)| <= E |z|^alpha for |z| < t_bar.  ``series`` is the germ's
+    generalized power series when it was built by :meth:`from_series`.  ``eval_complex`` is read by nothing
     and may be None.
     """
 
@@ -95,7 +94,6 @@ class MapGerm:
     arc2: AnalyticFunc
     eval_lpoint: object
     label: str = ""
-    eval_array: object = None
     series: LogPowerSeries | None = None
 
     @classmethod
@@ -113,23 +111,19 @@ class MapGerm:
         if growth is None:
             growth = _ladder_growth(series, alpha, t_bar)
         return cls(eval_complex=None, t_bar=t_bar, alpha=alpha, growth=growth, arc1=arc1, arc2=arc2,
-                   eval_lpoint=series.eval_finite, label=label, eval_array=series.eval_finite, series=series)
+                   eval_lpoint=series.eval_finite, label=label, series=series)
 
     @property
     def alpha_value(self) -> float:
         return value_of(self.alpha)
 
     def mirrored(self) -> "MapGerm":
-        """Germ z -> conj(Phi(-conj z)) with swapped, conjugated arcs."""
-        inner_l, inner_a = self.eval_lpoint, self.eval_array
+        """Germ z -> conj(Phi(-conj z)) with swapped, conjugated arcs, on points and arrays alike."""
+        inner = self.eval_lpoint
 
-        def mirror_l(z: LPoint) -> complex:
-            flipped = LPoint(z.r, phi_pi=1 - z.phi_pi, phi_rem=-z.phi_rem)
-            return complex(inner_l(flipped)).conjugate()
-
-        def mirror_a(z: LPointArray) -> np.ndarray:
-            # the mirror is formed on the exact multiple, 1 - n, before any float
-            return np.conj(inner_a(LPointArray(z.r, 1 - z.phi_pi, -z.phi_rem)))
+        def mirror(z):
+            value = inner(z.mirrored())
+            return complex(value).conjugate() if isinstance(z, LPoint) else np.conj(value)
 
         return MapGerm(
             eval_complex=None,
@@ -138,9 +132,8 @@ class MapGerm:
             growth=self.growth,
             arc1=self.arc2.conjugated(),
             arc2=self.arc1.conjugated(),
-            eval_lpoint=mirror_l,
+            eval_lpoint=mirror,
             label=self.label + "*",
-            eval_array=None if inner_a is None else mirror_a,
         )
 
 
@@ -211,7 +204,6 @@ class ReflectionTower:
     levels: list  # list[TowerLevel]
     r0: float
     alpha: float
-    order: int
     arc1: AnalyticFunc
     arc2: AnalyticFunc
 
@@ -245,18 +237,14 @@ class ReflectionTower:
         """Phi_k at points (r, n pi + rem) of levels k, as arrays, in one walk.
 
         Every argument is walked down to T_0 at once and the germ evaluated
-        there, on arrays when it has ``eval_array`` and point by point
-        otherwise; then the recorded chi_j are applied level by level, j = 0,
-        1, ..., each to all the points it reflects in one call.  A point's
-        reflecting levels rise on the way up, so this keeps each point's
-        order.  ``callers[side[i]]`` is point i as the caller gave it, for errors.
+        there in one call on the walked LPointArray; then the recorded chi_j
+        are applied level by level, j = 0, 1, ..., each to all the points it
+        reflects in one call.  A point's reflecting levels rise on the way up,
+        so this keeps each point's order.  ``callers[side[i]]`` is point i as
+        the caller gave it, for errors.
         """
         reflected, n, rem = sheet_walk_array(n, rem, k)
-        germ, walked = self.germ, LPointArray(r, n, rem)
-        if germ.eval_array is not None:
-            values = germ.eval_array(walked)
-        else:
-            values = np.array([germ.eval_lpoint(p) for p in walked], dtype=complex)
+        values = np.asarray(self.germ.eval_lpoint(LPointArray(r, n, rem)), dtype=complex)
         for j, idx in reversed(reflected):
             w = values[idx]
             radius = self.levels[j].r / 8.0
@@ -328,7 +316,7 @@ def build_tower(germ: MapGerm, K: int, order: int = DEFAULT_ORDER) -> Reflection
             )
             phi_k = AnalyticFunc(phi_next_series)
             r_k = r_next
-    return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, order=order, arc1=arc1, arc2=arc2)
+    return ReflectionTower(germ=germ, levels=levels, r0=r0, alpha=alpha, arc1=arc1, arc2=arc2)
 
 
 def _max_tower_depth(r0: float, E: float, alpha: float) -> int:
@@ -386,7 +374,7 @@ class Extension:
     def _place(self, p: LPoint):
         """The tower that evaluates p, the point it sees there and its level; raises for a point outside."""
         if p._phi_cmp_pi(0) < 0:
-            q = LPoint(p.r, phi_pi=1 - p.phi_pi, phi_rem=-p.phi_rem)
+            q = p.mirrored()
             return self.negative, q, self.negative._level(q, p)
         return self.positive, p, self.positive._level(p, p)
 
@@ -436,6 +424,7 @@ class Extension:
             idx = np.flatnonzero(on_side)
             if not len(idx):
                 continue
+            # the mirror on the int64 slices: LPointArray.mirrored would refuse 1 - n = 2^60
             n_side, rem_side = (1 - n[idx], -rem[idx]) if tower is self.negative else (n[idx], rem[idx])
             k = sector_index_array(n_side, rem_side, min(tower.K, ARRAY_LEVEL_LIMIT))
             if tower.K > ARRAY_LEVEL_LIMIT and (k > ARRAY_LEVEL_LIMIT).any():

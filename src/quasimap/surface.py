@@ -91,8 +91,9 @@ class LPoint:
     def log(self) -> complex:
         return complex(math.log(self.r), self.phi)
 
-    def conj(self) -> "LPoint":
-        return LPoint(self.r, phi_pi=-self.phi_pi, phi_rem=-self.phi_rem)
+    def mirrored(self) -> "LPoint":
+        """The point (r, pi - phi), formed on the exact multiple: n pi + rem -> (1 - n) pi - rem."""
+        return LPoint(self.r, phi_pi=1 - self.phi_pi, phi_rem=-self.phi_rem)
 
     def __repr__(self):
         if self.phi_rem == 0.0:
@@ -175,6 +176,10 @@ class LPointArray:
     def log(self) -> np.ndarray:
         """log z of every point, as :func:`log_array` forms it."""
         return log_array(self.r, self.phi)
+
+    def mirrored(self) -> "LPointArray":
+        """:meth:`LPoint.mirrored` of every point; a multiple 1 - n of 2^60 is refused as any other."""
+        return LPointArray(self.r, 1 - self.phi_pi, -self.phi_rem)
 
 
 # -- sectors ---------------------------------------------------------------------

@@ -233,11 +233,6 @@ class TestPlumbing:
         assert main(["expand", "--alpha", "1/2", "--K", "-1", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         assert "--K must be >= 0" in capsys.readouterr().err
 
-    def test_zero_precision_exits_4(self, tmp_path, capsys):
-        code = run(JobConfig(command="continue", alpha="1/2", K=2, precision=0, out=str(tmp_path / "out")))
-        assert code == EXIT_BAD_INPUT
-        assert "--precision must be >= 1" in capsys.readouterr().err
-
     def test_depth_beyond_the_ladder_exits_4(self, tmp_path, capsys):
         # t_K of the alpha = 1/2 ladder leaves the normal doubles after K = 72
         assert main(["expand", "--alpha", "1/2", "--K", "80", "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
@@ -295,6 +290,33 @@ class TestBadInput:
         # strict JSON: a non-finite flag such as --tol nan is written as its string
         report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=pytest.fail)
         assert report["status"] == "bad-input" and message in report["reason"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["expand", "--alpha", "1/2", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["expand", "--alpha", "1/2", "--precision", "5"], "unrecognized arguments: --precision 5"),
+            (["expand", "--alpha", "1/2", "--K", "abc"], "argument --K: invalid int value: 'abc'"),
+            (["--K", "abc", "expand", "--alpha", "1/2"], "argument --K: invalid int value: 'abc'"),
+        ],
+    )
+    def test_a_flag_the_parser_refuses_exits_4(self, argv, message, tmp_path, monkeypatch, capsys):
+        # not argparse's exit 2, the certificate-failure code: a bad-input report, at --out or at the default out
+        monkeypatch.chdir(tmp_path)
+        for out in (str(tmp_path / "given"), "out"):
+            assert main(argv + (["--out", out] if out != "out" else [])) == EXIT_BAD_INPUT
+            assert f"bad input: {message}" in capsys.readouterr().err
+            report = json.loads((tmp_path / out / "report.json").read_text())
+            assert report["status"] == "bad-input" and report["reason"] == message
+            assert report["config"]["command"] == "expand" and report["config"]["out"] == out
+
+    def test_help_exits_0_and_a_missing_command_4_without_a_report(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0 and "--precision" not in capsys.readouterr().out
+        assert main(["--K", "3"]) == EXIT_BAD_INPUT
+        assert "missing command" in capsys.readouterr().err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, data, message",

@@ -248,7 +248,7 @@ def test_domain_json_roundtrip(domain):
 
 class TestNormalizeCorner:
     def test_regular_straight_corner_is_near_fixed_point(self):
-        corner = CornerSpec(segment_arc(-1.0), segment_arc(-1j), 0j, Exponent(Fraction(1, 2)), tangent_lift=math.pi)
+        corner = CornerSpec(segment_arc(-1.0), segment_arc(-1j), 0j, Exponent(Fraction(1, 2)))
         norm, chain = normalize_corner(corner)
         assert chain.m1 == 1 and chain.m2 == 1
         assert norm.angle == Exponent(Fraction(1, 2))
@@ -260,11 +260,11 @@ class TestNormalizeCorner:
         # arc1's inverse chart is trusted on |c_1|/4 = 0.25 only, and arc2 maps its unit disk past that, so the
         # composition must keep the inverse chart's terms that count at arc2's reach, not only those on its own disk
         arc1, arc2 = PuiseuxArc([0, -1, 0.3j, 0.1]), PuiseuxArc([0, -1j, 0.2, 0.05j])
-        norm, chain = normalize_corner(CornerSpec(arc1, arc2, 0j, Exponent(Fraction(1, 2)), tangent_lift=math.pi))
+        norm, chain = normalize_corner(CornerSpec(arc1, arc2, 0j, Exponent(Fraction(1, 2))))
         assert chain.m1 == 1 and chain.m2 == 1
         phi2 = PowerSeries.from_unscaled(arc2.coeffs, radius=arc2.rho)
         assert float(np.sum(np.abs(phi2.coeffs))) > chain.rev1.radius
-        # m1 = m2 = 1: arc2 is straightened by -rev1 alone, composed to the default order 30
+        # m1 = m2 = 1: arc2 is straightened by -rev1 alone, composed to NORMALIZE_ORDER = 30
         ref = -compose_untrimmed(chain.rev1, phi2, 30)
         got = norm.arc2.series
         assert got.scale == phi2.scale and got.radius == arc2.rho

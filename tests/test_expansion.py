@@ -39,7 +39,7 @@ def pointwise(fn):
 
 
 def lattice_values(model):
-    return [e.value() for e in model.lattice()]
+    return [e.value() for e in model.basis_exponents()[0]]
 
 
 class TestModel:
@@ -56,16 +56,17 @@ class TestModel:
 
     def test_guard_band_is_beyond_R(self):
         m = ExpansionModel(Exponent(Fraction(1, 2)), R=1.0, guard_terms=3)
-        assert all(e.value() > 1.0 for e in m.guard_band())
-        assert len(m.guard_band()) == 3
+        guard = m.basis_exponents()[1]
+        assert all(e.value() > 1.0 for e in guard)
+        assert len(guard) == 3
 
     @pytest.mark.parametrize("alpha", [Exponent(Fraction(1, 3)), Exponent(Fraction(3, 2)), SQRT2])
     def test_a_fit_scans_the_lattice_once(self, alpha, monkeypatch):
         model = ExpansionModel(alpha, R=3 * alpha.value())
         # the basis from the one scan: the lattice up to R and the first exponents past it of a full exact scan
         assert model.basis_exponents() == reference_basis(model)
-        wide = model.lattice(upto=model.R + model.guard_terms * max(alpha.value(), 1.0) + 2.0)
-        assert model.basis_exponents() == (model.lattice(), [e for e in wide if e.value() > model.R + 1e-12][:3])
+        wide = ExpansionModel(alpha, R=model.R + model.guard_terms * max(alpha.value(), 1.0) + 2.0).basis_exponents()[0]
+        assert model.basis_exponents()[1] == [e for e in wide if e.value() > model.R + 1e-12][:3]
         scans = []
         scan = ExpansionModel._scan
         monkeypatch.setattr(ExpansionModel, "_scan", lambda self, *limits: scans.append(limits) or scan(self, *limits))
@@ -114,8 +115,6 @@ class TestFloatFirstScan:
                 model = ExpansionModel(alpha, R, guard_terms=guard_terms)
                 want = reference_basis(model)
                 assert model.basis_exponents() == want, (R, guard_terms)
-                assert model.guard_band() == want[1]
-                assert model.lattice() == want[0]
 
     def test_irrational_near_ties(self):
         # float values that coincide for distinct exponents, and horizons at a lattice float
@@ -184,7 +183,7 @@ class TestFit:
         model = ExpansionModel(Exponent(Fraction(1, 2)), R=1.5, guard_terms=6)
         plan = SamplingPlan(rho0=0.02 * germ.t_bar, n_shells=10, points_per_shell=40)
         fit = fit_expansion(pointwise(germ.series.eval_finite), model, plan, domain=None)
-        for e in model.lattice():
+        for e in model.basis_exponents()[0]:
             want = germ.series.terms.get(e)
             got = fit.coefficient(e)
             if want is None:

@@ -551,6 +551,18 @@ class TestCurvedArcTower:
         assert max(max(level) for level in tops[0]) < 40
         assert [max(level) for level in tops[0]] == sorted((max(level) for level in tops[0]), reverse=True)
 
+    def test_the_mirrored_germ_takes_point_arrays(self, rng):
+        # a hand-built germ through p.log() takes an LPointArray; so does its mirror, on the exact flip 1 - n
+        germ = self._germ()
+        mirror = germ.mirrored()
+        arr = LPointArray(rng.uniform(1e-4, 0.2, 50), rng.integers(0, 2, 50), rng.uniform(-0.5, 0.5, 50))
+        got = mirror.eval_lpoint(arr)
+        assert got.shape == (50,) and got.dtype == complex
+        assert got.tobytes() == np.conj(germ.eval_lpoint(arr.mirrored())).tobytes()
+        for p, v in zip(arr, got):
+            one = mirror.eval_lpoint(p)
+            assert type(one) is complex and abs(v - one) <= 4e-15 * abs(one), p
+
     def test_expansion_is_the_geometric_lattice(self):
         germ = self._germ()
         av = germ.alpha_value
@@ -577,7 +589,9 @@ class TestFromSeries:
         series = LogPowerSeries({half: 2.0, half + 1: -1j}, r_max=half + 2)
         germ = MapGerm.from_series(series, *self.RAYS, t_bar=0.5, label="two-term")
         assert germ.alpha is half and germ.series is series and germ.eval_complex is None
-        assert germ.eval_lpoint == series.eval_finite and germ.eval_array == series.eval_finite
+        assert germ.eval_lpoint == series.eval_finite
+        arr = LPointArray([0.1, 0.3, 0.45], [0, 1, 0], [0.5, -0.25, 0.0])
+        assert germ.eval_lpoint(arr).tobytes() == series.eval_finite(arr).tobytes()
         # 1.05 (|2| + |-1j| 0.5 + 0 0.5^2) over the dense coefficients up to r_max
         assert germ.growth == (2.0 + 0.5 + 0.0) * 1.05
         with pytest.raises(ValueError, match="nonzero term"):
@@ -595,7 +609,10 @@ class TestFromSeries:
 
     def test_sc_germs_walk_lists_as_arrays(self):
         germ = sc_corner_germ(l_hexagon(), 3)
-        assert germ.eval_array == germ.series.eval_finite and germ.mirrored().eval_array is not None
+        arr = LPointArray([0.01, 0.02, 0.03], [0, 1, 0], [0.5, -0.25, 0.0])
+        assert germ.eval_lpoint(arr).tobytes() == germ.series.eval_finite(arr).tobytes()
+        flipped = LPointArray(arr.r, 1 - arr.phi_pi, -arr.phi_rem)
+        assert germ.mirrored().eval_lpoint(arr).tobytes() == np.conj(germ.series.eval_finite(flipped)).tobytes()
 
 
 SC_POLYGONS = {
@@ -677,9 +694,11 @@ def l_hexagon():
 
 
 def extension_of(name: str) -> Extension:
-    """K = 8 extension of a named germ: a model angle, the curved germ, or an L-hexagon SC vertex."""
+    """K = 8 extension of a named germ: a model angle, the curved or cusp germ, or an L-hexagon SC vertex."""
     if name == "curved":
         return build_extension(TestCurvedArcTower._germ(), K=8)
+    if name == "cusp":
+        return build_extension(TestCertification._cusp_germ(), K=8)
     if name in SC_VERTICES:
         return build_extension(sc_corner_germ(l_hexagon(), SC_VERTICES[name]), K=8)
     return build_extension(model_corner_germ(parse_exponent(name)), K=8)
@@ -688,7 +707,7 @@ def extension_of(name: str) -> Extension:
 class TestBatchEvaluation:
     """A list of points unwinds in one walk, each level's chi applied to its group at once."""
 
-    @pytest.fixture(scope="class", params=["sqrt2", "golden", "curved", *SC_VERTICES])
+    @pytest.fixture(scope="class", params=["sqrt2", "golden", "curved", "cusp", *SC_VERTICES])
     def ext(self, request):
         return extension_of(request.param)
 
@@ -741,7 +760,9 @@ class TestBatchEvaluation:
 class TestPointArrays:
     """An LPointArray unwinds exactly as the list of the same points does."""
 
-    @pytest.fixture(scope="class", params=["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden", "curved", *SC_VERTICES])
+    @pytest.fixture(
+        scope="class", params=["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden", "curved", "cusp", *SC_VERTICES]
+    )
     def ext(self, request):
         return extension_of(request.param)
 

@@ -370,8 +370,8 @@ class TestModelGerm:
         rem[:8] = 0.0  # on the rays themselves
         pts = LPointArray(r, n, rem)
         flipped = LPointArray(r, 1 - n, -rem)
-        assert germ.eval_array(pts).tobytes() == sector_model(pts, av).tobytes()
-        assert mirror.eval_array(pts).tobytes() == np.conj(sector_model(flipped, av)).tobytes()
+        assert germ.eval_lpoint(pts).tobytes() == sector_model(pts, av).tobytes()
+        assert mirror.eval_lpoint(pts).tobytes() == np.conj(sector_model(flipped, av)).tobytes()
         single = np.array([germ.eval_lpoint(p) for p in pts])
         assert single.tobytes() == np.array([sector_model(p, av) for p in pts]).tobytes()
         mirrored = np.array([mirror.eval_lpoint(p) for p in pts])

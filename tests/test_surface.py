@@ -119,6 +119,19 @@ class TestReflections:
         with pytest.raises(OutOfSector):
             reflect_tau(1, LPoint(1.0, phi_pi=0, phi_rem=math.pi / 2))
 
+    def test_the_mirror_is_exact_on_the_multiple(self):
+        # (r, n pi + rem) -> (r, (1 - n) pi - rem), an involution, with no float formed past 2^1024
+        for n in (0, 1, -3, 2**70, -(2**1100)):
+            z = LPoint(0.7, phi_pi=n, phi_rem=0.25)
+            m = z.mirrored()
+            assert (m.r, m.phi_pi, m.phi_rem) == (0.7, 1 - n, -0.25) and type(m.phi_pi) is int
+            assert m.mirrored() == z
+        arr = LPointArray([0.1, 0.2, 0.3], [0, 5, -(2**59)], [0.5, -1.0, 0.0])
+        assert list(arr.mirrored()) == [p.mirrored() for p in arr]
+        # 1 - n leaves the arrays' range at n = 1 - 2^60
+        with pytest.raises(ValueError, match="2\\^60"):
+            LPointArray([0.1], [1 - ARRAY_MULTIPLE_LIMIT], [0.0]).mirrored()
+
     @given(strip_points())
     def test_involution_through_the_formula(self, kz):
         # tau_k maps T'_(k+1) into T_k; its formula applied to the image returns z exactly
