@@ -165,6 +165,13 @@ def _load_json(path: str | None) -> dict:
     return json.loads(Path(path).read_text(), parse_constant=_finite_float, parse_float=_finite_float)
 
 
+def _load_series(path: str) -> LogPowerSeries:
+    """The series of a --series file; ValueError names the series when its terms are malformed."""
+    data = _load_json(path)
+    with malformed("series"):
+        return LogPowerSeries.from_json(data)
+
+
 def _finite_float(text: str) -> float:
     """A JSON number, or NaN / Infinity, that must be a finite double."""
     value = float(text)
@@ -314,10 +321,7 @@ def _run_expand(config: JobConfig) -> tuple[dict, list, str]:
 def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
     alpha, ext, cert = _model_setup(config)
     R = config.R if config.R is not None else 2.0 * alpha.value()
-    if config.series is not None:
-        g = LogPowerSeries.from_json(_load_json(config.series))
-    else:
-        g = LogPowerSeries.monomial(1.0, alpha)
+    g = _load_series(config.series) if config.series is not None else LogPowerSeries.monomial(1.0, alpha)
     plan = SamplingPlan(rho0=0.25 * cert.quad.c, n_shells=config.shells)
     cert_a = verify_asymptotic(ext.evaluate, g, R, cert.quad, plan=plan, tol=config.tol)
     report = {
@@ -341,7 +345,7 @@ def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
 
 def _run_dichotomy(config: JobConfig) -> tuple[dict, list, str]:
     if config.series is not None:
-        g = LogPowerSeries.from_json(_load_json(config.series))
+        g = _load_series(config.series)
     elif config.alpha is not None:
         g = _fit(config, max_log_degree=1)[1].series
     else:

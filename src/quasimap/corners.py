@@ -43,7 +43,9 @@ from .powerseries import AnalyticFunc, PowerSeries, series_power
 class PuiseuxArc:
     """Arc germ phi(t) = sum c_j t^j at a vertex, with exact m and d."""
 
-    def __init__(self, coeffs, d: int = 1, vertex: complex = 0j, rho: float = 1.0):
+    rho = 1.0  # every arc is parametrized on t in [0, 1)
+
+    def __init__(self, coeffs, d: int = 1, vertex: complex = 0j):
         cs = [complex(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -54,7 +56,6 @@ class PuiseuxArc:
         self.coeffs = cs
         self.d = int(d)
         self.vertex = complex(vertex)
-        self.rho = float(rho)
 
     @property
     def multiplicity(self) -> int:
@@ -79,7 +80,7 @@ class PuiseuxArc:
         cs = [0j] * ((len(self.coeffs) - 1) * p + 1)
         for j, c in enumerate(self.coeffs):
             cs[j * p] = c
-        return PuiseuxArc(cs, d=self.d, vertex=self.vertex, rho=self.rho ** (1.0 / p))
+        return PuiseuxArc(cs, d=self.d, vertex=self.vertex)
 
     def same_germ(self, other: "PuiseuxArc") -> bool:
         """Same arc set with the same jet, to 1e-12, after leading-coefficient normalization."""
@@ -402,7 +403,7 @@ def normalize_corner(corner: CornerSpec) -> tuple[AnalyticCorner, TransformChain
     arc2_series = arc2_series.scaled_by(rho)
 
     chain = TransformChain(m1, m2, phi1_root, rev1, rho, angle)
-    arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, scale=1.0, radius=rev1.radius))
+    arc1_norm = AnalyticFunc(PowerSeries.linear(-1.0, radius=rev1.radius))
     normalized = AnalyticCorner(arc1_norm, AnalyticFunc(arc2_series), chain.final_angle)
     return normalized, chain
 

@@ -35,12 +35,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DichotomyViolation, FailedCertificate, IllConditioned
 from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent
-from .series import LogPolynomial, LogPowerSeries
+from .series import HORIZON_SLACK, LogPowerSeries, _le_bound
 from .surface import LPoint, LPointArray, QuadraticDomain, quad_intersect
 
 # far above the rounding of i + j alpha and of Exponent.value() at any horizon a fit can reach
@@ -61,13 +62,13 @@ class ExpansionModel:
 
     def _scan(self, limit: float) -> list[tuple[float, int, int]]:
         """The lattice up to ``limit`` on floats: (i + j alpha, i, j) for each
-        pair with j >= 1 and i + j alpha <= limit + 1e-12."""
+        pair with j >= 1 and i + j alpha <= limit + HORIZON_SLACK."""
         av = self.alpha.value()
         pairs = []
         j = 1
-        while j * av <= limit + 1e-12:
+        while j * av <= limit + HORIZON_SLACK:
             i = 0
-            while i + j * av <= limit + 1e-12:
+            while i + j * av <= limit + HORIZON_SLACK:
                 pairs.append((i + j * av, i, j))
                 i += 1
             j += 1
@@ -78,10 +79,10 @@ class ExpansionModel:
 
     def _below(self, pairs: list, split: float) -> list[Exponent]:
         """The exponents of the scanned pairs up to ``split`` by the scan's own float test, exactly sorted."""
-        return sorted({self._exponent(i, j) for v, i, j in pairs if v <= split + 1e-12})
+        return sorted({self._exponent(i, j) for v, i, j in pairs if v <= split + HORIZON_SLACK})
 
     def _guard(self, pairs: list) -> list[Exponent]:
-        """The first ``guard_terms`` exponents of the scanned pairs with value() > R + 1e-12, in exact order.
+        """The first ``guard_terms`` scanned exponents beyond R by the horizon rule (``_le_bound``), exactly sorted.
 
         Pairs are visited by their float values from just below the cut; an
         exponent's float and its exact value() differ by far less than
@@ -89,13 +90,13 @@ class ExpansionModel:
         than that above the last of them is past the band.  Only the kept
         exponents are made and sorted exactly.
         """
-        cut = self.R + 1e-12
+        cut = self.R + HORIZON_SLACK
         kept, last = set(), None
         for v, i, j in sorted(p for p in pairs if p[0] > cut - _FLOAT_SLACK):
             if last is not None and v > last + _FLOAT_SLACK:
                 break
             e = self._exponent(i, j)
-            if e.value() > cut:
+            if not _le_bound(e, self.R):
                 kept.add(e)
                 if last is None and len(kept) >= self.guard_terms:
                     last = v
@@ -158,8 +159,7 @@ class FitResult:
     condition: float
     residual: float
     drift: float
-    basis: list  # [(Exponent, degree)]
-    method: str = "shell least squares (numerical fit, not a closed-form recursion)"
+    method: ClassVar[str] = "shell least squares (numerical fit, not a closed-form recursion)"
 
     def coefficient(self, alpha, log_degree: int = 0) -> complex:
         q = self.series.terms.get(Exponent.coerce(alpha))
@@ -234,18 +234,13 @@ def fit_expansion(
     # stability diagnostic: refit on the deeper half of the shells and track
     # the movement of the reported (below-R) coefficients only
     sol2, *_ = np.linalg.lstsq(As[half:], rhs[half:], rcond=None)
-    reported = np.array([e.value() <= model.R + 1e-12 for e, _ in basis])
+    reported = np.array([_le_bound(e, model.R) for e, _ in basis])
     drift = float(np.max(np.abs((sol2 / col - coeffs)[reported]), initial=0.0))
 
-    terms: dict[Exponent, list] = {}
-    for (e, d), c in zip(basis, coeffs):
-        if e.value() > model.R + 1e-12:
-            continue  # guard band is not reported
-        poly = terms.setdefault(e, [0j] * (model.max_log_degree + 1))
-        poly[d] = complex(c)
-    series = LogPowerSeries({e: LogPolynomial(cs) for e, cs in terms.items()}, r_max=model.R)
+    # the bound R leaves the guard band out of the reported series
+    series = LogPowerSeries(((e, [0j] * d + [c]) for (e, d), c in zip(basis, coeffs)), r_max=model.R)
     resid = float(np.linalg.norm(As @ sol - rhs) / max(1e-300, np.linalg.norm(rhs)))
-    return FitResult(series, float(cond), resid, drift, basis)
+    return FitResult(series, float(cond), resid, drift)
 
 
 def _values(f, pts: LPointArray) -> np.ndarray:
@@ -444,7 +439,7 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
     """
     a = Exponent.coerce(alpha)
     av = a.value()
-    beyond = [] if series is None else [e.value() for e in series.terms if e.value() > R + 1e-12]
+    beyond = [] if series is None else [e.value() for e in series.terms if not _le_bound(e, R)]
     nxt = min(beyond) if beyond else ExpansionModel(a, R, guard_terms=1).basis_exponents()[1][0].value()
     S = 0.5 * (R + nxt)
     m = int(math.floor(2.0 * R / av)) + 1
@@ -465,7 +460,7 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
             log_norm = _log_sum(
                 math.log(abs(c)) + d * log_lam + max(0.0, e.value() - S) * math.log(s_k)
                 for e, q in series.terms.items()
-                if e.value() <= R + 1e-12
+                if _le_bound(e, R)
                 for d, c in enumerate(q.coeffs)
                 if c != 0
             )

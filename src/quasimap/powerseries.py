@@ -66,8 +66,8 @@ class PowerSeries:
         return cls(a * (float(scale) ** n), scale, radius)
 
     @classmethod
-    def linear(cls, c1: complex, scale: float = 1.0, radius: float = np.inf) -> "PowerSeries":
-        return cls([0.0, c1 * scale], scale, radius)
+    def linear(cls, c1: complex, radius: float = np.inf) -> "PowerSeries":
+        return cls([0.0, c1], 1.0, radius)
 
     # -- basics -------------------------------------------------------------------
 

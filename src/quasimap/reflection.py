@@ -355,10 +355,6 @@ class Extension:
     positive: ReflectionTower
     negative: ReflectionTower
 
-    @property
-    def alpha(self) -> float:
-        return self.positive.alpha
-
     def evaluate(self, z):
         """Phi at one LPoint, or the list of its values at a list of points or an LPointArray.
 

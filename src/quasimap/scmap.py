@@ -99,8 +99,8 @@ def model_corner_germ(alpha) -> MapGerm:
     if not (0 < av <= 2):
         raise ValueError("model corner needs 0 < alpha <= 2")
     rot = cmath.exp(1j * math.pi * av)
-    arc1 = AnalyticFunc(PowerSeries.linear(1.0, scale=1.0, radius=np.inf), exact=lambda z: np.asarray(z, dtype=complex) + 0j)
-    arc2 = AnalyticFunc(PowerSeries.linear(rot, scale=1.0, radius=np.inf), exact=lambda z, r=rot: r * np.asarray(z, dtype=complex))
+    arc1 = AnalyticFunc(PowerSeries.linear(1.0, radius=np.inf), exact=lambda z: np.asarray(z, dtype=complex) + 0j)
+    arc2 = AnalyticFunc(PowerSeries.linear(rot, radius=np.inf), exact=lambda z, r=rot: r * np.asarray(z, dtype=complex))
     return MapGerm.from_series(LogPowerSeries({a: 1}), arc1, arc2, t_bar=1.0, growth=1.0, label=f"sector[{a}]")
 
 
@@ -340,6 +340,6 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     w_k = vs[k]
     d1 = vs[(k + 1) % n] - w_k
     d2 = vs[(k - 1) % n] - w_k
-    arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), scale=1.0, radius=abs(d1)))
-    arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), scale=1.0, radius=abs(d2)))
+    arc1 = AnalyticFunc(PowerSeries.linear(d1 / abs(d1), radius=abs(d1)))
+    arc2 = AnalyticFunc(PowerSeries.linear(d2 / abs(d2), radius=abs(d2)))
     return MapGerm.from_series(series, arc1, arc2, t_bar, label=f"sc-vertex-{k}")

@@ -13,7 +13,10 @@ log-power dichotomy) are exact; coefficient values are complex doubles.
 Every series carries a truncation bound ``r_max``: exponents above it are
 *unrepresented* rather than zero, which is what makes "asymptotic expansion up
 to order R" statements meaningful.  Arithmetic propagates the bound so that
-every retained term of a sum or product is exact.
+every retained term of a sum or product is exact.  The constructor alone
+decides which terms a series holds: sums, products, truncation and the JSON
+reader hand it (exponent, polynomial) pairs, and it sums repeated exponents,
+drops zero polynomials and keeps the exponents within the bound.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .exponents import ZERO, Exponent, value_of
 from .surface import LPoint
 
 INF = math.inf
+# an exponent lies within a float bound R when its value is at most R + HORIZON_SLACK: far above the rounding
+# of Exponent.value() and of a lattice float i + j alpha, far below any gap between distinct exponents a series holds
+HORIZON_SLACK = 1e-12
 
 PURE_POWER = "PURE_POWER"
 LOG_POWER = "LOG_POWER"
@@ -114,6 +120,10 @@ class LogPowerSeries:
     __slots__ = ("terms", "r_max")
 
     def __init__(self, terms=None, r_max=INF):
+        """``terms`` is a dict or an iterable of (exponent, polynomial) pairs, each
+        polynomial a LogPolynomial, a coefficient list or a scalar; a repeated
+        exponent has its polynomials summed in the order given, and the bound
+        test is :func:`_le_bound`."""
         tmap: dict[Exponent, LogPolynomial] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -170,9 +180,6 @@ class LogPowerSeries:
                 return LOG_POWER
         return PURE_POWER
 
-    def max_log_degree(self) -> int:
-        return max((q.degree for q in self.terms.values()), default=0)
-
     def __eq__(self, other):
         return (
             isinstance(other, LogPowerSeries)
@@ -190,18 +197,7 @@ class LogPowerSeries:
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        r = _min_bound(self.r_max, other.r_max)
-        terms = dict(self.terms)
-        for a, q in other.terms.items():
-            if a in terms:
-                s = terms[a] + q
-                if s.is_zero():
-                    del terms[a]
-                else:
-                    terms[a] = s
-            else:
-                terms[a] = q
-        return LogPowerSeries(terms, r)
+        return LogPowerSeries([*self.terms.items(), *other.terms.items()], _min_bound(self.r_max, other.r_max))
 
     def __neg__(self):
         return LogPowerSeries({a: -q for a, q in self.terms.items()}, self.r_max)
@@ -218,23 +214,8 @@ class LogPowerSeries:
     def __mul__(self, other: "LogPowerSeries") -> "LogPowerSeries":
         if not isinstance(other, LogPowerSeries):
             return self.scale(other)
-        r = _product_bound(self, other)
-        terms: dict[Exponent, LogPolynomial] = {}
-        for a, qa in self.terms.items():
-            for b, qb in other.terms.items():
-                e = a + b
-                if not _le_bound(e, r):
-                    continue
-                prod = qa * qb
-                if e in terms:
-                    s = terms[e] + prod
-                    if s.is_zero():
-                        del terms[e]
-                    else:
-                        terms[e] = s
-                else:
-                    terms[e] = prod
-        return LogPowerSeries(terms, r)
+        products = ((a + b, qa * qb) for a, qa in self.terms.items() for b, qb in other.terms.items())
+        return LogPowerSeries(products, _product_bound(self, other))
 
     __rmul__ = __mul__
 
@@ -254,9 +235,7 @@ class LogPowerSeries:
 
     def truncate(self, r) -> "LogPowerSeries":
         """Keep exponents <= min(r, r_max); the bound shrinks accordingly."""
-        new_r = _min_bound(self.r_max, r)
-        terms = {a: q for a, q in self.terms.items() if _le_bound(a, new_r)}
-        return LogPowerSeries(terms, new_r)
+        return LogPowerSeries(self.terms, _min_bound(self.r_max, r))
 
     # -- composition -----------------------------------------------------------
 
@@ -366,12 +345,12 @@ class LogPowerSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "LogPowerSeries":
-        terms = {}
-        for t in data["terms"]:
-            a = Exponent.from_json(t["exponent"])
-            terms[a] = LogPolynomial([complex(re, im) for re, im in t["log_poly"]])
+        """The series of :meth:`to_json`'s form; a repeated exponent has its polynomials summed."""
+        terms = [
+            (Exponent.from_json(t["exponent"]), [complex(re, im) for re, im in t["log_poly"]]) for t in data["terms"]
+        ]
         r = data.get("truncation_bound")
-        return cls(terms, INF if r is None else r)
+        return cls(terms, INF if r is None else float(r))
 
 
 def zpow(logz, alpha: float):
@@ -386,11 +365,11 @@ def zpow(logz, alpha: float):
 
 
 def _le_bound(a: Exponent, r) -> bool:
-    if r is INF or value_of(r) == INF:
-        return True
+    """Whether the exponent a lies within the bound r: exactly for an exact r, and by
+    a.value() <= r + HORIZON_SLACK for a float one."""
     if isinstance(r, Exponent):
         return a <= r
-    return a.value() <= float(r) + 1e-15
+    return r == INF or a.value() <= r + HORIZON_SLACK
 
 
 def _min_bound(r1, r2):
@@ -440,6 +419,6 @@ def _compose_bound(f: LogPowerSeries, inner: LogPowerSeries):
     if value_of(f.r_max) != INF:
         nu = inner.valuation()
         if nu is not None:
-            n_known = math.floor(value_of(f.r_max) + 1e-12)
+            n_known = math.floor(value_of(f.r_max) + HORIZON_SLACK)
             bound = _min_bound(bound, nu * (n_known + 1))
     return bound

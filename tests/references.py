@@ -1,4 +1,4 @@
-"""Reference implementations that more than one test module checks the package against.
+"""Reference implementations that the tests check the package against.
 
 None of them runs in the pipeline: each states a paper identity or an oracle
 directly, so that the pipeline's own, faster or more general, code can be
@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 from quasimap.errors import ImageEscapesChart, InversionFailure
-from quasimap.exponents import Exponent
+from quasimap.exponents import Exponent, value_of
 from quasimap.powerseries import AnalyticFunc, PowerSeries, require_in_disk
-from quasimap.series import zpow
+from quasimap.series import LogPowerSeries, _min_bound, _product_bound, zpow
 from quasimap.surface import LPoint
 
 
@@ -131,3 +131,55 @@ def sector_model(z, alpha: float):
     closed form it was evaluated by before.
     """
     return zpow(z.log(), alpha)
+
+
+def _le_bound_before_slack(a: Exponent, r) -> bool:
+    """The bound test of the series algebra that merged its own terms: a float bound r kept value() <= r + 1e-15."""
+    if r is math.inf or value_of(r) == math.inf:
+        return True
+    if isinstance(r, Exponent):
+        return a <= r
+    return a.value() <= float(r) + 1e-15
+
+
+def merged_add(f: LogPowerSeries, g: LogPowerSeries) -> LogPowerSeries:
+    """f + g by merging g's terms into a copy of f's, one at a time, a sum that cancels deleted."""
+    r = _min_bound(f.r_max, g.r_max)
+    terms = dict(f.terms)
+    for a, q in g.terms.items():
+        if a in terms:
+            s = terms[a] + q
+            if s.is_zero():
+                del terms[a]
+            else:
+                terms[a] = s
+        else:
+            terms[a] = q
+    return LogPowerSeries(terms, r)
+
+
+def merged_mul(f: LogPowerSeries, g: LogPowerSeries) -> LogPowerSeries:
+    """f * g by merging every product of terms within the product bound, one at a time, a sum that cancels deleted."""
+    r = _product_bound(f, g)
+    terms = {}
+    for a, qa in f.terms.items():
+        for b, qb in g.terms.items():
+            e = a + b
+            if not _le_bound_before_slack(e, r):
+                continue
+            prod = qa * qb
+            if e in terms:
+                s = terms[e] + prod
+                if s.is_zero():
+                    del terms[e]
+                else:
+                    terms[e] = s
+            else:
+                terms[e] = prod
+    return LogPowerSeries(terms, r)
+
+
+def filtered_truncate(f: LogPowerSeries, r) -> LogPowerSeries:
+    """f truncated at min(r, r_max) by filtering its terms against the new bound."""
+    new_r = _min_bound(f.r_max, r)
+    return LogPowerSeries({a: q for a, q in f.terms.items() if _le_bound_before_slack(a, new_r)}, new_r)

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,15 @@ class TestVerifyCommand:
         assert report["status"] == "certificate-failed"
         assert report["certificate"]["witness"] is not None
 
+    def test_a_repeated_exponent_is_summed(self, tmp_path):
+        # z^(1/2) listed twice with 0.5 each is the model germ's own z^(1/2)
+        half = {"exponent": Exponent(Fraction(1, 2)).to_json(), "log_poly": [[0.5, 0.0]]}
+        series_path = tmp_path / "twice.json"
+        series_path.write_text(json.dumps({"terms": [half, half], "truncation_bound": None}))
+        out = tmp_path / "out"
+        assert run(JobConfig(command="verify", alpha="1/2", series=str(series_path), out=str(out))) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["certificate"]["passed"]
+
     def test_correct_series_passes(self, tmp_path):
         out = tmp_path / "out"
         code = run(JobConfig(command="verify", alpha="1/2", K=5, out=str(out), tol=1e-8))
@@ -135,6 +145,15 @@ class TestVerifyCommand:
         assert run(JobConfig(command="verify", alpha="1/2", K=5, shells=4, out=str(out), tol=1e-8)) == EXIT_OK
         rows = (out / "samples.csv").read_text().splitlines()[1:]
         assert len(calls) == len(rows) == 4 * 64
+
+
+class TestExpandCommand:
+    def test_an_exponent_within_the_horizon_slack_is_reported(self, tmp_path):
+        # z^1 lies 5e-13 above the horizon R: within the slack of 1e-12, so it is fitted and reported
+        out = tmp_path / "out"
+        assert run(JobConfig(command="expand", alpha="1/3", R=0.9999999999995, out=str(out))) == EXIT_OK
+        terms = json.loads((out / "report.json").read_text())["series"]["terms"]
+        assert [t["exponent"]["rational"] for t in terms] == [[1, 3], [2, 3], [1, 1]]
 
 
 class TestDichotomyCommand:
@@ -345,6 +364,23 @@ class TestBadInput:
         assert message in capsys.readouterr().err
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["status"] == "bad-input" and message in report["reason"]
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            ({"exponent": {"rational": [1, 2]}, "log_poly": 5}, "'int' object is not iterable"),
+            ({"exponent": [1, 2], "log_poly": [[1.0, 0.0]]}, "list indices must be integers"),
+            (None, "'int' object is not iterable"),
+        ],
+    )
+    def test_malformed_series_exits_4(self, term, message, tmp_path, capsys):
+        series_path = tmp_path / "series.json"
+        series_path.write_text(json.dumps({"terms": 3} if term is None else {"terms": [term]}))
+        out = tmp_path / "out"
+        assert run(JobConfig(command="verify", alpha="1/2", series=str(series_path), out=str(out))) == EXIT_BAD_INPUT
+        assert f"malformed 'series': TypeError: {message}" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "bad-input" and "'series'" in report["reason"]
 
 
 # JSON-shaped inputs near the two schemas: real fields with fuzzed contents.

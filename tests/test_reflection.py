@@ -582,7 +582,7 @@ class TestCurvedArcTower:
 class TestFromSeries:
     """MapGerm.from_series: the germ given by its series, evaluated through eval_finite."""
 
-    RAYS = tuple(AnalyticFunc(PowerSeries.linear(c, scale=1.0, radius=np.inf)) for c in (1.0, 1j))
+    RAYS = tuple(AnalyticFunc(PowerSeries.linear(c, radius=np.inf)) for c in (1.0, 1j))
 
     def test_fields_come_from_the_series(self):
         half = Exponent(Fraction(1, 2))

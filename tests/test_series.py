@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quasimap.errors import NonPositiveValuation
@@ -15,6 +15,7 @@ from quasimap.series import LOG_POWER, PURE_POWER, LogPolynomial, LogPowerSeries
 
 from conftest import EXPONENT_POOL, random_series, random_lpoint, series_close
 from quasimap.surface import LPoint
+from references import filtered_truncate, merged_add, merged_mul
 
 
 def mono(c, alpha, deg=0):
@@ -130,6 +131,41 @@ class TestTruncate:
             a = f.truncate(r1).truncate(r2)
             b = f.truncate(min(r1, r2))
             assert a == b
+
+
+def _bits(f: LogPowerSeries):
+    """The terms in their order, every coefficient as its exact bits, and the bound."""
+    return [(a, [(c.real.hex(), c.imag.hex()) for c in q.coeffs]) for a, q in f.terms.items()], f.r_max
+
+
+# coefficients that cancel often, so that merged sums vanish and their exponents leave and re-enter the order
+_coeff = st.sampled_from([1.0, -1.0, 0.5, 1j, -1j, 0.25 - 2j])
+_terms = st.lists(st.tuples(st.sampled_from(EXPONENT_POOL), st.lists(_coeff, min_size=1, max_size=3)), max_size=6)
+# float bounds at an exponent, and 2e-12 or more off it on either side
+_offsets = st.sampled_from([0.0, 2e-12, -2e-12, 1e-9, 0.3])
+_near = st.builds(lambda e, d: e.value() + d, st.sampled_from(EXPONENT_POOL), _offsets)
+_bound = st.one_of(st.just(math.inf), st.sampled_from(EXPONENT_POOL), _near)
+
+
+class TestOneMerge:
+    """The constructor's one merge and bound against the merging algebra it replaced (tests/references.py)."""
+
+    @given(_terms, _bound, _terms, _bound, _bound)
+    def test_add_mul_truncate_match_the_merging_algebra_bit_for_bit(self, tf, rf, tg, rg, r):
+        f, g = LogPowerSeries(tf, rf), LogPowerSeries(tg, rg)
+        results = [(f + g, merged_add(f, g)), (f * g, merged_mul(f, g)), (f.truncate(r), filtered_truncate(f, r))]
+        # the two differ only on an exponent within 1e-12 above a float bound, which the horizon slack now keeps
+        exps = set(f.terms) | set(g.terms) | {a + b for a in f.terms for b in g.terms}
+        floats = [b for s, _ in results for b in (s.r_max, r) if isinstance(b, float)]
+        assume(not any(0 < e.value() - b <= 1e-12 for e in exps for b in floats))
+        for new, old in results:
+            assert _bits(new) == _bits(old)
+
+    def test_an_exponent_within_the_slack_of_a_float_bound_is_kept(self):
+        one = Exponent(1)
+        assert set(mono(1, 1).truncate(1.0 - 5e-13).terms) == {one}
+        assert mono(1, 1).truncate(1.0 - 2e-12).terms == {}
+        assert set((mono(1, Fraction(1, 2)) * mono(1, Fraction(1, 2))).truncate(1.0 - 5e-13).terms) == {one}
 
 
 class TestEvalFinite:
