@@ -324,7 +324,7 @@ def _arcs_glue_analytically(arc1: PuiseuxArc, arc2: PuiseuxArc) -> bool:
         except InversionFailure:
             return False
         h = y.compose(t_of_x, order=order)
-        jets.append(h.unscaled())
+        jets.append(np.pad(h.unscaled(), (0, order - h.order)))
     scale = max(1.0, float(np.max(np.abs(jets[0]))), float(np.max(np.abs(jets[1]))))
     return bool(np.max(np.abs(jets[0] - jets[1])) <= 1e-9 * scale)
 
@@ -339,10 +339,6 @@ class AnalyticCorner:
     arc1: AnalyticFunc
     arc2: AnalyticFunc
     angle: object  # Exponent | float
-
-    @property
-    def angle_radians(self) -> float:
-        return value_of(self.angle) * math.pi
 
 
 class TransformChain:

@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DichotomyViolation, FailedCertificate, IllConditioned
-from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent
+from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent, value_of
 from .series import HORIZON_SLACK, LogPowerSeries, _le_bound
 from .surface import LPoint, LPointArray, QuadraticDomain, quad_intersect
 
@@ -334,8 +334,14 @@ def verify_asymptotic(
     and its witness.  ``f`` maps an :class:`LPointArray` to the list of its
     values; it is called once, on the samples of every shell, and the
     truncated series is evaluated once on the same points.  A value of
-    either that is not finite raises ValueError naming its sample.
+    either that is not finite raises ValueError naming its sample, and a
+    series whose truncation bound lies below R one naming both bounds.
     """
+    if value_of(g.r_max) + HORIZON_SLACK < value_of(R):
+        raise ValueError(
+            f"the series' truncation bound {value_of(g.r_max):g} lies below the horizon R = {value_of(R):g}: "
+            "the series says nothing about its exponents between them"
+        )
     if plan is None:
         plan = SamplingPlan(rho0=min(0.5 * domain.c, 0.1))
     rho_min = plan.shells()[-1]

@@ -23,10 +23,10 @@ term's size there, under a rounding unit (the cut of Aurentz & Trefethen,
 its disk).  A series trusted everywhere (infinite radius) stops at its last
 nonzero coefficient.  The bound holds only on the trusted disk, so a
 composition whose inner series reaches past the outer series' disk cuts the
-outer series for that reach instead.  Reversion takes its Lagrange powers
-in about 2 sqrt(n) convolutions at order n (baby and giant steps, as in Brent
-& Kung, "Fast algorithms for manipulating formal power series", J. ACM 25(4),
-1978).
+outer series for that reach instead.  Composition and reversion store their
+results only up to that coefficient; their ``order`` caps the length.
+Reversion makes its coefficients one at a time and stops where a geometric
+estimate of the rest falls below the bound.
 
 An :class:`AnalyticFunc` bundles the series with an optional exact evaluator
 (closed form) used preferentially when present.
@@ -96,7 +96,9 @@ class PowerSeries:
         """Index of the last significant coefficient (0 for the zero series), found on first use.
 
         See the module docstring for the cut; an infinite radius keeps every
-        coefficient up to the last nonzero one.
+        coefficient up to the last nonzero one.  A result of :meth:`compose`
+        or :meth:`reversion` ends at its top, found from every coefficient it
+        was cut from.
         """
         try:
             return self._top
@@ -123,25 +125,11 @@ class PowerSeries:
 
     # -- arithmetic ------------------------------------------------------------------
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        o = other.rescaled(self.scale) if other.scale != self.scale else other
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = np.zeros(n, dtype=complex)
-        a[: len(self.coeffs)] += self.coeffs
-        a[: len(o.coeffs)] += o.coeffs
-        return PowerSeries(a, self.scale, min(self.radius, o.radius))
-
-    def __neg__(self):
-        return PowerSeries(-self.coeffs, self.scale, self.radius)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scaled_by(self, c: complex) -> "PowerSeries":
         return PowerSeries(self.coeffs * c, self.scale, self.radius)
 
     def compose(self, inner: "PowerSeries", order: int | None = None, radius: float | None = None) -> "PowerSeries":
-        """self(inner(z)) to z^order; inner(0) must be 0.  Result lives on inner's scale, trusted on ``radius`` (inner's by default).
+        """self(inner(z)) to its last significant coefficient, at most z^order; inner(0) must be 0.  Result lives on inner's scale, trusted on ``radius`` (inner's by default).
 
         Horner's rule over the significant terms c_0..c_t of self.  Self's
         cut, top(), holds on its trusted disk; where the bound
@@ -168,18 +156,29 @@ class PowerSeries:
         for c in self.coeffs[t::-1]:
             acc = np.convolve(acc, w)[: order + 1]
             acc[0] += c
-        return PowerSeries(acc, inner.scale, radius)
+        return _cut(acc, _significant_top(acc, radius / inner.scale), inner.scale, radius)
 
     def reversion(self, order: int | None = None, out_scale: float | None = None) -> "PowerSeries":
-        """Series g with f(g(w)) = w + O(w^(order+1)); needs f(0)=0, f'(0) != 0.
+        """Series g with f(g(w)) = w, to its last significant coefficient and at most w^order; needs f(0)=0, f'(0) != 0.
 
         Lagrange inversion (Henrici, Applied and Computational Complex
         Analysis I, 1.9) on the normalized chart F(x) = f(scale lam x)/out_abs
         = x + ..., lam = out_abs/c_1: with h = x/F(x), the reversion has
-        coefficients lam [x^(n-1)] h^n / n.  One triangular recurrence gives
-        h over the chart's significant terms up to ``order``, and
-        :func:`_lagrange_coefficients` the [x^(n-1)] h^n in about
-        2 sqrt(order) convolutions.  A linear chart has h = 1 and skips both.
+        coefficients g_n = lam [x^(n-1)] h^n / n.  One loop makes them in turn
+        (Knuth, The Art of Computer Programming 2, 4.7, Algorithm L): the next
+        coefficient of h by Miller's recurrence, h^n to x^(n-2) as the running
+        product h^(n-1) times h, and its x^(n-1) coefficient by Miller's
+        recurrence for the power -n.  A linear chart has h = 1 and stops at g_1 = lam.
+
+        The result is trusted on |w| < out_abs, where its n-th term has size
+        |g_n| against |g_1| = |lam|.  The slowest geometric decay seen so far,
+        q = max_(1<m<=n) (|g_m|/|lam|)^(1/(m-1)), estimates the terms past n
+        as |lam| q^n / (1 - q), and the loop stops at the first n where that
+        is below TAIL_TOL |lam|, but not before every term of F that is
+        significant on |x| < 1, the disk the result maps to, has entered.
+        The result is cut by the module's rule with that estimate standing
+        for the terms past n; a loop that reaches ``order`` with the estimate
+        above the bound keeps every coefficient it made.
 
         ``out_scale`` defaults to |f'(0)| * scale / 4, the Koebe-guaranteed
         image radius for normalized univalent charts.
@@ -195,18 +194,32 @@ class PowerSeries:
         out_abs = abs(c1) / 4.0 if out_scale is None else float(out_scale)
         # numpy's complex division, so that lam matches array arithmetic bit for bit
         lam = np.complex128(out_abs) / c1
-        # F(x)/x = 1 + sum_j b_j x^j with b_j = (c_(j+1)/c_1) lam^j, up to the last significant c_(j+1), j < order
-        top = self.top() if self.top() <= order else _last_nonzero(self.coeffs[: order + 1])
-        # G(v) = g(w)/scale in v = w/out_abs
-        g = np.zeros(order + 1, dtype=complex)
+        # unit = F(x)/x = 1 + sum_k b_k x^k, b_k = (c_(k+1)/c_1) lam^k, up to the last significant c_(k+1);
+        # g_n reads b_k for k < n only, so a term past ``order`` is never read
+        top = self.top()
         if top < 2:
-            g[1] = lam
-        else:
-            b = self.coeffs[2 : top + 1] / c1
-            b *= lam ** np.arange(1, len(b) + 1)
-            h = series_power(np.concatenate(([1.0], b)), -1.0, order - 1)
-            g[1:] = lam * _lagrange_coefficients(h) / np.arange(1, order + 1)
-        return PowerSeries(g * self.scale, out_abs, out_abs)
+            return PowerSeries(np.array([0.0, lam]) * self.scale, out_abs, out_abs)
+        unit = np.concatenate(([1.0], self.coeffs[2 : top + 1] / c1 * lam ** np.arange(1, top)))
+        first = _significant_top(np.concatenate(([0.0], unit)), 1.0)
+        # G(v) = g(w)/scale in v = w/out_abs; power is h^n to x^(n-1)
+        g = np.zeros(order + 1, dtype=complex)
+        g[1] = lam
+        h = np.zeros(order, dtype=complex)
+        h[0] = 1.0
+        power = np.ones(1, dtype=complex)
+        q, n = 0.0, 1
+        for n in range(2, order + 1):
+            if n > 2:
+                h[n - 2] = _miller_step(unit, -1.0, h, n - 2)
+            power = np.convolve(power, h[: n - 1])[: n - 1]
+            power = np.append(power, _miller_step(unit, -n, power, n - 1))
+            g[n] = lam * power[n - 1] / n
+            # a nan ratio makes q nan, which never stops the loop
+            q = max((abs(g[n]) / abs(lam)) ** (1.0 / (n - 1)), q)
+            if n >= first and q**n <= TAIL_TOL * (1.0 - q):
+                break
+        rest = abs(lam) * q**n / (1.0 - q) if q < 1 else np.inf
+        return _cut(g[: n + 1] * self.scale, _significant_top(g[: n + 1], 1.0, rest), out_abs, out_abs)
 
     def newton_inverse(self, w, z0=None):
         """Solve f(z) = w near 0 by at most 60 damped Newton steps to 1e-14 relative, seeded by w / f'(0) if no z0.
@@ -296,63 +309,35 @@ class AnalyticFunc:
 
 
 def series_power(c, p: float, order: int) -> np.ndarray:
-    """Taylor coefficients of c(x)^p to x^order, for c[0] != 0 and the principal c[0]^p; c past its end is zero.
-
-    J.C.P. Miller's recurrence (Henrici, Applied and Computational Complex
-    Analysis I, 1.6): b_0 = c_0^p and
-    b_n = -(1/c_0) sum_(k=1..n) w_k c_k b_(n-k),  w_k = (n - k - p k)/n.
-    Forming n - k exactly first keeps w_k accurate for p near an integer;
-    for p = -1 every w_k is exactly 1, the reciprocal recurrence.
-    """
+    """Taylor coefficients of c(x)^p to x^order, for c[0] != 0 and the principal c[0]^p; c past its end is zero."""
     c = np.asarray(c, dtype=complex)
     b = np.zeros(order + 1, dtype=complex)
     b[0] = c[0] ** p
-    k = np.arange(1, len(c))
     for n in range(1, order + 1):
-        j = min(n, len(c) - 1)
-        w = (n - k[:j] - p * k[:j]) / n
-        b[n] = -np.dot(w * c[1 : j + 1], b[n - 1 :: -1][:j]) / c[0]
+        b[n] = _miller_step(c, p, b, n)
     return b
 
 
-def _lagrange_coefficients(h: np.ndarray) -> np.ndarray:
-    """[x^(n-1)] h^n for n = 1..L, L = len(h), from h to x^(L-1).
+def _miller_step(c: np.ndarray, p: float, b: np.ndarray, n: int) -> complex:
+    """b_n of c(x)^p from its b_0..b_(n-1), the start of b, for n >= 1.
 
-    Baby steps H_i = h^i, i < s = floor(sqrt L) + 1, and giant steps
-    G_j = h^(js): then [x^(n-1)] h^(js+i) = sum_k G_j[k] H_i[js+i-1-k], and
-    with p = js + s - 1 - k every one of these sums is entry (j, i) of one
-    matrix product A B^T, A[j, p] = G_j[js+s-1-p] and B[i, p] = H_i[p-s+i]
-    (zero off the coefficients).  Both are windows of zero-padded flat
-    arrays, read without copying.
+    J.C.P. Miller's recurrence (Henrici, Applied and Computational Complex
+    Analysis I, 1.6): b_n = -(1/c_0) sum_(k=1..n) w_k c_k b_(n-k),
+    w_k = (n - k - p k)/n.  Forming n - k exactly first keeps w_k accurate
+    for p near an integer; for p = -1 every w_k is exactly 1, the reciprocal
+    recurrence, and for p = -(n+1) it is exactly k + 1.
     """
-    L = len(h)
-    s = int(L**0.5) + 1
-    blocks = L // s + 1
-    width = blocks * s
-    H = np.zeros((s, L), dtype=complex)
-    H[0, 0] = 1.0
-    H[1] = h
-    for i in range(2, s):
-        H[i] = np.convolve(H[i - 1], h)[:L]
-    G = np.zeros((blocks, L), dtype=complex)
-    G[0, 0] = 1.0
-    if blocks > 1:
-        G[1] = np.convolve(H[s - 1], h)[:L]
-    for j in range(2, blocks):
-        G[j] = np.convolve(G[j - 1], G[1])[:L]
-    windows = np.lib.stride_tricks.sliding_window_view
-    # A: each G_j reversed behind width - L zeros; row j's window starts j s before row 0's
-    pad = width - L
-    row = pad + L + width
-    flat = np.zeros((blocks, row), dtype=complex)
-    flat[:, pad : pad + L] = G[:, ::-1]
-    A = windows(flat.ravel(), width)[pad + L - s :: row - s][:blocks]
-    # B: each H_i behind s zeros; row i's window starts i after row 0's
-    row = s + L + width
-    flat = np.zeros((s, row), dtype=complex)
-    flat[:, s : s + L] = H
-    B = windows(flat.ravel(), width)[:: row + 1][:s]
-    return (A @ B.T).ravel()[1 : L + 1]
+    j = min(n, len(c) - 1)
+    k = np.arange(1, j + 1)
+    w = (n - k - p * k) / n
+    return -np.dot(w * c[1 : j + 1], b[n - 1 :: -1][:j]) / c[0]
+
+
+def _cut(coeffs: np.ndarray, top: int, scale: float, radius: float) -> PowerSeries:
+    """The series of coeffs[: top + 1], with ``top`` as its top."""
+    out = PowerSeries(coeffs[: top + 1], scale, radius)
+    out._top = top
+    return out
 
 
 def require_in_disk(value: complex, radius: float, what: str) -> None:
@@ -360,17 +345,12 @@ def require_in_disk(value: complex, radius: float, what: str) -> None:
         raise ImageEscapesChart(f"{what}: |{abs(value):.3e}| >= chart radius {radius:.3e}")
 
 
-def _last_nonzero(c: np.ndarray) -> int:
-    """Index of the last nonzero entry of c, 0 if there is none."""
-    nonzero = np.flatnonzero(c)
-    return int(nonzero[-1]) if len(nonzero) else 0
+def _significant_top(c: np.ndarray, rho: float, rest: float = 0.0) -> int:
+    """Smallest m >= v with rest + sum_(n>m) |c_n| rho^(n-v) <= TAIL_TOL |c_v|, c_v the first nonzero entry.
 
-
-def _significant_top(c: np.ndarray, rho: float) -> int:
-    """Smallest m >= v with sum_(n>m) |c_n| rho^(n-v) <= TAIL_TOL |c_v|, c_v the first nonzero entry.
-
-    Without a finite rho (inf or nan), or with one nonzero entry, the last
-    nonzero index.  An overflowing weight gives inf or nan, which never passes
+    ``rest`` bounds the terms past the end of c.  Without a finite rho (inf
+    or nan), or with one nonzero entry, the last nonzero index; so too when
+    no m passes.  An overflowing weight gives inf or nan, which never passes
     the test.
     """
     nonzero = np.flatnonzero(c)
@@ -380,6 +360,6 @@ def _significant_top(c: np.ndarray, rho: float) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = np.abs(c[v : last + 1]) * rho ** np.arange(last - v + 1)
         # tail[i] = sum_(n > v+i) of the weighted terms, i < last - v
-        tail = np.cumsum(weighted[:0:-1])[::-1]
+        tail = np.cumsum(weighted[:0:-1])[::-1] + rest
         cut = np.flatnonzero(tail <= TAIL_TOL * weighted[0])
     return v + int(cut[0]) if len(cut) else last

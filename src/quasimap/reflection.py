@@ -70,6 +70,7 @@ from .surface import (
     sheet_walk_array,
 )
 
+# the most coefficients a level's series may keep; each ends at its last significant one before that
 DEFAULT_ORDER = 40
 
 
@@ -178,7 +179,7 @@ def build_chi(phi: AnalyticFunc, r: float, order: int = DEFAULT_ORDER) -> Reflec
     if ser.scale > r:
         ser = ser.rescaled(r / 2.0)
     rev = ser.reversion(order=order, out_scale=r / 4.0)
-    chi_series = ser.conjugated().compose(rev, order=order, radius=r / 8.0).rescaled(r / 8.0)
+    chi_series = ser.conjugated().compose(rev.rescaled(r / 8.0), order=order, radius=r / 8.0)
     return Reflector(ser, rev, chi_series)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .corners import require_counterclockwise
 from .errors import DegenerateTransform, InvalidAngles, NonConvergence
 from .exponents import Exponent
-from .powerseries import AnalyticFunc, PowerSeries, series_power
+from .powerseries import AnalyticFunc, PowerSeries
 from .reflection import MapGerm
 from .series import LogPowerSeries
 
@@ -64,10 +64,6 @@ class MobiusTransform:
 
     def inverse(self) -> "MobiusTransform":
         return MobiusTransform(self.d, -self.b, -self.c, self.a)
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(1, 0, 0, 1)
 
     @classmethod
     def from_triple(cls, src, dst) -> "MobiusTransform":
@@ -322,13 +318,16 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     gap = min(abs(xs[j] - x_k) for j in range(n) if j != k)
     t_bar = 0.5 * gap
 
-    # Taylor coefficients of G(u) = prod_{j != k} (x_k - x_j + u)^(e_j)
+    # Taylor coefficients of G(u) = prod_{j != k} (d_j + u)^(e_j), d_j = x_k - x_j real: the principal
+    # d_j^(e_j) times the real ratios a_m / a_(m-1) = (e_j - m + 1) / (m d_j), multiplied out
+    m = np.arange(1, order + 1)
     g = np.zeros(order + 1, dtype=complex)
     g[0] = 1.0
     for j in range(n):
         if j == k:
             continue
-        fac = series_power([x_k - xs[j], 1.0], es[j], order)
+        d, e = x_k - xs[j], es[j]
+        fac = np.complex128(d) ** e * np.cumprod(np.concatenate(([1.0], (e - m + 1) / (m * d))))
         g = np.convolve(g, fac)[: order + 1]
 
     # term integrals: Phi(x_k + z) - w_k = A sum_m g_m z^(alpha_k + m) / (alpha_k + m)

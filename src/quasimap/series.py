@@ -345,12 +345,20 @@ class LogPowerSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "LogPowerSeries":
-        """The series of :meth:`to_json`'s form; a repeated exponent has its polynomials summed."""
+        """The series of :meth:`to_json`'s form; a repeated exponent has its polynomials summed.
+
+        A term above the form's own ``truncation_bound`` raises ValueError
+        naming its exponent and the bound.
+        """
         terms = [
             (Exponent.from_json(t["exponent"]), [complex(re, im) for re, im in t["log_poly"]]) for t in data["terms"]
         ]
         r = data.get("truncation_bound")
-        return cls(terms, INF if r is None else float(r))
+        r = INF if r is None else float(r)
+        for e, _ in terms:
+            if not _le_bound(e, r):
+                raise ValueError(f"the term z^({e}) lies above the series' truncation_bound {r:g}")
+        return cls(terms, r)
 
 
 def zpow(logz, alpha: float):

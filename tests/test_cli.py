@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -107,6 +108,21 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert run(JobConfig(command="verify", alpha="1/2", series=str(series_path), out=str(out))) == EXIT_OK
         assert json.loads((out / "report.json").read_text())["certificate"]["passed"]
+
+    @pytest.mark.parametrize("bound, reason", [
+        (0.6, r"truncation bound 0\.6 lies below the horizon R = 1\b"),
+        (0.3, r"malformed 'series'.*z\^\(1/2\) lies above the series' truncation_bound 0\.3"),
+    ])
+    def test_a_series_bound_below_the_horizon_is_bad_input(self, tmp_path, bound, reason):
+        # z^(1/2) says nothing about the exponents in (bound, R = 1]; below 1/2 the file contradicts itself
+        half = {"exponent": Exponent(Fraction(1, 2)).to_json(), "log_poly": [[1.0, 0.0]]}
+        series_path = tmp_path / "bounded.json"
+        series_path.write_text(json.dumps({"terms": [half], "truncation_bound": bound}))
+        out = tmp_path / "out"
+        assert run(JobConfig(command="verify", alpha="1/2", series=str(series_path), out=str(out))) == EXIT_BAD_INPUT
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "bad-input"
+        assert re.search(reason, report["reason"]), report["reason"]
 
     def test_correct_series_passes(self, tmp_path):
         out = tmp_path / "out"

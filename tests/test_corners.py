@@ -27,6 +27,7 @@ from quasimap.exponents import (
     IRRATIONAL_PI_MULTIPLE,
     RATIONAL_PI_MULTIPLE,
     rationality_class,
+    value_of,
 )
 from quasimap.powerseries import PowerSeries
 from quasimap.series import LogPolynomial, LogPowerSeries
@@ -305,7 +306,7 @@ class TestNormalizeCorner:
         worst = 0.0
         for _ in range(100):
             rr = 10 ** rng.uniform(-5, -1.5)
-            th = rng.uniform(math.pi + 0.05, math.pi + norm.angle_radians - 0.05)
+            th = rng.uniform(math.pi + 0.05, math.pi + value_of(norm.angle) * math.pi - 0.05)
             w3 = cmath.rect(rr, th)
             w, lift = inverse_point_with_lift(chain, w3, th)
             back = forward_point(chain, w, lift)
@@ -383,7 +384,7 @@ class TestRootOnSecondArc:
         rng = np.random.default_rng(9)
         for _ in range(40):
             rr = 10 ** rng.uniform(-6, -2)
-            th = rng.uniform(math.pi + 0.05, math.pi + norm.angle_radians - 0.05)
+            th = rng.uniform(math.pi + 0.05, math.pi + value_of(norm.angle) * math.pi - 0.05)
             w3 = cmath.rect(rr, th)
             w, lift = inverse_point_with_lift(chain, w3, th)
             assert abs(forward_point(chain, w, lift) - w3) < 1e-10

@@ -53,6 +53,23 @@ class TestComposeRevert:
             for w in (0.01 + 0.005j, -0.02j, 0.03):
                 assert abs(f(g(w)) - w) < 1e-12
 
+    def test_a_linear_chart_reverts_to_two_coefficients_at_any_order(self):
+        for c in ([0, 0.6 - 0.8j], [0, 2.0, 0, 0, 0]):
+            f = PowerSeries.from_unscaled(c, scale=0.5, radius=1.0)
+            for order in (1, 2, 40, 80):
+                g = f.reversion(order=order)
+                assert g.order == g.top() == 1
+                assert abs(f(g(0.01j)) - 0.01j) < 1e-17
+
+    def test_a_chart_with_three_significant_terms_reverts_far_short_of_order_80(self):
+        # order only caps the length: the loop stops where the rest of the series is insignificant on its disk
+        f = PowerSeries.from_unscaled([0, 1, 0.1, 0.01])
+        g = f.reversion(order=80)
+        assert g.order == g.top() < 20
+        assert g.coeffs.tobytes() == f.reversion(order=40).coeffs.tobytes()
+        for w in (0.1, -0.2j, 0.15 + 0.1j):
+            assert abs(f(g(w)) - w) < 1e-15
+
     def test_reversion_requires_simple_zero(self):
         with pytest.raises(ValueError):
             PowerSeries.from_unscaled([1, 1]).reversion()

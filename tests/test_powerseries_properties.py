@@ -2,7 +2,9 @@
 
 The fixed-point sweep that reversion used before Lagrange inversion is kept
 here as the reference, and composition by Horner's rule over every stored
-coefficient (tests/references.py) is the one for ``compose``.  Evaluation
+coefficient (tests/references.py) is the one for ``compose``.  Both store
+their results only to the last significant coefficient, so they are compared
+with the references' full-length arrays zero-padded (``padded``).  Evaluation
 stops at the last significant coefficient: a zero-tailed series must evaluate exactly like the same series without its
 tail, and on a chart of finite radius the cut must stay within its bound of
 full-length Horner (tests/references.py) on the trusted disk.  The plain
@@ -22,6 +24,11 @@ from hypothesis import strategies as st
 from references import absolute, compose_untrimmed, horner_full
 
 from quasimap.powerseries import TAIL_TOL, PowerSeries, series_power
+
+
+def padded(f: PowerSeries, order: int) -> np.ndarray:
+    """f's coefficients to z^order, zero past its stored end."""
+    return np.pad(f.coeffs, (0, order + 1 - len(f.coeffs)))
 
 
 def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = None) -> PowerSeries:
@@ -77,7 +84,7 @@ def test_reversion_roundtrip(kind, data, order):
     fg = f.compose(g, order=order)
     want = np.zeros(order + 1, dtype=complex)
     want[1] = g.scale  # w on g's scale
-    assert np.max(np.abs(fg.coeffs - want)) <= 1e-13 * g.scale
+    assert np.max(np.abs(padded(fg, order) - want)) <= 1e-13 * g.scale
 
 
 @given(kind=kinds, data=st.data(), order=st.integers(1, 30), koebe=st.booleans())
@@ -87,15 +94,15 @@ def test_reversion_matches_fixed_point_sweep(kind, data, order, koebe):
     got = f.reversion(order=order, out_scale=out_scale)
     ref = reversion_by_sweep(f, order, out_scale)
     assert (got.scale, got.radius) == (ref.scale, ref.radius)
-    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
+    assert np.max(np.abs(padded(got, order) - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
 
 
 @given(outer=charts(), inner=charts(), order=st.integers(1, 36), zeros=st.integers(0, 8))
 def test_compose_ignores_zero_top_coefficients(outer, inner, order, zeros):
-    padded = PowerSeries(np.concatenate([outer.coeffs, np.zeros(zeros)]), outer.scale)
-    got = padded.compose(inner, order=order).coeffs
-    assert got.tobytes() == compose_untrimmed(padded, inner, order).tobytes()
-    assert got.tobytes() == outer.compose(inner, order=order).coeffs.tobytes()
+    long = PowerSeries(np.concatenate([outer.coeffs, np.zeros(zeros)]), outer.scale)
+    got = long.compose(inner, order=order)
+    assert padded(got, order).tobytes() == compose_untrimmed(long, inner, order).tobytes()
+    assert got.coeffs.tobytes() == outer.compose(inner, order=order).coeffs.tobytes()
 
 
 @st.composite
@@ -157,7 +164,7 @@ def test_tail_padded_below_the_cut_changes_nothing(f, pad, u, theta):
 @given(outer=disk_charts(), inner=charts(), order=st.integers(1, 40))
 def test_compose_of_a_cut_series_matches_untrimmed_horner(outer, inner, order):
     # on |z| < inner.scale the inner series reaches inside the outer's disk or past it, and the cut must hold either way
-    got = outer.compose(inner, order=order, radius=inner.scale).coeffs
+    got = padded(outer.compose(inner, order=order, radius=inner.scale), order)
     size = compose_untrimmed(absolute(outer), absolute(inner), order).real
     assert np.max(np.abs(got - compose_untrimmed(outer, inner, order))) <= 1e-14 * np.max(size)
 
@@ -167,7 +174,7 @@ def test_reversion_of_a_cut_chart_matches_the_untrimmed_sweep(f, order):
     got = f.reversion(order=order)
     ref = reversion_by_sweep(f, order)
     assert (got.scale, got.radius) == (ref.scale, ref.radius)
-    assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
+    assert np.max(np.abs(padded(got, order) - ref.coeffs)) <= 1e-14 * np.max(np.abs(ref.coeffs))
 
 
 def bits(values) -> bytes:

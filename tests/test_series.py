@@ -277,3 +277,12 @@ class TestSerialization:
     def test_truncation_bound_survives(self):
         f = LogPowerSeries({Exponent(1): LogPolynomial([1j])}, r_max=2.5)
         assert LogPowerSeries.from_json(f.to_json()).r_max == 2.5
+
+    def test_a_term_above_the_files_own_bound_is_refused(self):
+        # the constructor drops such a term for arithmetic; a file that holds one contradicts itself
+        data = {"terms": [{"exponent": Exponent(Fraction(1, 2)).to_json(), "log_poly": [[1.0, 0.0]]}],
+                "truncation_bound": 0.3}
+        with pytest.raises(ValueError, match=r"z\^\(1/2\).*truncation_bound 0\.3"):
+            LogPowerSeries.from_json(data)
+        data["truncation_bound"] = 0.5
+        assert LogPowerSeries.from_json(data).support() == [Exponent(Fraction(1, 2))]
