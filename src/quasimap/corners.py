@@ -387,10 +387,14 @@ def normalize_corner(corner: CornerSpec) -> tuple[AnalyticCorner, TransformChain
     phi1_root = _arc_root(corner.arc1, m1, theta1, NORMALIZE_ORDER)
     phi2_root = _arc_root(arc2, m1, theta2, NORMALIZE_ORDER)  # multiplicity m2 now
 
-    # step 2: straighten arc1 with the inverse chart of phi1_root
-    rev1 = phi1_root.reversion(order=NORMALIZE_ORDER, out_scale=None)
+    # step 2: straighten arc1 with the inverse chart of phi1_root.  The chain trusts it on its Koebe disk, but
+    # arc2 reaches past that disk, so the inverse is made and cut on the disk of arc2's reach, |phi2_root| < reach
+    koebe = abs(phi1_root.coeffs[1]) / 4.0
+    reach = float(np.sum(np.abs(phi2_root.coeffs[: NORMALIZE_ORDER + 1])))
+    inv1 = phi1_root.reversion(order=NORMALIZE_ORDER, out_scale=max(koebe, reach))
+    rev1 = PowerSeries(inv1.coeffs, inv1.scale, koebe)
     _check_reversion_converges(rev1)
-    arc2_straight = rev1.compose(phi2_root, order=NORMALIZE_ORDER).scaled_by(-1.0)
+    arc2_straight = inv1.compose(phi2_root, order=NORMALIZE_ORDER).scaled_by(-1.0)
 
     # step 3: m2-th root and rotation back onto R_{<=0}
     theta2_here = theta2 / m1 - theta1 / m1 + math.pi  # lifted tangent of arc2_straight
@@ -432,6 +436,6 @@ def _series_root(ps: PowerSeries, m: int, theta_lift: float, order: int) -> Powe
 
 
 def _check_reversion_converges(rev: PowerSeries) -> None:
-    cs = np.abs(rev.coeffs)
+    cs = np.abs(rev.coeffs) * (rev.radius / rev.scale) ** np.arange(len(rev.coeffs))
     if len(cs) > 8 and np.max(cs[-4:]) > 1e6 * max(1.0, np.max(cs[:4])):
         raise InversionFailure("inverse chart series diverges at working precision")

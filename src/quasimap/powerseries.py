@@ -93,12 +93,10 @@ class PowerSeries:
         return PowerSeries(np.conj(self.coeffs), self.scale, self.radius)
 
     def top(self) -> int:
-        """Index of the last significant coefficient (0 for the zero series), found on first use.
+        """Index of the last significant stored coefficient (0 for the zero series), found on first use.
 
         See the module docstring for the cut; an infinite radius keeps every
-        coefficient up to the last nonzero one.  A result of :meth:`compose`
-        or :meth:`reversion` ends at its top, found from every coefficient it
-        was cut from.
+        coefficient up to the last nonzero one.
         """
         try:
             return self._top
@@ -156,7 +154,7 @@ class PowerSeries:
         for c in self.coeffs[t::-1]:
             acc = np.convolve(acc, w)[: order + 1]
             acc[0] += c
-        return _cut(acc, _significant_top(acc, radius / inner.scale), inner.scale, radius)
+        return PowerSeries(acc[: _significant_top(acc, radius / inner.scale) + 1], inner.scale, radius)
 
     def reversion(self, order: int | None = None, out_scale: float | None = None) -> "PowerSeries":
         """Series g with f(g(w)) = w, to its last significant coefficient and at most w^order; needs f(0)=0, f'(0) != 0.
@@ -219,7 +217,7 @@ class PowerSeries:
             if n >= first and q**n <= TAIL_TOL * (1.0 - q):
                 break
         rest = abs(lam) * q**n / (1.0 - q) if q < 1 else np.inf
-        return _cut(g[: n + 1] * self.scale, _significant_top(g[: n + 1], 1.0, rest), out_abs, out_abs)
+        return PowerSeries(g[: _significant_top(g[: n + 1], 1.0, rest) + 1] * self.scale, out_abs, out_abs)
 
     def newton_inverse(self, w, z0=None):
         """Solve f(z) = w near 0 by at most 60 damped Newton steps to 1e-14 relative, seeded by w / f'(0) if no z0.
@@ -331,13 +329,6 @@ def _miller_step(c: np.ndarray, p: float, b: np.ndarray, n: int) -> complex:
     k = np.arange(1, j + 1)
     w = (n - k - p * k) / n
     return -np.dot(w * c[1 : j + 1], b[n - 1 :: -1][:j]) / c[0]
-
-
-def _cut(coeffs: np.ndarray, top: int, scale: float, radius: float) -> PowerSeries:
-    """The series of coeffs[: top + 1], with ``top`` as its top."""
-    out = PowerSeries(coeffs[: top + 1], scale, radius)
-    out._top = top
-    return out
 
 
 def require_in_disk(value: complex, radius: float, what: str) -> None:

@@ -60,6 +60,32 @@ def compose_untrimmed(outer: PowerSeries, inner: PowerSeries, order: int) -> np.
     return acc
 
 
+def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = None) -> PowerSeries:
+    """f's reversion to v^order on out_abs (Koebe's |c_1|/4 by default), every coefficient kept.
+
+    The fixed point c1 G + sum_(n>=2) c_n G^n = out_abs v, one order per sweep.
+    """
+    c1 = complex(f.coeffs[1])
+    out_abs = abs(c1) / 4.0 if out_scale is None else float(out_scale)
+    rhs = np.zeros(order + 1, dtype=complex)
+    rhs[1] = out_abs
+    g = np.zeros(order + 1, dtype=complex)
+    g[1] = out_abs / c1
+    head = f.coeffs[2 : order + 1]
+    for _ in range(order):
+        inner = np.zeros(order + 1, dtype=complex)
+        for c in head[::-1]:
+            inner = np.convolve(inner, g)[: order + 1]
+            inner[0] += c
+        tail = np.convolve(np.convolve(inner, g)[: order + 1], g)[: order + 1]
+        g_new = (rhs - tail) / c1
+        g_new[0] = 0.0
+        if np.array_equal(g_new, g):
+            break
+        g = g_new
+    return PowerSeries(g * f.scale, out_abs, out_abs)
+
+
 def absolute(f: PowerSeries) -> PowerSeries:
     """The series of the coefficients' magnitudes, on the same scale and radius."""
     return PowerSeries(np.abs(f.coeffs), f.scale, f.radius)

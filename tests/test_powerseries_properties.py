@@ -1,8 +1,8 @@
 """Property tests for series reversion, composition and powers.
 
-The fixed-point sweep that reversion used before Lagrange inversion is kept
-here as the reference, and composition by Horner's rule over every stored
-coefficient (tests/references.py) is the one for ``compose``.  Both store
+The fixed-point sweep that reversion used before Lagrange inversion is the
+reference for ``reversion``, and composition by Horner's rule over every
+stored coefficient the one for ``compose`` (both in tests/references.py).  Both store
 their results only to the last significant coefficient, so they are compared
 with the references' full-length arrays zero-padded (``padded``).  Evaluation
 stops at the last significant coefficient: a zero-tailed series must evaluate exactly like the same series without its
@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
-from references import absolute, compose_untrimmed, horner_full
+from references import absolute, compose_untrimmed, horner_full, reversion_by_sweep
 
 from quasimap.powerseries import TAIL_TOL, PowerSeries, series_power
 
@@ -29,29 +29,6 @@ from quasimap.powerseries import TAIL_TOL, PowerSeries, series_power
 def padded(f: PowerSeries, order: int) -> np.ndarray:
     """f's coefficients to z^order, zero past its stored end."""
     return np.pad(f.coeffs, (0, order + 1 - len(f.coeffs)))
-
-
-def reversion_by_sweep(f: PowerSeries, order: int, out_scale: float | None = None) -> PowerSeries:
-    """Fixed point c1 G + sum_(n>=2) c_n G^n = out_abs v, one order per sweep."""
-    c1 = complex(f.coeffs[1])
-    out_abs = abs(c1) / 4.0 if out_scale is None else float(out_scale)
-    rhs = np.zeros(order + 1, dtype=complex)
-    rhs[1] = out_abs
-    g = np.zeros(order + 1, dtype=complex)
-    g[1] = out_abs / c1
-    head = f.coeffs[2 : order + 1]
-    for _ in range(order):
-        inner = np.zeros(order + 1, dtype=complex)
-        for c in head[::-1]:
-            inner = np.convolve(inner, g)[: order + 1]
-            inner[0] += c
-        tail = np.convolve(np.convolve(inner, g)[: order + 1], g)[: order + 1]
-        g_new = (rhs - tail) / c1
-        g_new[0] = 0.0
-        if np.array_equal(g_new, g):
-            break
-        g = g_new
-    return PowerSeries(g * f.scale, out_abs, out_abs)
 
 
 small = st.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False)

@@ -549,7 +549,7 @@ class TestCurvedArcTower:
         towers = [build_tower(self._germ(order=order), K=8, order=order) for order in (40, 80)]
         built = [[s for lv in t.levels for s in (lv.chi.chart, lv.chi.inverse, lv.chi.series)][1:] for t in towers]
         assert [s.order for s in built[0]] == [s.order for s in built[1]]
-        assert all(s.top() == s.order for s in built[0] + built[1])
+        assert all(s.top() == s.order == s.conjugated().top() for s in built[0] + built[1])
         lengths = [max(lv.chi.chart.top(), lv.chi.inverse.order, lv.chi.series.order) for lv in towers[0].levels]
         assert lengths == sorted(lengths, reverse=True) and lengths[0] < 40
 

@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,6 +317,31 @@ class TestCornerGerm:
             measured = measured_angle_over_pi(PuiseuxArc([0, d1], vertex=w), PuiseuxArc([0, d2], vertex=w))
             assert measured == pytest.approx(0.5, abs=1e-12) and Exponent(poly.angles[k]) == Exponent(Fraction(1, 2))
 
+
+    @staticmethod
+    def _germ_coefficients_at_40_digits(poly, k, order=24):
+        """A g_m / (alpha_k + m), G(u) = prod_(j != k) (x_k - x_j + u)^(e_j) multiplied out at 40 digits."""
+        xs, es = poly.prevertices, poly.exponents()
+        with mpmath.workdps(40):
+            g = [mpmath.mpf(1)] + [mpmath.mpf(0)] * order
+            for j in range(len(xs)):
+                if j != k:
+                    d, e = mpmath.mpc(xs[k] - xs[j]), mpmath.mpf(float(es[j]))
+                    fac = [mpmath.binomial(e, n) * d ** (e - n) for n in range(order + 1)]
+                    g = [mpmath.fsum(g[i] * fac[n - i] for i in range(n + 1)) for n in range(order + 1)]
+            a = mpmath.mpf(float(poly.angles[k]))
+            return np.array([complex(mpmath.mpc(poly.A) * g[n] / (a + n)) for n in range(order + 1)])
+
+    def test_germ_coefficients_match_40_digit_products(self, unit_square, elliptic_rectangle):
+        # each binomial factor is the principal d^e times a running product of one real ratio per order;
+        # Miller's recurrence, which made them before, was 2e-15 and 3.5e-15 off on the square and the cross
+        for poly in (unit_square, elliptic_rectangle[0], solve_sc(*L_HEXAGON), solve_sc(*CROSS)):
+            for k in range(len(poly.prevertices)):
+                terms = sc_corner_germ(poly, k).series.terms
+                want = self._germ_coefficients_at_40_digits(poly, k)
+                ladder = scmap._exponent_ladder(poly.angles[k], 24)
+                got = np.array([terms[e].leading if e in terms else 0j for e in ladder])
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (k, poly.vertices)
 
     def test_germs_at_equal_angles_share_their_exponents(self, unit_square, elliptic_rectangle):
         germs = [sc_corner_germ(poly, k) for poly in (unit_square, elliptic_rectangle[0]) for k in range(4)]
