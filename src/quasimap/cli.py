@@ -43,10 +43,11 @@ from .expansion import (
     fit_expansion,
     verify_asymptotic,
 )
-from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, parse_exponent, rationality_class
+from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent, parse_exponent, rationality_class
 from .reflection import build_extension, certify_quadratic_domain, max_sample_arg, sample_quadratic_domain
 from .scmap import model_corner_germ, solve_sc
 from .series import LogPowerSeries
+from .surface import QuadraticDomain
 from .svg import svg_plot
 
 EXIT_OK = 0
@@ -181,7 +182,8 @@ def _finite_float(text: str) -> float:
 
 
 def _polygon_input(data) -> tuple[list, list]:
-    """Vertices and exact angles/pi of an sc-solve input; ValueError names a malformed field."""
+    """Vertices and exact angles/pi (text, [p, q] pairs, or numbers at their exact double value) of an sc-solve
+    input; ValueError names a malformed field."""
     if not isinstance(data, dict):
         raise ValueError(f"polygon JSON must be an object, got {type(data).__name__}")
     key = "polygon" if "polygon" in data else "vertices"
@@ -191,7 +193,8 @@ def _polygon_input(data) -> tuple[list, list]:
     if angles is None:
         raise ValueError("polygon input needs angles_over_pi")
     with malformed("angles_over_pi"):
-        angles = [Fraction(a) if not isinstance(a, list) else Fraction(a[0], a[1]) for a in angles]
+        angles = [Exponent(Fraction(a[0], a[1])) if isinstance(a, list) else
+                  parse_exponent(a) if isinstance(a, str) else Exponent(a) for a in angles]
     return vertices, angles
 
 
@@ -227,7 +230,7 @@ def _run_sc_solve(config: JobConfig) -> tuple[dict, list, str]:
         "A": [poly.A.real, poly.A.imag],
         "B": [poly.B.real, poly.B.imag],
         "residual": poly.residual,
-        "angles_over_pi": [[a.numerator, a.denominator] for a in poly.angles],
+        "angles_over_pi": [a.to_json() for a in poly.angles],
     }
     samples = [["k", "prevertex", "vertex_re", "vertex_im"]]
     for k, (x, w) in enumerate(zip(poly.prevertices, poly.vertices)):
@@ -250,20 +253,34 @@ def _model_setup(config: JobConfig):
     return alpha, ext, certify_quadratic_domain(ext)
 
 
+def _reach(K: int) -> float:
+    """The largest |arg| sampled on a tower of depth K: 0.98 of its built sheets' (2^K - 1) pi."""
+    return 0.98 * (2**K - 1) * math.pi
+
+
+def _sampled_domain(config: JobConfig, quad: QuadraticDomain, plan: SamplingPlan) -> QuadraticDomain:
+    """The certified domain with C raised, where needed, so that no shell of the plan sweeps past the reach:
+    a subdomain, so still certified.  K = 0 keeps the domain as it is."""
+    if config.K == 0:
+        return quad
+    C = math.log(quad.c / plan.shells()[-1]) / math.sqrt(_reach(config.K))
+    return QuadraticDomain(quad.c, max(quad.C, C), quad.mirrored)
+
+
 def _fit(config: JobConfig, max_log_degree: int):
     """Horizon R (default 3 alpha) and the model germ's expansion fitted up to it."""
     alpha, ext, cert = _model_setup(config)
     R = config.R if config.R is not None else 3.0 * alpha.value()
     model = ExpansionModel(alpha, R, max_log_degree=max_log_degree)
     plan = SamplingPlan(rho0=0.5 * cert.quad.c, n_shells=config.shells)
-    return R, fit_expansion(ext.evaluate, model, plan, domain=cert.quad)
+    return R, fit_expansion(ext.evaluate, model, plan, domain=_sampled_domain(config, cert.quad, plan))
 
 
 def _run_continue(config: JobConfig) -> tuple[dict, list, str]:
     alpha, ext, cert = _model_setup(config)
     av = alpha.value()
     # the built sheets, but no wider than the sample radii stay normal doubles
-    cap = min((2**config.K - 1) * math.pi * 0.98, max_sample_arg(cert.quad))
+    cap = min(_reach(config.K), max_sample_arg(cert.quad))
     pts = sample_quadratic_domain(cert.quad, 512, config.seed, max_abs_arg=cap)
     samples = [["r", "arg", "abs_error_vs_closed_form"]]
     worst = 0.0
@@ -323,7 +340,7 @@ def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
     R = config.R if config.R is not None else 2.0 * alpha.value()
     g = _load_series(config.series) if config.series is not None else LogPowerSeries.monomial(1.0, alpha)
     plan = SamplingPlan(rho0=0.25 * cert.quad.c, n_shells=config.shells)
-    cert_a = verify_asymptotic(ext.evaluate, g, R, cert.quad, plan=plan, tol=config.tol)
+    cert_a = verify_asymptotic(ext.evaluate, g, R, _sampled_domain(config, cert.quad, plan), plan=plan, tol=config.tol)
     report = {
         "status": "ok",
         "certificate": cert_a.to_json(),

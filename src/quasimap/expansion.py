@@ -44,9 +44,6 @@ from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent, v
 from .series import HORIZON_SLACK, LogPowerSeries, _le_bound
 from .surface import LPoint, LPointArray, QuadraticDomain, quad_intersect
 
-# far above the rounding of i + j alpha and of Exponent.value() at any horizon a fit can reach
-_FLOAT_SLACK = 1e-9
-
 
 # -- models and sampling -----------------------------------------------------------
 
@@ -60,59 +57,26 @@ class ExpansionModel:
     max_log_degree: int = 0
     guard_terms: int = 3
 
-    def _scan(self, limit: float) -> list[tuple[float, int, int]]:
-        """The lattice up to ``limit`` on floats: (i + j alpha, i, j) for each
-        pair with j >= 1 and i + j alpha <= limit + HORIZON_SLACK."""
+    def basis_exponents(self) -> tuple[list[Exponent], list[Exponent]]:
+        """The lattice up to R and its guard band, the first ``guard_terms`` exponents past R.
+
+        One exact scan of i + j alpha (j >= 1, i >= 0), sorted once and split
+        by the horizon rule ``_le_bound``.  The scan runs to max(R, alpha) +
+        guard_terms * min(alpha, 1): the guard band lies within it, on the
+        points j alpha or on the points i + alpha.
+        """
         av = self.alpha.value()
-        pairs = []
-        j = 1
-        while j * av <= limit + HORIZON_SLACK:
+        limit = max(self.R, av) + self.guard_terms * min(av, 1.0) + HORIZON_SLACK
+        every, j = set(), 1
+        while (row := self.alpha * j).value() <= limit:
             i = 0
-            while i + j * av <= limit + HORIZON_SLACK:
-                pairs.append((i + j * av, i, j))
+            while (e := row + i).value() <= limit:
+                every.add(e)
                 i += 1
             j += 1
-        return pairs
-
-    def _exponent(self, i: int, j: int) -> Exponent:
-        return Exponent(i) + self.alpha * j
-
-    def _below(self, pairs: list, split: float) -> list[Exponent]:
-        """The exponents of the scanned pairs up to ``split`` by the scan's own float test, exactly sorted."""
-        return sorted({self._exponent(i, j) for v, i, j in pairs if v <= split + HORIZON_SLACK})
-
-    def _guard(self, pairs: list) -> list[Exponent]:
-        """The first ``guard_terms`` scanned exponents beyond R by the horizon rule (``_le_bound``), exactly sorted.
-
-        Pairs are visited by their float values from just below the cut; an
-        exponent's float and its exact value() differ by far less than
-        _FLOAT_SLACK, so once guard_terms exponents are kept, every pair more
-        than that above the last of them is past the band.  Only the kept
-        exponents are made and sorted exactly.
-        """
-        cut = self.R + HORIZON_SLACK
-        kept, last = set(), None
-        for v, i, j in sorted(p for p in pairs if p[0] > cut - _FLOAT_SLACK):
-            if last is not None and v > last + _FLOAT_SLACK:
-                break
-            e = self._exponent(i, j)
-            if not _le_bound(e, self.R):
-                kept.add(e)
-                if last is None and len(kept) >= self.guard_terms:
-                    last = v
-        return sorted(kept)[: self.guard_terms]
-
-    def basis_exponents(self) -> tuple[list[Exponent], list[Exponent]]:
-        """The lattice up to R and its guard band, the first ``guard_terms`` exponents past R, from one scan.
-
-        The guard band lies within guard_terms * max(alpha, 1) of R (the points
-        i + alpha past it), so the scan runs to that horizon with a margin.
-        """
-        pairs = self._scan(self._horizon())
-        return self._below(pairs, self.R), self._guard(pairs)
-
-    def _horizon(self) -> float:
-        return self.R + self.guard_terms * max(self.alpha.value(), 1.0) + 2.0
+        ordered = sorted(every)
+        lattice = [e for e in ordered if _le_bound(e, self.R)]
+        return lattice, [e for e in ordered if not _le_bound(e, self.R)][: self.guard_terms]
 
 
 @dataclass
@@ -123,6 +87,13 @@ class SamplingPlan:
     n_shells: int = 12
     points_per_shell: int = 64
     one_sided: bool = False
+
+    def __post_init__(self):
+        if not sys.float_info.min <= self.rho0 * 2.0 ** (1 - self.n_shells) < math.inf:
+            raise ValueError(
+                f"{self.n_shells} shells from rho0 = {self.rho0:g} take the innermost radius "
+                f"rho0 * 2^-{self.n_shells - 1} out of the positive normal doubles"
+            )
 
     def shells(self) -> np.ndarray:
         return self.rho0 * 2.0 ** (-np.arange(self.n_shells, dtype=float))
@@ -200,10 +171,7 @@ def fit_expansion(
         raise ValueError(
             f"horizon R = {model.R:g} is below alpha = {model.alpha.value():g}: the lattice has no exponent up to R"
         )
-    basis = []
-    for e in lattice + guard:
-        for d in range(model.max_log_degree + 1):
-            basis.append((e, d))
+    basis = [(e, d) for e in lattice + guard for d in range(model.max_log_degree + 1)]
     pts = plan.samples(domain)[0]
     # the drift refit below solves on the deeper half of the samples alone
     half = len(pts) // 2
@@ -385,16 +353,9 @@ def dichotomy_check(g: LogPowerSeries, angle_class: str, tol: float = 1e-8) -> d
             worst = max(worst, abs(c))
             if abs(c) >= tol:
                 offenders.append((e, d, c))
-    verdict = {
-        "angle_class": angle_class,
-        "max_log_coefficient": worst,
-        "tol": tol,
-        "passed": True,
-    }
     if angle_class == IRRATIONAL_PI_MULTIPLE and offenders:
-        verdict["passed"] = False
         raise DichotomyViolation(offenders)
-    return verdict
+    return {"angle_class": angle_class, "max_log_coefficient": worst, "tol": tol, "passed": True}
 
 
 # -- error-tracking ladder ------------------------------------------------------------
@@ -416,7 +377,7 @@ class ErrorSchedule:
     T_bar: float
     log_L: float
     M_log: float
-    levels: list  # rows: dict(k, s, log_D, log_p, log_q, log_q_bar)
+    levels: list  # rows: dict(k, s, log_D, log_p, log_q)
     log_c_R: float
     C_R: float
     M_bar_log: float
@@ -491,8 +452,6 @@ def error_tower_constants(tower, R: float, alpha, series: LogPowerSeries | None 
         row["log_q"] = -(row["k"] ** 2) * M_log
 
     T_bar = max(0.5 * (R + T), T - 1.0)
-    for row in rows:
-        row["log_q_bar"] = -(row["k"] ** 2) * M_log / (T - T_bar)
 
     # final quadratic domain: c_R e^(-C_R sqrt(phi)) <= q_bar_(k(phi)) for all
     # phi (levels up to 200), assembled in log space since q_bar underflows

@@ -258,7 +258,6 @@ def parse_exponent(text: str) -> Exponent:
 
 
 ZERO = Exponent(0)
-ONE = Exponent(1)
 
 
 # -- angles ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -108,14 +107,14 @@ class SCPolygon:
     """Solved parameter problem: prevertices, angles, and the affine constants."""
 
     vertices: list
-    angles: list  # Fractions alpha_k with angle alpha_k * pi
+    angles: list  # Exponents alpha_k with angle alpha_k * pi
     prevertices: np.ndarray
     A: complex
     B: complex
     residual: float
 
     def exponents(self) -> np.ndarray:
-        return np.array([float(a) - 1.0 for a in self.angles])
+        return np.array([a.value() - 1.0 for a in self.angles])
 
 
 def roots_jacobi(n: int, alpha: float, beta: float):
@@ -171,19 +170,24 @@ def _side_integral_complex(xs, es, j: int, rules: dict) -> complex:
 def solve_sc(vertices, angles, tol: float = 1e-10) -> SCPolygon:
     """Solve the SC parameter problem for a bounded polygon.
 
-    ``angles`` are the interior angles divided by pi, as exact rationals in
-    (0, 2]; they must satisfy the closure rule sum(1 - alpha_k) = 2.  Vertices
+    ``angles`` are the interior angles divided by pi, exact (Exponents, ints,
+    Fractions or their text) in (0, 2]; they must satisfy the closure rule
+    sum(1 - alpha_k) = 2 exactly, and a float raises InvalidAngles.  Vertices
     are in counterclockwise order; clockwise ones raise InvalidAngles.  A
     residual above ``tol`` after 60 Newton steps raises NonConvergence.
     """
     vs = [complex(v[0], v[1]) if isinstance(v, (tuple, list)) else complex(v) for v in vertices]
-    als = [Fraction(a) for a in angles]
+    try:
+        als = [Exponent.coerce(a) for a in angles]
+        in_range = all(0 < a <= 2 for a in als)
+    except (TypeError, OverflowError) as exc:  # a float, or a rational beyond the doubles
+        raise InvalidAngles(str(exc)) from None
     n = len(vs)
     if n < 3 or len(als) != n:
         raise InvalidAngles("need n >= 3 vertices with one angle each")
-    if any(not (0 < a <= 2) for a in als):
+    if not in_range:
         raise InvalidAngles("angles must lie in (0, 2] (as multiples of pi)")
-    if sum((1 - a) for a in als) != 2:
+    if sum(1 - a for a in als) != 2:
         raise InvalidAngles("angle sum rule sum(1 - alpha_k) = 2 violated")
     if any(vs[j] == vs[j - 1] for j in range(n)):
         raise InvalidAngles("consecutive vertices must be distinct")
@@ -191,7 +195,7 @@ def solve_sc(vertices, angles, tol: float = 1e-10) -> SCPolygon:
         require_counterclockwise(vs)
     except ValueError as exc:
         raise InvalidAngles(str(exc)) from None
-    exponents = np.array([float(a) - 1.0 for a in als])
+    exponents = np.array([a.value() - 1.0 for a in als])
     # every side integral of this solve draws its Gauss-Jacobi rules from one table
     rules = {}
 
@@ -294,10 +298,9 @@ def sc_evaluate(poly: SCPolygon, z) -> complex:
 
 
 @functools.lru_cache(maxsize=64)
-def _exponent_ladder(alpha: Fraction, order: int) -> tuple:
+def _exponent_ladder(alpha: Exponent, order: int) -> tuple:
     """The exponents alpha + m, m = 0..order, shared by every SC germ at the angle alpha pi."""
-    base = Exponent(alpha)
-    return tuple(base + m for m in range(order + 1))
+    return tuple(alpha + m for m in range(order + 1))
 
 
 def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
@@ -314,7 +317,7 @@ def sc_corner_germ(poly: SCPolygon, k: int) -> MapGerm:
     n = len(xs)
     x_k = xs[k]
     alpha_k = poly.angles[k]
-    a_val = float(alpha_k)
+    a_val = alpha_k.value()
     gap = min(abs(xs[j] - x_k) for j in range(n) if j != k)
     t_bar = 0.5 * gap
 

@@ -113,10 +113,9 @@ def check_recurrences(schedule) -> bool:
 def reference_basis(model) -> tuple[list, list]:
     """The lattice up to R and the guard band of an ExpansionModel by a full exact scan.
 
-    Every lattice point up to the guard horizon is made as an Exponent; the
-    lattice keeps those whose float i + j alpha passes i + j alpha <= R + 1e-12,
-    and the guard band is the first
-    guard_terms of all of them, exactly sorted, with value() > R + 1e-12.
+    Every lattice point up to a horizon past the guard band is made as an
+    Exponent; the lattice keeps those with value() <= R + 1e-12, and the
+    guard band is the first guard_terms of the others, exactly sorted.
     """
     av = model.alpha.value()
     R = model.R
@@ -128,7 +127,7 @@ def reference_basis(model) -> tuple[list, list]:
         while i + j * av <= horizon + 1e-12:
             e = Exponent(i) + model.alpha * j
             every.add(e)
-            if i + j * av <= R + 1e-12:
+            if e.value() <= R + 1e-12:
                 low.add(e)
             i += 1
         j += 1

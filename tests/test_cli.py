@@ -1,5 +1,6 @@
 """CLI jobs: reports, exit codes, determinism."""
 
+import csv
 import json
 import math
 import re
@@ -124,6 +125,12 @@ class TestVerifyCommand:
         assert report["status"] == "bad-input"
         assert re.search(reason, report["reason"]), report["reason"]
 
+    def test_the_shells_sample_only_the_built_sheets(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["verify", "--alpha", "1/2", "--K", "1", "--shells", "30", "--out", str(out)]) == EXIT_OK
+        args = [float(row[1]) for row in list(csv.reader((out / "samples.csv").open()))[1:]]
+        assert max(map(abs, args)) <= 0.98 * math.pi
+
     def test_correct_series_passes(self, tmp_path):
         out = tmp_path / "out"
         code = run(JobConfig(command="verify", alpha="1/2", K=5, out=str(out), tol=1e-8))
@@ -171,6 +178,15 @@ class TestExpandCommand:
         terms = json.loads((out / "report.json").read_text())["series"]["terms"]
         assert [t["exponent"]["rational"] for t in terms] == [[1, 3], [2, 3], [1, 1]]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--alpha", "2", "--shells", "120"], ["--alpha", "sqrt2", "--shells", "120"],
+         ["--alpha", "sqrt2", "--K", "2"], ["--alpha", "2", "--K", "2"]],
+    )
+    def test_the_shells_sample_only_the_built_sheets(self, argv, tmp_path):
+        # the certified domain reaches past (2^K - 1) pi at the inner shells' radii; the fit samples a subdomain
+        assert main(["expand", *argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+
 
 class TestDichotomyCommand:
     def test_planted_log_term_flags(self, tmp_path):
@@ -200,6 +216,27 @@ class TestScSolveCommand:
         report = json.loads((out / "report.json").read_text())
         assert len(report["prevertices"]) == 4
         assert report["residual"] < 1e-10
+        assert report["angles_over_pi"] == [{"irrational_multiples": {}, "rational": [1, 2]}] * 4
+
+    def test_irrational_triangle(self, tmp_path):
+        # angles (sqrt2/4, 1/2, 1/2 - sqrt2/4) pi, read as text and written in the exponent-object form
+        inp = tmp_path / "poly.json"
+        vertices = [[0, 0], [1, 0], [1, math.tan(math.sqrt(2) * math.pi / 4)]]
+        inp.write_text(json.dumps({"vertices": vertices, "angles_over_pi": ["1/4*sqrt2", "1/2", "1/2+-1/4*sqrt2"]}))
+        out = tmp_path / "out"
+        assert run(JobConfig(command="sc-solve", input=str(inp), out=str(out))) == EXIT_OK
+        angles = json.loads((out / "report.json").read_text())["angles_over_pi"]
+        want = [parse_exponent(a) for a in ("1/4*sqrt2", "1/2", "1/2+-1/4*sqrt2")]
+        assert [Exponent.from_json(a) for a in angles] == want
+        assert angles[0] == {"rational": [0, 1], "irrational_multiples": {"sqrt2": [1, 4]}}
+
+    @pytest.mark.parametrize("angles", [[[1, 2]] * 4, [0.5] * 4], ids=["pairs", "numbers"])
+    def test_pairs_and_json_numbers_are_read_exactly(self, angles, tmp_path):
+        inp = tmp_path / "poly.json"
+        inp.write_text(json.dumps({"polygon": SQUARE, "angles_over_pi": angles}))
+        out = tmp_path / "out"
+        assert run(JobConfig(command="sc-solve", input=str(inp), out=str(out))) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["angles_over_pi"][0]["rational"] == [1, 2]
 
     def test_overflowing_trial_step_is_rejected_without_warnings(self, tmp_path):
         # a thin rectangle: the damped Newton steps overflow the prevertex gaps
@@ -310,6 +347,8 @@ class TestBadInput:
             (["verify", "--alpha", "1/2", "--tol", "nan"], "--tol must be finite and > 0"),
             (["verify", "--alpha", "1/2", "--tol", "-1"], "--tol must be finite and > 0"),
             (["expand", "--alpha", "1/2", "--shells", "0"], "--shells must be >= 1"),
+            (["expand", "--alpha", "1/2", "--shells", "1100"], "1100 shells from rho0"),
+            (["dichotomy", "--alpha", "1/2", "--shells", "1100"], "1100 shells from rho0"),
             (["expand", "--alpha", "1/0"], "zero denominator in exponent '1/0'"),
             (["dichotomy", "--alpha", "1/2", "--angle-class", "irational"],
              "--angle-class must be rational or irrational, got 'irational'"),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasimap.errors import DichotomyViolation, FailedCertificate, IllConditioned
 from quasimap.expansion import (
@@ -68,10 +70,10 @@ class TestModel:
         wide = ExpansionModel(alpha, R=model.R + model.guard_terms * max(alpha.value(), 1.0) + 2.0).basis_exponents()[0]
         assert model.basis_exponents()[1] == [e for e in wide if e.value() > model.R + 1e-12][:3]
         scans = []
-        scan = ExpansionModel._scan
-        monkeypatch.setattr(ExpansionModel, "_scan", lambda self, *limits: scans.append(limits) or scan(self, *limits))
+        scan = ExpansionModel.basis_exponents
+        monkeypatch.setattr(ExpansionModel, "basis_exponents", lambda self: scans.append(self) or scan(self))
         fit_expansion(pointwise(lambda p: zpow(p.log(), alpha.value())), model, SamplingPlan(rho0=0.1, n_shells=8))
-        assert len(scans) == 1
+        assert scans == [model]
 
 
 GRID_ANGLES = [Exponent(Fraction(p, q)) for p, q in [(1, 3), (1, 2), (2, 3), (3, 4), (1, 1), (3, 2), (2, 1), (2, 5)]]
@@ -102,8 +104,8 @@ class TestSamplingPlan:
             assert (pts.r[sl] == rho).all() and sl.stop - sl.start == plan.points_per_shell
 
 
-class TestFloatFirstScan:
-    """The float lattice scan keeps exactly the exponents of the full exact scan (tests/references.py)."""
+class TestOneExactScan:
+    """The one exact scan keeps exactly the exponents of the full exact scan (tests/references.py)."""
 
     @pytest.mark.parametrize("alpha", GRID_ANGLES, ids=str)
     def test_matches_the_full_scan_on_the_grid(self, alpha):
@@ -125,17 +127,34 @@ class TestFloatFirstScan:
         cases += [(SQRT2, 1.0 + SQRT2.value()), (SQRT2, 2 * SQRT2.value() - 1e-13), (SQRT2, 2 * SQRT2.value() + 1e-12)]
         golden = Exponent.generator("golden")
         cases += [(golden, 2 * golden.value() - 1.0), (golden, golden.value() + 3.0)]
-        # R + 1e-12 equal to the float 1 + 2 (1/3), one ulp below 5/3's value(): the float test keeps 5/3 in the
-        # lattice and its value() puts it in the guard band too
+        # R + 1e-12 equal to the float 1 + 2 (1/3), one ulp below 5/3's value(): a test on that float would keep
+        # 5/3 in the lattice, while its value() puts it in the guard band, and only there
         third = Exponent(Fraction(1, 3))
         for R in (1.6666666666656664, 3.333333333332333):
             assert R + 1e-12 in (1 + 2 * third.value(), 2 + 4 * third.value())
-            assert (third * round(3 * R)).value() > R + 1e-12
+            edge = third * round(3 * R)
+            assert edge.value() > R + 1e-12
+            for guard_terms in (1, 3, 6):
+                lattice, guard = ExpansionModel(third, R, guard_terms=guard_terms).basis_exponents()
+                assert edge not in lattice and guard[0] == edge
             cases.append((third, R))
         for alpha, R in cases:
             for guard_terms in (1, 3, 6):
                 model = ExpansionModel(alpha, R, guard_terms=guard_terms)
                 assert model.basis_exponents() == reference_basis(model), (alpha, R, guard_terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_full_scan_for_random_exact_angles(self, data):
+        # p/q, or a + b sqrt2 or a + b golden, in (0, 2]; R from alpha/4, so horizons below alpha are drawn too
+        q = data.draw(st.integers(1, 12))
+        p = data.draw(st.integers(1, 2 * q))
+        a, b = data.draw(st.fractions(-2, 2, max_denominator=4)), data.draw(st.fractions(-2, 2, max_denominator=4))
+        alpha = data.draw(st.sampled_from([Exponent(Fraction(p, q)), a + SQRT2 * b, a + Exponent.generator("golden") * b]))
+        assume(1 / 12 <= alpha.value() <= 2)
+        R = data.draw(st.floats(alpha.value() / 4, 6.0))
+        model = ExpansionModel(alpha, R, max_log_degree=data.draw(st.integers(0, 1)), guard_terms=data.draw(st.integers(1, 6)))
+        assert model.basis_exponents() == reference_basis(model)
 
 
 class TestFit:

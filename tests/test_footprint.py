@@ -56,7 +56,7 @@ with open("domain.json", "w") as f:
     json.dump({"arcs": arcs}, f)
 codes["analyze"] = run(JobConfig(command="analyze", input="domain.json", out="analyze"))
 state["jobs"] = loaded()
-solve_sc([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], [0.5] * 4)
+solve_sc([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], ["1/2"] * 4)
 state["sc"] = loaded()
 print(json.dumps({"state": state, "codes": codes}))
 """,

@@ -58,6 +58,13 @@ CROSS = (
     [Fraction(3, 2) if abs(x) == 1 and abs(y) == 1 else Fraction(1, 2) for x, y in CROSS_VERTICES],
 )
 
+SQRT2 = Exponent.generator("sqrt2")
+# a right triangle with angles (sqrt2/4, 1/2, 1/2 - sqrt2/4) pi: two of its corners are irrational multiples of pi
+IRRATIONAL_TRIANGLE = (
+    [0, 1, complex(1, math.tan(math.sqrt(2) * math.pi / 4))],
+    [SQRT2 / 4, Exponent(Fraction(1, 2)), Exponent(Fraction(1, 2)) - SQRT2 / 4],
+)
+
 
 @pytest.fixture(scope="module")
 def unit_square():
@@ -238,7 +245,7 @@ class TestHalfStrip:
             solve_sc([1j * math.pi, 1j * math.pi / 2, 0], [Fraction(1, 2), Fraction(1, 1), Fraction(1, 2)])
         poly = SCPolygon(
             vertices=[1j * math.pi, 1j * math.pi / 2, 0],
-            angles=[Fraction(1, 2), Fraction(1, 1), Fraction(1, 2)],
+            angles=[Exponent(Fraction(1, 2)), Exponent(1), Exponent(Fraction(1, 2))],
             prevertices=np.array([-1.0, 0.0, 1.0]),
             A=1.0,
             B=0.0,
@@ -315,7 +322,7 @@ class TestCornerGerm:
             d1 = poly.vertices[(k + 1) % 4] - w
             d2 = poly.vertices[(k - 1) % 4] - w
             measured = measured_angle_over_pi(PuiseuxArc([0, d1], vertex=w), PuiseuxArc([0, d2], vertex=w))
-            assert measured == pytest.approx(0.5, abs=1e-12) and Exponent(poly.angles[k]) == Exponent(Fraction(1, 2))
+            assert measured == pytest.approx(0.5, abs=1e-12) and poly.angles[k] == Exponent(Fraction(1, 2))
 
 
     @staticmethod
@@ -329,7 +336,7 @@ class TestCornerGerm:
                     d, e = mpmath.mpc(xs[k] - xs[j]), mpmath.mpf(float(es[j]))
                     fac = [mpmath.binomial(e, n) * d ** (e - n) for n in range(order + 1)]
                     g = [mpmath.fsum(g[i] * fac[n - i] for i in range(n + 1)) for n in range(order + 1)]
-            a = mpmath.mpf(float(poly.angles[k]))
+            a = mpmath.mpf(poly.angles[k].value())
             return np.array([complex(mpmath.mpc(poly.A) * g[n] / (a + n)) for n in range(order + 1)])
 
     def test_germ_coefficients_match_40_digit_products(self, unit_square, elliptic_rectangle):
@@ -355,6 +362,49 @@ class TestCornerGerm:
         reflex, right = sc_corner_germ(hexagon, 3), sc_corner_germ(hexagon, 0)
         assert reflex.alpha == Exponent(Fraction(3, 2)) and reflex.alpha is not first.alpha
         assert right.alpha is first.alpha
+
+
+class TestIrrationalAngles:
+    """Angles are exact Exponents: a triangle at irrational multiples of pi solves, and its germs sit on alpha_k + N."""
+
+    @pytest.fixture(scope="class")
+    def triangle(self):
+        return solve_sc(*IRRATIONAL_TRIANGLE)
+
+    def test_the_triangle_solves_with_its_angles_exact(self, triangle):
+        assert triangle.angles == IRRATIONAL_TRIANGLE[1]
+        for xk, wk in zip(triangle.prevertices, triangle.vertices):
+            assert abs(sc_evaluate(triangle, xk) - wk) < 1e-8
+
+    def test_germ_exponents_are_alpha_k_plus_m_exactly(self, triangle):
+        for k, alpha in enumerate(triangle.angles):
+            series = sc_corner_germ(triangle, k).series
+            assert set(series.terms) == {alpha + m for m in range(25)} and series.r_max == alpha + 24
+
+    def test_germ_series_match_quadrature_at_every_vertex(self, triangle):
+        xs = triangle.prevertices
+        for k in range(3):
+            germ = sc_corner_germ(triangle, k)
+            gap = min(abs(xs[j] - xs[k]) for j in range(3) if j != k)
+            for theta in (0.4, 1.1, 2.2, 2.9):
+                for rr in (0.01 * gap, 0.05 * gap, 0.099 * gap):
+                    ser = germ.series.eval_finite(LPoint(rr, theta))
+                    quadr = sc_evaluate(triangle, xs[k] + cmath.rect(rr, theta)) - triangle.vertices[k]
+                    assert abs(ser - quadr) <= 1e-8 * max(1.0, abs(quadr)), (k, rr, theta)
+
+    def test_a_float_angle_is_refused(self):
+        with pytest.raises(InvalidAngles, match="float"):
+            solve_sc(SQUARE[0], [0.5] + SQUARE[1][1:])
+
+    def test_an_angle_beyond_the_doubles_is_refused(self):
+        # its range check orders it by value(), which has no double for it
+        with pytest.raises(InvalidAngles):
+            solve_sc(SQUARE[0], [10**400] + SQUARE[1][1:])
+
+    def test_a_sum_rule_missed_by_an_irrational_part_is_refused(self):
+        # sum(1 - alpha_k) = 2 - sqrt2/4: the rational parts close, the sqrt2 part does not
+        with pytest.raises(InvalidAngles, match="sum rule"):
+            solve_sc(IRRATIONAL_TRIANGLE[0], [SQRT2 / 4, Fraction(1, 2), Fraction(1, 2)])
 
 
 class TestModelGerm:
