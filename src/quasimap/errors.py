@@ -12,7 +12,7 @@ class NonPositiveValuation(QuasimapError):
 
 
 class AmbiguousExponentOrder(QuasimapError):
-    """Two symbolically distinct exponents could not be separated numerically."""
+    """Two symbolically distinct exponents have equal values (only declared generators can make such)."""
 
 
 class UnknownClass(QuasimapError):

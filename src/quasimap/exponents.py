@@ -8,64 +8,104 @@ represented as
 with ``q`` and the ``c_g`` exact rationals and ``g`` drawn from a registry of
 declared irrational generators (sqrt2, golden, ...); the builtin sqrt5 is
 stored as 2 golden - 1, so that each value has one representation.  Equality
-is decided symbolically on this representation; the total order falls back to
-numerics, escalating to 50-digit arithmetic when double precision cannot
-separate two symbolically distinct values.
+is decided symbolically on this representation.  The total order is decided
+by doubles where their gap exceeds a bound on their own rounding, and exactly
+otherwise: in Q(sqrt2, sqrt3, sqrt5) for the builtins, with each declared
+generator taken as the exact value of its declared decimal or float.
 """
 
 from __future__ import annotations
 
+import math
+from decimal import Context
 from fractions import Fraction
 
 from .errors import AmbiguousExponentOrder, UnknownClass
 
-# mpmath is imported only where 50-digit values are needed: in value_mp, in a
-# comparison that doubles cannot decide, and in declare_generator.
-_MP_DPS = 50
-
-# name -> 50-digit value (a decimal string, or an mpmath number for a generator
-# declared as one), and name -> float value.  The builtins are given to 60
-# significant digits; golden = (1 + sqrt5) / 2.
-_GENERATOR_MP: dict[str, object] = {
-    "sqrt2": "1.41421356237309504880168872420969807856967187537694807317668",
-    "sqrt3": "1.73205080756887729352744634150587236694280525381038062805581",
-    "sqrt5": "2.2360679774997896964091736687312762354406183596115257242709",
-    "golden": "1.61803398874989484820458683436563811772030917980576286213545",
+# name -> declared value as an exact Fraction, and name -> float value.  The
+# builtins are given to 60 significant digits (their order is decided on
+# their radical forms below); golden = (1 + sqrt5) / 2.
+_GENERATOR_DECIMALS: dict[str, Fraction] = {
+    "sqrt2": Fraction("1.41421356237309504880168872420969807856967187537694807317668"),
+    "sqrt3": Fraction("1.73205080756887729352744634150587236694280525381038062805581"),
+    "sqrt5": Fraction("2.2360679774997896964091736687312762354406183596115257242709"),
+    "golden": Fraction("1.61803398874989484820458683436563811772030917980576286213545"),
 }
-_GENERATORS: dict[str, float] = {name: float(digits) for name, digits in _GENERATOR_MP.items()}
+_GENERATORS: dict[str, float] = {name: float(x) for name, x in _GENERATOR_DECIMALS.items()}
+
+# the builtins that an exponent holds, as {squarefree k: coefficient of sqrt(k)}
+_RADICAL_FORMS = {
+    "sqrt2": {2: Fraction(1)},
+    "sqrt3": {3: Fraction(1)},
+    "golden": {1: Fraction(1, 2), 5: Fraction(1, 2)},
+}
 
 
 def declare_generator(name: str, value) -> None:
     """Register an irrational generator by name.
 
-    ``value`` may be a float, an mpmath number, or a decimal string.  Strings
-    and mpmath values are kept at 50 digits for tie-breaking comparisons.
+    ``value`` is a decimal string or a number, kept as its exact Fraction for
+    ordering; one that is not finite, or has no double, raises ValueError.
     Declaring a name again with the same 50-digit value changes nothing; a
     different value raises ValueError, since exponents already built on the
     name would change meaning.
     """
-    import mpmath
+    try:
+        exact = Fraction(value)
+        approx = float(exact)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"irrational generator {name!r} needs a finite decimal or number within the doubles' range, not {value!r}"
+        ) from None
+    if name in _GENERATOR_DECIMALS:
+        fifty = Context(prec=50)  # both values rounded to 50 significant digits
+        old, new = (fifty.divide(x.numerator, x.denominator) for x in (_GENERATOR_DECIMALS[name], exact))
+        if new != old:
+            raise ValueError(f"irrational generator {name!r} is already declared as {old}, not {new}")
+        return
+    _GENERATORS[name] = approx
+    _GENERATOR_DECIMALS[name] = exact
 
-    with mpmath.workdps(_MP_DPS):
-        mpval = mpmath.mpf(value)
-        if name in _GENERATOR_MP:
-            old = mpmath.nstr(mpmath.mpf(_GENERATOR_MP[name]), _MP_DPS)
-            new = mpmath.nstr(mpval, _MP_DPS)
-            if new != old:
-                raise ValueError(f"irrational generator {name!r} is already declared as {old}, not {new}")
-            return
-    _GENERATORS[name] = float(mpval)
-    _GENERATOR_MP[name] = mpval
+
+def _radical_sign(x: dict, primes=(5, 3, 2)) -> int:
+    """Sign of sum_k x[k] sqrt(k), over squarefree k whose prime factors are among ``primes``.
+
+    Written as a + b sqrt(p) for the first prime p, the sum has the sign of a
+    and b when they agree, and otherwise that of a times a^2 - p b^2, the
+    product of the sum and its conjugate a - b sqrt(p).
+    """
+    if not primes:
+        r = x.get(1, 0)
+        return (r > 0) - (r < 0)
+    p, rest = primes[0], primes[1:]
+    a = {k: c for k, c in x.items() if k % p}
+    b = {k // p: c for k, c in x.items() if k % p == 0}
+    sa, sb = _radical_sign(a, rest), _radical_sign(b, rest)
+    if sa * sb >= 0:
+        return sa or sb
+    conjugate = {k: -c if k % p == 0 else c for k, c in x.items()}
+    return sa * _radical_sign(_radical_product(x, conjugate), rest)
+
+
+def _radical_product(x: dict, y: dict) -> dict:
+    """(sum_m x[m] sqrt(m)) (sum_n y[n] sqrt(n)), with sqrt(m) sqrt(n) = g sqrt(mn / g^2), g = gcd(m, n)."""
+    out = {}
+    for m, a in x.items():
+        for n, b in y.items():
+            g = math.gcd(m, n)
+            k = m * n // (g * g)
+            out[k] = out.get(k, 0) + a * b * g
+    return out
 
 
 class Exponent:
     """Exact real number q + sum c_g * g over the declared generators.
 
     Immutable.  Supports +, -, scalar multiplication by rationals, division by
-    integers, exact equality and a numeric total order.
+    integers, exact equality and an exact total order.
     """
 
-    __slots__ = ("rational", "irrational", "_value", "_key_cache", "_hash")
+    __slots__ = ("rational", "irrational", "_value", "_error", "_key_cache", "_hash")
 
     def __init__(self, rational=0, irrational=None):
         irr = {}
@@ -86,6 +126,7 @@ class Exponent:
                     irr[name] = c
         self.irrational = irr
         self._value = None
+        self._error = None
         self._key_cache = None
         self._hash = None
 
@@ -108,21 +149,27 @@ class Exponent:
     # -- numerics --------------------------------------------------------------
 
     def value(self) -> float:
+        """The double value; it also sets ``_error``, a bound on its distance from the exact value."""
         if self._value is None:
             v = float(self.rational)
+            size = abs(v)
             for name, c in self.irrational.items():
-                v += float(c) * _GENERATORS[name]
+                term = float(c) * _GENERATORS[name]
+                v += term
+                size += abs(term)
             self._value = v
+            # each conversion, product and sum rounds by at most a unit in the last place of the terms' size (or of
+            # the smallest normal double), and there are at most 3n + 1 of them for n generators: 4 ulps per n + 2
+            self._error = (len(self.irrational) + 2) * 2.0**-50 * (size + 2.0**-1022)
         return self._value
 
-    def value_mp(self):
-        import mpmath
-
-        with mpmath.workdps(_MP_DPS):
-            v = mpmath.mpf(self.rational.numerator) / self.rational.denominator
-            for name, c in self.irrational.items():
-                v += (mpmath.mpf(c.numerator) / c.denominator) * mpmath.mpf(_GENERATOR_MP[name])
-            return v
+    def sign(self) -> int:
+        """The exact sign: declared generators are their exact Fractions, the builtins their radical forms."""
+        x = {1: self.rational}
+        for name, c in self.irrational.items():
+            for k, r in _RADICAL_FORMS.get(name, {1: _GENERATOR_DECIMALS[name]}).items():
+                x[k] = x.get(k, 0) + c * r
+        return _radical_sign(x)
 
     # -- predicates ------------------------------------------------------------
 
@@ -189,15 +236,13 @@ class Exponent:
         if self._key() == other._key():
             return False
         a, b = self.value(), other.value()
-        if abs(a - b) > 1e-9 * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > self._error + other._error:
             return a < b
-        # escalate: symbolically distinct but numerically close in doubles
-        import mpmath
-
-        am, bm = self.value_mp(), other.value_mp()
-        if abs(am - bm) < mpmath.mpf(10) ** (-_MP_DPS + 10):
-            raise AmbiguousExponentOrder(f"cannot order {self} vs {other}")
-        return am < bm
+        # within the doubles' rounding: the exact difference decides
+        s = (self - other).sign()
+        if s == 0:
+            raise AmbiguousExponentOrder(f"{self} and {other} are distinct exponents of equal value")
+        return s < 0
 
     def __le__(self, other):
         other = Exponent.coerce(other)

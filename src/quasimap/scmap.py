@@ -172,7 +172,8 @@ def solve_sc(vertices, angles, tol: float = 1e-10) -> SCPolygon:
 
     ``angles`` are the interior angles divided by pi, exact (Exponents, ints,
     Fractions or their text) in (0, 2]; they must satisfy the closure rule
-    sum(1 - alpha_k) = 2 exactly, and a float raises InvalidAngles.  Vertices
+    sum(1 - alpha_k) = 2 exactly, and a float raises InvalidAngles, as does an
+    angle whose weight exponent alpha_k - 1 is -1 or below as a double.  Vertices
     are in counterclockwise order; clockwise ones raise InvalidAngles.  A
     residual above ``tol`` after 60 Newton steps raises NonConvergence.
     """
@@ -196,6 +197,12 @@ def solve_sc(vertices, angles, tol: float = 1e-10) -> SCPolygon:
     except ValueError as exc:
         raise InvalidAngles(str(exc)) from None
     exponents = np.array([a.value() - 1.0 for a in als])
+    for k, e in enumerate(exponents):
+        if e <= -1.0:
+            raise InvalidAngles(
+                f"vertex {k} at {vs[k]}: angle {als[k]} pi has the weight exponent alpha - 1 = {e} as a double,"
+                " and Gauss-Jacobi rules need one above -1"
+            )
     # every side integral of this solve draws its Gauss-Jacobi rules from one table
     rules = {}
 

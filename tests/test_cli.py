@@ -252,6 +252,17 @@ class TestScSolveCommand:
         assert json.loads((out / "report.json").read_text())["status"] == "nonconvergence"
 
 
+    def test_a_weight_exponent_of_minus_one_exits_4(self, tmp_path):
+        # alpha = 1e-60 is in (0, 2] exactly, but alpha - 1 is -1 as a double, where Gauss-Jacobi rules stop
+        vertices = [[0, 0], [1, 0], [1, math.tan(1e-60 * math.pi)]]
+        inp = tmp_path / "thin.json"
+        inp.write_text(json.dumps({"vertices": vertices, "angles_over_pi": ["1e-60", "1/2", "1/2+-1e-60"]}))
+        out = tmp_path / "out"
+        assert run(JobConfig(command="sc-solve", input=str(inp), out=str(out))) == EXIT_BAD_INPUT
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "bad-input" and "vertex 0" in report["reason"] and "above -1" in report["reason"]
+
+
 class TestGeneratorRegistry:
     @staticmethod
     def _analyze(tmp_path, generators: dict) -> int:
@@ -274,6 +285,16 @@ class TestGeneratorRegistry:
         assert run(JobConfig(command="analyze", input=str(inp), out=str(tmp_path / "out"))) == EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["singular_points"][0]["angles_over_pi"] == [angle]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_a_generator_that_is_not_finite_exits_4(self, value, tmp_path, capsys):
+        assert self._analyze(tmp_path, {"cli_not_finite": value}) == EXIT_BAD_INPUT
+        assert "'irrational_generators'" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "bad-input" and "'irrational_generators'" in report["reason"]
+        # the name stays undeclared, so it reads as a malformed number
+        with pytest.raises(ValueError):
+            parse_exponent("cli_not_finite")
 
     def test_same_value_and_new_names_still_declare(self, tmp_path):
         same = "1.41421356237309504880168872420969807856967187537694807317667973799"

@@ -1,7 +1,7 @@
-"""What a fresh process loads: mpmath only for 50-digit tie-breaks, scipy only for SC maps.
+"""What a fresh process loads: mpmath never, scipy only for SC maps.
 
 Each check runs in its own interpreter, since this test session has both
-libraries loaded already.
+libraries loaded already (the tests compare against mpmath values).
 """
 
 import json
@@ -53,7 +53,7 @@ for command in ("expand", "verify", "dichotomy", "continue"):
     codes[command] = run(JobConfig(command=command, alpha="1/2", K=4, out=command))
 arcs = [{"vertex": [0, 0], "coeffs": [[0, 0], [1, 0]]}, {"vertex": [0, 0], "coeffs": [[0, 0], [0, 1]]}]
 with open("domain.json", "w") as f:
-    json.dump({"arcs": arcs}, f)
+    json.dump({"arcs": arcs, "irrational_generators": {"footprint_gen": "1.2345"}}, f)
 codes["analyze"] = run(JobConfig(command="analyze", input="domain.json", out="analyze"))
 state["jobs"] = loaded()
 solve_sc([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], ["1/2"] * 4)
@@ -69,30 +69,32 @@ print(json.dumps({"state": state, "codes": codes}))
     assert out["state"]["sc"] == {"mpmath": False, "scipy": True}
 
 
-def test_near_ties_load_mpmath_and_still_order_or_raise(tmp_path):
+def test_near_ties_order_without_mpmath(tmp_path):
     out = run_fresh(
         """
 from fractions import Fraction
 
 from quasimap.errors import AmbiguousExponentOrder
-from quasimap.exponents import Exponent
+from quasimap.exponents import Exponent, declare_generator
 
 sqrt2 = Exponent.generator("sqrt2")
 below = Exponent(Fraction(1414213562373095, 10**15))
 state = {"far": Exponent(1) < sqrt2 < Exponent(2)}
-state["far_loaded"] = loaded()
 state["near"] = [below < sqrt2, sqrt2 < below]
-state["near_loaded"] = loaded()
-tie = Exponent(Fraction("1.414213562373095048801688724209698078569671875376948"))
+# sqrt2's 52-digit decimal lies 7.3e-53 below it
+digits = Exponent(Fraction("1.414213562373095048801688724209698078569671875376948"))
+state["52_digits"] = [sqrt2 < digits, digits < sqrt2]
+declare_generator("footprint_half", "0.5")
 try:
-    sqrt2 < tie
+    Exponent.generator("footprint_half") < Fraction(1, 2)
     state["tie"] = "ordered"
 except AmbiguousExponentOrder:
     state["tie"] = "ambiguous"
+state["loaded"] = loaded()
 print(json.dumps(state))
 """,
         tmp_path,
     )
-    assert out["far"] and out["far_loaded"]["mpmath"] is False
-    assert out["near"] == [True, False] and out["near_loaded"]["mpmath"] is True
-    assert out["tie"] == "ambiguous"
+    assert out["far"] and out["near"] == [True, False] and out["52_digits"] == [False, True]
+    # only a declared generator of rational value ties, and nothing loads mpmath
+    assert out["tie"] == "ambiguous" and out["loaded"]["mpmath"] is False

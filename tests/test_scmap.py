@@ -401,6 +401,12 @@ class TestIrrationalAngles:
         with pytest.raises(InvalidAngles):
             solve_sc(SQUARE[0], [10**400] + SQUARE[1][1:])
 
+    def test_a_weight_exponent_of_minus_one_as_a_double_is_refused(self):
+        # 1e-60 passes the exact range check, but 1e-60 - 1 is -1.0 as a double: vertex 0 is named
+        angles = [Fraction(1, 10**60), Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**60)]
+        with pytest.raises(InvalidAngles, match="vertex 0 .* above -1"):
+            solve_sc([0, 1, complex(1, math.tan(1e-60 * math.pi))], angles)
+
     def test_a_sum_rule_missed_by_an_irrational_part_is_refused(self):
         # sum(1 - alpha_k) = 2 - sqrt2/4: the rational parts close, the sqrt2 part does not
         with pytest.raises(InvalidAngles, match="sum rule"):
