@@ -82,6 +82,8 @@ class JobConfig:
             raise ValueError(f"--shells must be >= 1, got {self.shells}")
         if self.R is not None and not (math.isfinite(self.R) and self.R > 0):
             raise ValueError(f"--R must be finite and > 0, got {self.R}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"--tol must be finite and > 0, got {self.tol}")
         if self.angle_class is not None and self.angle_class not in ANGLE_CLASSES:
@@ -193,9 +195,16 @@ def _polygon_input(data) -> tuple[list, list]:
     if angles is None:
         raise ValueError("polygon input needs angles_over_pi")
     with malformed("angles_over_pi"):
-        angles = [Exponent(Fraction(a[0], a[1])) if isinstance(a, list) else
-                  parse_exponent(a) if isinstance(a, str) else Exponent(a) for a in angles]
-    return vertices, angles
+        return vertices, [_angle(a) for a in angles]
+
+
+def _angle(a) -> Exponent:
+    """One angle/pi of an sc-solve input: text, a [p, q] pair of integers, or a number that is no JSON boolean."""
+    if isinstance(a, bool) or isinstance(a, list) and not (len(a) == 2 and all(type(x) is int for x in a)):
+        raise ValueError(f"an angle is text, a number or a [p, q] pair of integers, not {a!r}")
+    if isinstance(a, list):
+        return Exponent(Fraction(*a))
+    return parse_exponent(a) if isinstance(a, str) else Exponent(a)
 
 
 def _run_analyze(config: JobConfig) -> tuple[dict, list, str]:
@@ -254,15 +263,20 @@ def _model_setup(config: JobConfig):
 
 
 def _reach(K: int) -> float:
-    """The largest |arg| sampled on a tower of depth K: 0.98 of its built sheets' (2^K - 1) pi."""
-    return 0.98 * (2**K - 1) * math.pi
+    """The largest |arg| sampled on a tower of depth K: 0.98 of its built sheets' (2^K - 1) pi, or at K = 0 of
+    the germ's own sheet [0, pi]."""
+    return 0.98 * max(2**K - 1, 1) * math.pi
+
+
+def _built_sheets(config: JobConfig, quad: QuadraticDomain) -> QuadraticDomain:
+    """The certified domain, one-sided at K = 0, where no mirrored sheet is built."""
+    return QuadraticDomain(quad.c, quad.C, quad.mirrored and config.K > 0)
 
 
 def _sampled_domain(config: JobConfig, quad: QuadraticDomain, plan: SamplingPlan) -> QuadraticDomain:
-    """The certified domain with C raised, where needed, so that no shell of the plan sweeps past the reach:
-    a subdomain, so still certified.  K = 0 keeps the domain as it is."""
-    if config.K == 0:
-        return quad
+    """The certified domain on the built sheets with C raised, where needed, so that no shell of the plan sweeps
+    past the reach: a subdomain, so still certified."""
+    quad = _built_sheets(config, quad)
     C = math.log(quad.c / plan.shells()[-1]) / math.sqrt(_reach(config.K))
     return QuadraticDomain(quad.c, max(quad.C, C), quad.mirrored)
 
@@ -281,7 +295,7 @@ def _run_continue(config: JobConfig) -> tuple[dict, list, str]:
     av = alpha.value()
     # the built sheets, but no wider than the sample radii stay normal doubles
     cap = min(_reach(config.K), max_sample_arg(cert.quad))
-    pts = sample_quadratic_domain(cert.quad, 512, config.seed, max_abs_arg=cap)
+    pts = sample_quadratic_domain(_built_sheets(config, cert.quad), 512, config.seed, max_abs_arg=cap)
     samples = [["r", "arg", "abs_error_vs_closed_form"]]
     worst = 0.0
     for p, got in zip(pts, ext.evaluate(pts)):

@@ -40,7 +40,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DichotomyViolation, FailedCertificate, IllConditioned
-from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent, value_of
+from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent
 from .series import HORIZON_SLACK, LogPowerSeries, _le_bound
 from .surface import LPoint, LPointArray, QuadraticDomain, quad_intersect
 
@@ -305,9 +305,9 @@ def verify_asymptotic(
     either that is not finite raises ValueError naming its sample, and a
     series whose truncation bound lies below R one naming both bounds.
     """
-    if value_of(g.r_max) + HORIZON_SLACK < value_of(R):
+    if g.r_max + HORIZON_SLACK < R:
         raise ValueError(
-            f"the series' truncation bound {value_of(g.r_max):g} lies below the horizon R = {value_of(R):g}: "
+            f"the series' truncation bound {g.r_max:g} lies below the horizon R = {R:g}: "
             "the series says nothing about its exponents between them"
         )
     if plan is None:

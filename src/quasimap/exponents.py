@@ -45,11 +45,14 @@ def declare_generator(name: str, value) -> None:
     """Register an irrational generator by name.
 
     ``value`` is a decimal string or a number, kept as its exact Fraction for
-    ordering; one that is not finite, or has no double, raises ValueError.
+    ordering; one that is not finite, or has no double, raises ValueError, as
+    do a boolean and fraction text such as "1/3", whose values are rational.
     Declaring a name again with the same 50-digit value changes nothing; a
     different value raises ValueError, since exponents already built on the
     name would change meaning.
     """
+    if isinstance(value, bool) or isinstance(value, str) and "/" in value:
+        raise ValueError(f"irrational generator {name!r} needs a decimal or number, not the rational {value!r}")
     try:
         exact = Fraction(value)
         approx = float(exact)

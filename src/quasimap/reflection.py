@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GermTooSmall, NormalizationError, OutsideExtensionDomain
-from .exponents import Exponent, value_of
+from .exponents import value_of
 from .powerseries import AnalyticFunc, PowerSeries, require_in_disk
 from .series import PURE_POWER, LogPowerSeries
 from .surface import (
@@ -102,9 +102,10 @@ class MapGerm:
         """The germ given by its series on |z| < t_bar, evaluated by ``series.eval_finite``.
 
         alpha is the series' valuation.  Without a growth, a pure-power series
-        on the ladder alpha + m, m = 0..M, with M = r_max - alpha, is bounded
-        by E = 1.05 sum |c_m| t_bar^m over its dense coefficient vector; a
-        series with log terms, or off that ladder, must be given its growth.
+        on the ladder alpha + m, m = 0..M, with alpha + M its top term, is
+        bounded by E = 1.05 sum |c_m| t_bar^m over its dense coefficient
+        vector; a series with log terms, or off that ladder, must be given its
+        growth.
         """
         alpha = series.valuation()
         if alpha is None:
@@ -139,15 +140,15 @@ class MapGerm:
 
 
 def _ladder_growth(series: LogPowerSeries, alpha, t_bar: float) -> float:
-    """1.05 sum_m |c_m| t_bar^m over the dense coefficients c_m of z^(alpha + m), m = 0..r_max - alpha."""
-    steps = [e - alpha for e in (series.r_max, *series.terms)] if isinstance(series.r_max, Exponent) else []
-    if series.series_class() != PURE_POWER or not steps or not all(m.is_integer() for m in steps):
+    """1.05 sum_m |c_m| t_bar^m over the dense coefficients c_m of z^(alpha + m), m = 0 to the series' top term."""
+    steps = [e - alpha for e in series.terms]
+    if series.series_class() != PURE_POWER or not all(m.is_integer() for m in steps):
         raise ValueError(
-            "growth=None bounds only a pure-power series on the ladder alpha + m up to an exact bound r_max; "
-            "give this series its growth"
+            "growth=None bounds only a pure-power series on the ladder alpha + m; give this series its growth"
         )
-    dense = np.zeros(int(steps[0].rational) + 1, dtype=complex)
-    dense[[int(m.rational) for m in steps[1:]]] = [q.leading for q in series.terms.values()]
+    ms = [int(m.rational) for m in steps]
+    dense = np.zeros(max(ms) + 1, dtype=complex)
+    dense[ms] = [q.leading for q in series.terms.values()]
     return float(np.sum(np.abs(dense) * t_bar ** np.arange(len(dense)))) * 1.05
 
 

@@ -10,13 +10,15 @@ is derived on demand.  Exponents use :class:`~quasimap.exponents.Exponent`, so
 structural questions (support, equality of exponents, the pure-power /
 log-power dichotomy) are exact; coefficient values are complex doubles.
 
-Every series carries a truncation bound ``r_max``: exponents above it are
-*unrepresented* rather than zero, which is what makes "asymptotic expansion up
-to order R" statements meaningful.  Arithmetic propagates the bound so that
-every retained term of a sum or product is exact.  The constructor alone
-decides which terms a series holds: sums, products, truncation and the JSON
-reader hand it (exponent, polynomial) pairs, and it sums repeated exponents,
-drops zero polynomials and keeps the exponents within the bound.
+Every series carries a truncation bound ``r_max``, a float (``INF`` for
+none): exponents above it are *unrepresented* rather than zero, which is what
+makes "asymptotic expansion up to order R" statements meaningful.  An exponent
+lies within it when its value is at most ``r_max + HORIZON_SLACK``.
+Arithmetic propagates the bound so that every retained term of a sum or
+product is exact.  The constructor alone decides which terms a series holds:
+sums, products, truncation and the JSON reader hand it (exponent, polynomial)
+pairs, and it sums repeated exponents, drops zero polynomials and keeps the
+exponents within the bound.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class LogPowerSeries:
         """``terms`` is a dict or an iterable of (exponent, polynomial) pairs, each
         polynomial a LogPolynomial, a coefficient list or a scalar; a repeated
         exponent has its polynomials summed in the order given, and the bound
-        test is :func:`_le_bound`."""
+        test is :func:`_le_bound`.  An exact bound is taken at its value."""
         tmap: dict[Exponent, LogPolynomial] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -141,8 +143,8 @@ class LogPowerSeries:
                         del tmap[alpha]
                         continue
                 tmap[alpha] = poly
-        self.terms = {a: p for a, p in tmap.items() if _le_bound(a, r_max)}
-        self.r_max = r_max
+        self.r_max = value_of(r_max)
+        self.terms = {a: p for a, p in tmap.items() if _le_bound(a, self.r_max)}
 
     # -- constructors ---------------------------------------------------------
 
@@ -184,20 +186,19 @@ class LogPowerSeries:
         return (
             isinstance(other, LogPowerSeries)
             and self.terms == other.terms
-            and value_of(self.r_max) == value_of(other.r_max)
+            and self.r_max == other.r_max
         )
 
     def __repr__(self):
         bits = []
         for a in self.support():
             bits.append(f"({self.terms[a]!r})*z^({a})")
-        r = "inf" if value_of(self.r_max) == INF else str(self.r_max)
-        return " + ".join(bits or ["0"]) + f"  [r_max={r}]"
+        return " + ".join(bits or ["0"]) + f"  [r_max={self.r_max}]"
 
     # -- algebra ----------------------------------------------------------------
 
     def __add__(self, other: "LogPowerSeries") -> "LogPowerSeries":
-        return LogPowerSeries([*self.terms.items(), *other.terms.items()], _min_bound(self.r_max, other.r_max))
+        return LogPowerSeries([*self.terms.items(), *other.terms.items()], min(self.r_max, other.r_max))
 
     def __neg__(self):
         return LogPowerSeries({a: -q for a, q in self.terms.items()}, self.r_max)
@@ -235,7 +236,7 @@ class LogPowerSeries:
 
     def truncate(self, r) -> "LogPowerSeries":
         """Keep exponents <= min(r, r_max); the bound shrinks accordingly."""
-        return LogPowerSeries(self.terms, _min_bound(self.r_max, r))
+        return LogPowerSeries(self.terms, min(self.r_max, value_of(r)))
 
     # -- composition -----------------------------------------------------------
 
@@ -287,15 +288,15 @@ class LogPowerSeries:
         # unit part u = g / (a z^nu): valuation > 0 tail
         tail = LogPowerSeries(
             {a - nu: q * (1 / a_nu) for a, q in self.terms.items() if a != nu},
-            _sub_bound(self.r_max, nu),
+            self.r_max - nu.value(),
         )
         bound = tail.r_max
         out = LogPowerSeries({ZERO: LogPolynomial.constant(1)}, bound)
         term = LogPowerSeries({ZERO: LogPolynomial.constant(1)}, INF)
         # number of binomial terms needed: nu(tail) * n <= bound
         nt = tail.valuation()
-        if nt is not None and value_of(bound) < INF:
-            nmax = int(value_of(bound) / nt.value()) + 1
+        if nt is not None and bound < INF:
+            nmax = int(bound / nt.value()) + 1
         else:
             nmax = 0 if nt is None else 1
         coeff = 1.0
@@ -307,7 +308,7 @@ class LogPowerSeries:
         c_p = mod * cmath.exp(1j * cmath.phase(a_nu) * float(p))
         return LogPowerSeries(
             {a + nu * p: q * c_p for a, q in out.terms.items()},
-            _add_bound(out.r_max, nu * p),
+            out.r_max + (nu * p).value(),
         )
 
     # -- evaluation --------------------------------------------------------------
@@ -340,8 +341,7 @@ class LogPowerSeries:
                     "log_poly": [[c.real, c.imag] for c in q.coeffs],
                 }
             )
-        r = value_of(self.r_max)
-        return {"terms": terms, "truncation_bound": None if r == INF else r}
+        return {"terms": terms, "truncation_bound": None if self.r_max == INF else self.r_max}
 
     @classmethod
     def from_json(cls, data: dict) -> "LogPowerSeries":
@@ -372,61 +372,28 @@ def zpow(logz, alpha: float):
 # -- truncation-bound arithmetic ----------------------------------------------------
 
 
-def _le_bound(a: Exponent, r) -> bool:
-    """Whether the exponent a lies within the bound r: exactly for an exact r, and by
-    a.value() <= r + HORIZON_SLACK for a float one."""
-    if isinstance(r, Exponent):
-        return a <= r
-    return r == INF or a.value() <= r + HORIZON_SLACK
+def _le_bound(a: Exponent, r: float) -> bool:
+    """Whether the exponent a lies within the float bound r: a.value() <= r + HORIZON_SLACK."""
+    return a.value() <= r + HORIZON_SLACK
 
 
-def _min_bound(r1, r2):
-    v1, v2 = value_of(r1), value_of(r2)
-    if v1 <= v2:
-        return r1
-    return r2
-
-
-def _add_bound(r, e: Exponent):
-    if value_of(r) == INF:
-        return INF
-    if isinstance(r, Exponent):
-        return r + e
-    return float(r) + e.value()
-
-
-def _sub_bound(r, e: Exponent):
-    if value_of(r) == INF:
-        return INF
-    if isinstance(r, Exponent):
-        return r - e
-    return float(r) - e.value()
-
-
-def _product_bound(f: LogPowerSeries, g: LogPowerSeries):
+def _product_bound(f: LogPowerSeries, g: LogPowerSeries) -> float:
     """min over unknown-tail entry points of f*g (see module docstring)."""
     nf, ng = f.valuation(), g.valuation()
+    if nf is None and ng is None:
+        return f.r_max + g.r_max
     candidates = []
     if ng is not None:
-        candidates.append(_add_bound(f.r_max, ng))
+        candidates.append(f.r_max + ng.value())
     if nf is not None:
-        candidates.append(_add_bound(g.r_max, nf))
-    if nf is None and ng is None:
-        vf, vg = value_of(f.r_max), value_of(g.r_max)
-        return INF if vf == INF or vg == INF else vf + vg
-    out = candidates[0]
-    for c in candidates[1:]:
-        out = _min_bound(out, c)
-    return out
+        candidates.append(g.r_max + nf.value())
+    return min(candidates)
 
 
-def _compose_bound(f: LogPowerSeries, inner: LogPowerSeries):
+def _compose_bound(f: LogPowerSeries, inner: LogPowerSeries) -> float:
     """Truncation bound for f(inner): min of inner's own bound and the first
     exponent contributed by f's unrepresented tail."""
-    bound = inner.r_max
-    if value_of(f.r_max) != INF:
-        nu = inner.valuation()
-        if nu is not None:
-            n_known = math.floor(value_of(f.r_max) + HORIZON_SLACK)
-            bound = _min_bound(bound, nu * (n_known + 1))
-    return bound
+    nu = inner.valuation()
+    if f.r_max == INF or nu is None:
+        return inner.r_max
+    return min(inner.r_max, (nu * (math.floor(f.r_max + HORIZON_SLACK) + 1)).value())

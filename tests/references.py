@@ -12,7 +12,7 @@ import numpy as np
 from quasimap.errors import ImageEscapesChart, InversionFailure
 from quasimap.exponents import Exponent, value_of
 from quasimap.powerseries import AnalyticFunc, PowerSeries, require_in_disk
-from quasimap.series import LogPowerSeries, _min_bound, _product_bound, zpow
+from quasimap.series import LogPowerSeries, _product_bound, zpow
 from quasimap.surface import LPoint
 
 
@@ -158,18 +158,14 @@ def sector_model(z, alpha: float):
     return zpow(z.log(), alpha)
 
 
-def _le_bound_before_slack(a: Exponent, r) -> bool:
-    """The bound test of the series algebra that merged its own terms: a float bound r kept value() <= r + 1e-15."""
-    if r is math.inf or value_of(r) == math.inf:
-        return True
-    if isinstance(r, Exponent):
-        return a <= r
-    return a.value() <= float(r) + 1e-15
+def _le_bound_before_slack(a: Exponent, r: float) -> bool:
+    """The bound test of the series algebra that merged its own terms: value() <= r + 1e-15."""
+    return a.value() <= r + 1e-15
 
 
 def merged_add(f: LogPowerSeries, g: LogPowerSeries) -> LogPowerSeries:
     """f + g by merging g's terms into a copy of f's, one at a time, a sum that cancels deleted."""
-    r = _min_bound(f.r_max, g.r_max)
+    r = min(f.r_max, g.r_max)
     terms = dict(f.terms)
     for a, q in g.terms.items():
         if a in terms:
@@ -206,5 +202,5 @@ def merged_mul(f: LogPowerSeries, g: LogPowerSeries) -> LogPowerSeries:
 
 def filtered_truncate(f: LogPowerSeries, r) -> LogPowerSeries:
     """f truncated at min(r, r_max) by filtering its terms against the new bound."""
-    new_r = _min_bound(f.r_max, r)
+    new_r = min(f.r_max, value_of(r))
     return LogPowerSeries({a: q for a, q in f.terms.items() if _le_bound_before_slack(a, new_r)}, new_r)

@@ -296,6 +296,14 @@ class TestGeneratorRegistry:
         with pytest.raises(ValueError):
             parse_exponent("cli_not_finite")
 
+    @pytest.mark.parametrize("value", ["1/3", True])
+    def test_a_generator_of_rational_value_exits_4(self, value, tmp_path, capsys):
+        assert self._analyze(tmp_path, {"cli_rational_gen": value}) == EXIT_BAD_INPUT
+        assert "'irrational_generators'" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["status"] == "bad-input" and "'irrational_generators'" in report["reason"]
+        assert "'cli_rational_gen'" in report["reason"]
+
     def test_same_value_and_new_names_still_declare(self, tmp_path):
         same = "1.41421356237309504880168872420969807856967187537694807317667973799"
         assert self._analyze(tmp_path, {"sqrt2": same, "cli_registry_gen": "1.2345"}) == EXIT_OK
@@ -357,6 +365,39 @@ class TestPlumbing:
             assert (out / name).read_bytes() == blob
 
 
+class TestDepthZero:
+    """At K = 0 only the germ's sheet [0, pi] is built: the jobs sample it one-sided, up to 0.98 pi."""
+
+    ALPHAS = ["1/3", "1/2", "2/3", "3/4", "3/2", "sqrt2", "golden"]
+
+    @staticmethod
+    def _args(out) -> list:
+        return [float(row[1]) for row in list(csv.reader((out / "samples.csv").open()))[1:]]
+
+    @pytest.mark.parametrize("command", ["expand", "verify"])
+    @pytest.mark.parametrize("alpha", ALPHAS + ["2"])
+    def test_expand_and_verify_pass(self, command, alpha, tmp_path):
+        out = tmp_path / "out"
+        assert main([command, "--alpha", alpha, "--K", "0", "--out", str(out)]) == EXIT_OK
+        if command == "verify":
+            args = self._args(out)
+            assert 0.0 <= min(args) and max(args) <= 0.98 * math.pi
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_dichotomy_stays_on_the_germs_sheet(self, alpha, tmp_path):
+        out = tmp_path / "out"
+        code = main(["dichotomy", "--alpha", alpha, "--K", "0", "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert code == EXIT_OK or code == EXIT_BAD_INPUT and "tower" not in report["reason"], report
+
+    def test_continue_samples_across_the_germs_sheet(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["continue", "--alpha", "1/2", "--K", "0", "--out", str(out)]) == EXIT_OK
+        args = self._args(out)
+        assert len(set(args)) == 512 and 0.0 <= min(args) < 0.1 and 0.9 * math.pi < max(args) <= 0.98 * math.pi
+        assert json.loads((out / "report.json").read_text())["closed_form_check"]["max_abs_error"] < 1e-12
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, message",
@@ -377,6 +418,8 @@ class TestBadInput:
             (["dichotomy", "--alpha", "1/2", "--R", "0.1"], "the lattice has no exponent up to R"),
             (["expand", "--alpha", "1/2", "--R", "15", "--shells", "1"],
              "the deeper half of 64 samples cannot determine 33 coefficients"),
+            (["expand", "--alpha", "1/2", "--seed", "-1"], "--seed must be >= 0"),
+            (["continue", "--alpha", "1/2", "--seed", "-1"], "--seed must be >= 0"),
         ],
     )
     def test_bad_flag_exits_4(self, argv, message, tmp_path, capsys):
@@ -431,6 +474,9 @@ class TestBadInput:
              "'at_infinity' must be false"),
             ("analyze", {"polygon": SQUARE[::-1]}, "must run counterclockwise"),
             ("sc-solve", {"polygon": SQUARE[::-1], "angles_over_pi": ["1/2"] * 4}, "must run counterclockwise"),
+            ("sc-solve", {"polygon": SQUARE, "angles_over_pi": ["1/2"] * 3 + [[1, 2, 3]]}, "'angles_over_pi'"),
+            ("sc-solve", {"polygon": SQUARE, "angles_over_pi": ["1/2"] * 3 + [[True, 2]]}, "'angles_over_pi'"),
+            ("sc-solve", {"polygon": SQUARE, "angles_over_pi": ["1/2"] * 3 + [True]}, "'angles_over_pi'"),
         ],
     )
     def test_malformed_json_exits_4(self, command, data, message, tmp_path, capsys):

@@ -145,6 +145,14 @@ def test_a_generator_that_is_not_finite_is_refused(value):
     assert "not_finite" not in _GENERATORS and "not_finite" not in _GENERATOR_DECIMALS
 
 
+@pytest.mark.parametrize("value", ["1/3", " 2 / 3", True, False])
+def test_a_generator_of_rational_value_is_refused(value):
+    # a boolean or fraction text is rational: declared, it would order as irrational against its equal rational
+    with pytest.raises(ValueError, match="'rational_gen'"):
+        declare_generator("rational_gen", value)
+    assert "rational_gen" not in _GENERATORS and "rational_gen" not in _GENERATOR_DECIMALS
+
+
 def test_builtin_generators_keep_their_50_digit_and_double_values():
     with mpmath.workdps(60):
         computed = {

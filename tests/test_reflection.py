@@ -602,12 +602,20 @@ class TestFromSeries:
     def test_growth_is_required_off_a_pure_power_ladder(self):
         half = Exponent(Fraction(1, 2))
         logged = LogPowerSeries.monomial(1.0, half, r_max=half + 2) + LogPowerSeries.monomial(0.1, half + 1, log_degree=1)
-        unbounded = LogPowerSeries.monomial(1.0, half)
         off_ladder = LogPowerSeries({half: 1.0, Exponent.generator("sqrt2"): 1.0}, r_max=half + 2)
-        for series in (logged, unbounded, off_ladder):
+        for series in (logged, off_ladder):
             with pytest.raises(ValueError, match="give this series its growth"):
                 MapGerm.from_series(series, *self.RAYS, t_bar=0.5)
         assert MapGerm.from_series(logged, *self.RAYS, t_bar=0.5, growth=3.0).growth == 3.0
+
+    def test_growth_needs_no_bound_on_the_ladder(self):
+        # the dense vector ends at the top term: zero coefficients up to a bound add nothing to the sum
+        half = Exponent(Fraction(1, 2))
+        terms = {half: 2.0, half + 1: -1j}
+        for r_max in (half + 1, half + 2, math.inf):
+            germ = MapGerm.from_series(LogPowerSeries(terms, r_max=r_max), *self.RAYS, t_bar=0.5)
+            assert germ.growth == (2.0 + 0.5) * 1.05
+        assert MapGerm.from_series(LogPowerSeries.monomial(1.0, half), *self.RAYS, t_bar=0.5).growth == 1.05
 
     def test_sc_germs_walk_lists_as_arrays(self):
         germ = sc_corner_germ(l_hexagon(), 3)
