@@ -27,7 +27,6 @@ from .reflection import (
     build_extension,
     build_tower,
     certify_quadratic_domain,
-    max_sample_arg,
     sample_quadratic_domain,
 )
 from .expansion import (

@@ -44,10 +44,9 @@ from .expansion import (
     verify_asymptotic,
 )
 from .exponents import IRRATIONAL_PI_MULTIPLE, RATIONAL_PI_MULTIPLE, Exponent, parse_exponent, rationality_class
-from .reflection import build_extension, certify_quadratic_domain, max_sample_arg, sample_quadratic_domain
+from .reflection import build_extension, certify_quadratic_domain, sample_quadratic_domain
 from .scmap import model_corner_germ, solve_sc
-from .series import LogPowerSeries
-from .surface import QuadraticDomain
+from .series import LogPowerSeries, zpow
 from .svg import svg_plot
 
 EXIT_OK = 0
@@ -262,44 +261,23 @@ def _model_setup(config: JobConfig):
     return alpha, ext, certify_quadratic_domain(ext)
 
 
-def _reach(K: int) -> float:
-    """The largest |arg| sampled on a tower of depth K: 0.98 of its built sheets' (2^K - 1) pi, or at K = 0 of
-    the germ's own sheet [0, pi]."""
-    return 0.98 * max(2**K - 1, 1) * math.pi
-
-
-def _built_sheets(config: JobConfig, quad: QuadraticDomain) -> QuadraticDomain:
-    """The certified domain, one-sided at K = 0, where no mirrored sheet is built."""
-    return QuadraticDomain(quad.c, quad.C, quad.mirrored and config.K > 0)
-
-
-def _sampled_domain(config: JobConfig, quad: QuadraticDomain, plan: SamplingPlan) -> QuadraticDomain:
-    """The certified domain on the built sheets with C raised, where needed, so that no shell of the plan sweeps
-    past the reach: a subdomain, so still certified."""
-    quad = _built_sheets(config, quad)
-    C = math.log(quad.c / plan.shells()[-1]) / math.sqrt(_reach(config.K))
-    return QuadraticDomain(quad.c, max(quad.C, C), quad.mirrored)
-
-
 def _fit(config: JobConfig, max_log_degree: int):
     """Horizon R (default 3 alpha) and the model germ's expansion fitted up to it."""
     alpha, ext, cert = _model_setup(config)
     R = config.R if config.R is not None else 3.0 * alpha.value()
     model = ExpansionModel(alpha, R, max_log_degree=max_log_degree)
     plan = SamplingPlan(rho0=0.5 * cert.quad.c, n_shells=config.shells)
-    return R, fit_expansion(ext.evaluate, model, plan, domain=_sampled_domain(config, cert.quad, plan))
+    return R, fit_expansion(ext.evaluate, model, plan, domain=cert.quad)
 
 
 def _run_continue(config: JobConfig) -> tuple[dict, list, str]:
     alpha, ext, cert = _model_setup(config)
     av = alpha.value()
-    # the built sheets, but no wider than the sample radii stay normal doubles
-    cap = min(_reach(config.K), max_sample_arg(cert.quad))
-    pts = sample_quadratic_domain(_built_sheets(config, cert.quad), 512, config.seed, max_abs_arg=cap)
+    pts = sample_quadratic_domain(cert.quad, 512, config.seed)
     samples = [["r", "arg", "abs_error_vs_closed_form"]]
     worst = 0.0
     for p, got in zip(pts, ext.evaluate(pts)):
-        want = np.exp(av * complex(math.log(p.r), p.phi))
+        want = zpow(p.log(), av)
         err = abs(got - want)
         worst = max(worst, err)
         samples.append([p.r, p.phi, err])
@@ -354,7 +332,7 @@ def _run_verify(config: JobConfig) -> tuple[dict, list, str]:
     R = config.R if config.R is not None else 2.0 * alpha.value()
     g = _load_series(config.series) if config.series is not None else LogPowerSeries.monomial(1.0, alpha)
     plan = SamplingPlan(rho0=0.25 * cert.quad.c, n_shells=config.shells)
-    cert_a = verify_asymptotic(ext.evaluate, g, R, _sampled_domain(config, cert.quad, plan), plan=plan, tol=config.tol)
+    cert_a = verify_asymptotic(ext.evaluate, g, R, cert.quad, plan=plan, tol=config.tol)
     report = {
         "status": "ok",
         "certificate": cert_a.to_json(),

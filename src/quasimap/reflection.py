@@ -474,12 +474,14 @@ class CertifiedExtension:
 
 
 def certify_quadratic_domain(ext: Extension) -> CertifiedExtension:
-    """Constants (c, C) with {r < c exp(-C sqrt|phi|)} inside the sector-ball union.
+    """The quadratic domain {r < c exp(-C sqrt|phi|), |phi| <= max_arg} inside the built sector balls.
 
-    The ladder is exact (t_k = t_0 * 128^(-k/alpha)), so the containment is
-    checked against the closed-form schedule for every k up to 400, not only
-    the built levels; evaluation remains limited to |phi| <= 2^K pi of the
-    built tower.
+    The ladder is exact (t_k = t_0 * 128^(-k/alpha)), so (c, C) are checked
+    against the closed-form schedule for every k up to 400, not only the
+    built levels.  The domain's reach ``max_arg`` is the built sheets':
+    0.98 (2^K - 1) pi on both sides for K >= 1, and at K = 0, where no
+    mirrored sheet is built, 0.98 pi, one-sided.  So every member of the
+    domain evaluates.
     """
     pos, neg = ext.positive, ext.negative
     alpha = pos.alpha
@@ -501,7 +503,8 @@ def certify_quadratic_domain(ext: Extension) -> CertifiedExtension:
     K_growth = rate
     for k in range(1, pos.K + 1):
         K_growth = max(K_growth, pos.levels[k].t ** (-1.0 / k))
-    quad = QuadraticDomain(c, C)
+    K = pos.K
+    quad = QuadraticDomain(c, C, mirrored=K > 0, max_arg=0.98 * max(2**K - 1, 1) * math.pi)
     return CertifiedExtension(ext, quad, K_growth, rate)
 
 
@@ -509,20 +512,23 @@ def certify_quadratic_domain(ext: Extension) -> CertifiedExtension:
 _SAMPLE_R_FRAC = (0.05, 0.95)
 
 
-def max_sample_arg(quad: QuadraticDomain) -> float:
-    """Largest |arg| at which the radii 0.05 c exp(-C sqrt|arg|) stay positive normal doubles."""
-    return quad.max_arg_at(sys.float_info.min / _SAMPLE_R_FRAC[0])
+def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_arg: float | None = None):
+    """Deterministic member sample of the quadratic domain up to |arg| <= max_abs_arg.
 
-
-def sample_quadratic_domain(quad: QuadraticDomain, n: int, seed: int, max_abs_arg: float):
-    """Deterministic member sample of the quadratic domain up to |arg| <= cap.
-
-    Radii are fractions 0.05 to 0.95 of c exp(-C sqrt|phi|); a cap above
-    :func:`max_sample_arg`, where the smallest of them leaves the positive
-    normal doubles, raises ValueError.
+    Radii are fractions 0.05 to 0.95 of c exp(-C sqrt|phi|).  Left out, the
+    cap is the domain's reach or, if smaller, the |arg| where the smallest
+    radius leaves the positive normal doubles; a cap past either raises
+    ValueError.
     """
-    arg_limit = max_sample_arg(quad)
-    if max_abs_arg > arg_limit:
+    # the domain's reach, or the |arg| past which the radii 0.05 c exp(-C sqrt|arg|) leave the normal doubles
+    arg_limit = quad.max_arg_at(sys.float_info.min / _SAMPLE_R_FRAC[0])
+    if max_abs_arg is None:
+        max_abs_arg = arg_limit
+    elif max_abs_arg > quad.max_arg:
+        raise ValueError(
+            f"sampling to |arg| = {max_abs_arg:.6g} leaves the domain: its reach is |arg| <= {quad.max_arg:.6g}"
+        )
+    elif max_abs_arg > arg_limit:
         raise ValueError(
             f"sampling to |arg| = {max_abs_arg:.6g} is too wide: radii c exp(-C sqrt|arg|) underflow; "
             f"the largest admissible |arg| is {arg_limit:.6g}"

@@ -13,7 +13,7 @@ Newton on side-length ratios.  Integrals use Gauss-Jacobi rules that absorb
 the endpoint singularities, with adaptive node doubling.  One ``solve_sc``
 call computes each rule (node count, exponent) once and reuses it in every
 residual, Jacobian column, the constant A and the closure check;
-``sc_evaluate`` computes its own rules on each call.  Nothing is cached
+``sc_evaluate`` computes its own rules on each call.  No rule is cached
 between calls.  ``sc_evaluate`` raises ValueError for a point that is not
 finite or lies below the real axis.
 """

@@ -295,40 +295,48 @@ def log_array(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 class QuadraticDomain:
-    """Region 0 < r < c * exp(-C sqrt(|phi|)); `mirrored` includes phi < 0."""
+    """Region 0 < r < c * exp(-C sqrt(|phi|)), |phi| <= max_arg; `mirrored` includes phi < 0.
 
-    __slots__ = ("c", "C", "mirrored")
+    ``max_arg`` (None: unbounded, the paper's domain) is the largest |phi|
+    admitted, as a certificate's reach over the sheets its extension built.
+    """
 
-    def __init__(self, c: float, C: float, mirrored: bool = True):
+    __slots__ = ("c", "C", "mirrored", "max_arg")
+
+    def __init__(self, c: float, C: float, mirrored: bool = True, max_arg: float | None = None):
         if not (c > 0 and C > 0):
             raise ValueError("quadratic domain needs c, C > 0")
+        if max_arg is not None and not max_arg > 0:
+            raise ValueError("quadratic domain needs max_arg > 0 (or None: unbounded)")
         self.c = float(c)
         self.C = float(C)
         self.mirrored = bool(mirrored)
+        self.max_arg = math.inf if max_arg is None else float(max_arg)
 
     def radius_at(self, phi: float) -> float:
         return self.c * math.exp(-self.C * math.sqrt(abs(phi)))
 
     def contains(self, z: LPoint) -> bool:
         phi = z.phi
-        if phi < 0 and not self.mirrored:
+        if (phi < 0 and not self.mirrored) or abs(phi) > self.max_arg:
             return False
         return 0 < z.r < self.radius_at(phi)
 
     def max_arg_at(self, r: float) -> float:
-        """Largest |phi| admitted at radius r (0 if r >= c)."""
+        """Largest |phi| admitted at radius r (0 if r >= c), at most max_arg."""
         if r >= self.c:
             return 0.0
-        return (math.log(self.c / r) / self.C) ** 2
+        return min((math.log(self.c / r) / self.C) ** 2, self.max_arg)
 
     def to_json(self) -> dict:
-        return {"c": self.c, "C": self.C, "mirrored": self.mirrored}
+        max_arg = None if self.max_arg == math.inf else self.max_arg
+        return {"c": self.c, "C": self.C, "mirrored": self.mirrored, "max_arg": max_arg}
 
     def __repr__(self):
-        return f"QuadraticDomain(c={self.c!r}, C={self.C!r}, mirrored={self.mirrored})"
+        return f"QuadraticDomain(c={self.c!r}, C={self.C!r}, mirrored={self.mirrored}, max_arg={self.max_arg!r})"
 
 
 def quad_intersect(w1: QuadraticDomain, w2: QuadraticDomain) -> QuadraticDomain:
     return QuadraticDomain(
-        min(w1.c, w2.c), max(w1.C, w2.C), mirrored=w1.mirrored and w2.mirrored
+        min(w1.c, w2.c), max(w1.C, w2.C), w1.mirrored and w2.mirrored, min(w1.max_arg, w2.max_arg)
     )

@@ -129,7 +129,8 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert main(["verify", "--alpha", "1/2", "--K", "1", "--shells", "30", "--out", str(out)]) == EXIT_OK
         args = [float(row[1]) for row in list(csv.reader((out / "samples.csv").open()))[1:]]
-        assert max(map(abs, args)) <= 0.98 * math.pi
+        domain = json.loads((out / "report.json").read_text())["certificate"]["domain"]
+        assert domain["max_arg"] == 0.98 * math.pi and max(map(abs, args)) <= domain["max_arg"]
 
     def test_correct_series_passes(self, tmp_path):
         out = tmp_path / "out"
@@ -184,7 +185,7 @@ class TestExpandCommand:
          ["--alpha", "sqrt2", "--K", "2"], ["--alpha", "2", "--K", "2"]],
     )
     def test_the_shells_sample_only_the_built_sheets(self, argv, tmp_path):
-        # the certified domain reaches past (2^K - 1) pi at the inner shells' radii; the fit samples a subdomain
+        # the inner shells' radii admit arguments past the built sheets; the certified domain's reach stops the fit there
         assert main(["expand", *argv, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
@@ -347,7 +348,7 @@ class TestPlumbing:
         assert report["closed_form_check"]["max_abs_error"] < 1e-10
         quad = QuadraticDomain(**report["tower"]["quad"])
         with pytest.raises(ValueError) as info:
-            sample_quadratic_domain(quad, 8, 0, max_abs_arg=(2**13 - 1) * math.pi * 0.98)
+            sample_quadratic_domain(quad, 8, 0, max_abs_arg=quad.max_arg)
         err = str(info.value)
         assert "radii c exp(-C sqrt|arg|) underflow" in err and "the largest admissible |arg| is" in err
 

@@ -321,7 +321,8 @@ class TestCertification:
         germ = model_corner_germ(Fraction(1, 2))
         ext = build_extension(germ, K=7)
         cert = certify_quadratic_domain(ext)
-        for p in sample_quadratic_domain(cert.quad, 300, 3, max_abs_arg=(2**7 - 1) * math.pi):
+        # up to the domain's own reach: every point the certificate admits evaluates
+        for p in sample_quadratic_domain(cert.quad, 300, 3):
             assert cert.quad.contains(p)
             ext.evaluate(p)  # must not raise
 
@@ -644,7 +645,7 @@ class TestSCTowers:
             ext = build_extension(germ, K=8)
             assert ext.positive.arc1.exact is None and ext.positive.arc2.exact is None
             quad = certify_quadratic_domain(ext).quad
-            pts = sample_quadratic_domain(quad, 400, k, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+            pts = sample_quadratic_domain(quad, 400, k)
             assert any(p.phi < 0 for p in pts) and any(p.phi > math.pi for p in pts)
             got = np.array(ext.evaluate(pts))
             want = np.array([germ.series.eval_finite(p) for p in pts])
@@ -664,7 +665,7 @@ class TestChiRules:
             return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(PowerSeries, "newton_inverse", counted)
-        pts = sample_quadratic_domain(certify_quadratic_domain(ext).quad, 200, 5, max_abs_arg=0.98 * (2**ext.positive.K - 1) * math.pi)
+        pts = sample_quadratic_domain(certify_quadratic_domain(ext).quad, 200, 5)
         ext.evaluate(pts)
         for p in pts:
             ext.evaluate(p)
@@ -723,7 +724,7 @@ class TestBatchEvaluation:
 
     def test_batch_matches_per_point_calls(self, ext):
         cert = certify_quadratic_domain(ext)
-        pts = sample_quadratic_domain(cert.quad, 600, 11, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+        pts = sample_quadratic_domain(cert.quad, 600, 11)
         batch = ext.evaluate(pts)
         assert isinstance(batch, list) and len(batch) == len(pts)
         for p, got in zip(pts, batch):
@@ -754,7 +755,7 @@ class TestBatchEvaluation:
     def test_inputs_the_array_walk_cannot_take_go_point_by_point(self, ext):
         # 7/2 pi + 0.125 on level 2, carried as 3 pi + (pi/2 + 0.125), takes the array walk with the rest
         cert = certify_quadratic_domain(ext)
-        pts = sample_quadratic_domain(cert.quad, 40, 3, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+        pts = sample_quadratic_domain(cert.quad, 40, 3)
         odd = LPoint(0.5 * ext.positive.levels[2].t, phi_pi=3, phi_rem=math.pi / 2 + 0.125)
         mixed = pts[:20] + [odd] + pts[20:]
         for got, p in zip(ext.evaluate(mixed), mixed):
@@ -779,7 +780,7 @@ class TestPointArrays:
     def test_array_and_list_give_the_same_bits(self, ext):
         quad = certify_quadratic_domain(ext).quad
         fit_samples = SamplingPlan(rho0=0.5 * quad.c).samples(quad)[0]
-        deep_points = sample_quadratic_domain(quad, 300, 7, max_abs_arg=0.98 * (2**8 - 1) * math.pi)
+        deep_points = sample_quadratic_domain(quad, 300, 7)
         deep = LPointArray.from_points(deep_points)
         for arr in (fit_samples, deep):
             got = ext.evaluate(arr)
@@ -835,3 +836,58 @@ class TestDeepBatch:
             want = ext.evaluate(p)
             assert abs(v - want) <= 4e-15 * abs(want)
 
+
+class TestCertifiedReach:
+    """The certified domain admits only the sheets its extension built: every member evaluates."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _germ(name: str) -> MapGerm:
+        if name == "sc-square":
+            return sc_corner_germ(solve_sc(*SC_POLYGONS["square"]), 0)
+        return model_corner_germ(parse_exponent(name))
+
+    @pytest.mark.parametrize("K", [0, 1, 3, 8])
+    @pytest.mark.parametrize("name", ["1/3", "1/2", "3/2", "2", "sqrt2", "golden", "sc-square"])
+    def test_every_default_sample_is_a_member_and_evaluates(self, name, K):
+        ext = build_extension(self._germ(name), K=K)
+        quad = certify_quadratic_domain(ext).quad
+        assert quad.mirrored == (K > 0) and quad.max_arg == 0.98 * max(2**K - 1, 1) * math.pi
+        pts = sample_quadratic_domain(quad, 200, K)
+        assert all(quad.contains(p) for p in pts)
+        assert max(abs(p.phi) for p in pts) > 0.9 * quad.max_arg
+        values = ext.evaluate(pts)  # must not raise OutsideExtensionDomain
+        assert all(cmath.isfinite(v) for v in values)
+
+    def test_points_past_the_built_sheets_are_not_members(self):
+        # at K = 3 the domain's radius admits phi = 20 pi, which needs level 5
+        ext = build_extension(model_corner_germ(Fraction(1, 2)), K=3)
+        quad = certify_quadratic_domain(ext).quad
+        far = LPoint(0.5 * quad.radius_at(20 * math.pi), 20 * math.pi)
+        assert not quad.contains(far)
+        with pytest.raises(OutsideExtensionDomain, match="needs level 5 > built 3"):
+            ext.evaluate(far)
+        # at K = 0 no mirrored sheet is built: the domain is one-sided
+        ext = build_extension(model_corner_germ(Fraction(1, 2)), K=0)
+        quad = certify_quadratic_domain(ext).quad
+        below = LPoint(0.5 * quad.radius_at(-1.0), -1.0)
+        assert not quad.mirrored and not quad.contains(below)
+        with pytest.raises(OutsideExtensionDomain, match="mirrored tower > built 0"):
+            ext.evaluate(below)
+
+    @pytest.mark.parametrize("name, K", [("2", 0), ("2", 2), ("sqrt2", 2), ("1/2", 1)])
+    def test_many_shells_stay_within_the_reach(self, name, K):
+        ext = build_extension(self._germ(name), K=K)
+        quad = certify_quadratic_domain(ext).quad
+        pts, _ = SamplingPlan(rho0=0.5 * quad.c, n_shells=120).samples(quad)
+        assert np.max(np.abs(pts.phi)) <= quad.max_arg
+        assert np.min(pts.phi) >= (-quad.max_arg if K > 0 else 0.0)
+        ext.evaluate(pts)  # must not raise
+
+    @pytest.mark.parametrize("K", [0, 3])
+    def test_a_cap_past_the_reach_raises(self, K):
+        quad = certify_quadratic_domain(build_extension(model_corner_germ(Fraction(1, 2)), K=K)).quad
+        reach = f"its reach is |arg| <= {quad.max_arg:.6g}"
+        with pytest.raises(ValueError, match=re.escape(reach)):
+            sample_quadratic_domain(quad, 8, 0, max_abs_arg=1.01 * quad.max_arg)
+        assert len(sample_quadratic_domain(quad, 8, 0, max_abs_arg=quad.max_arg)) == 8

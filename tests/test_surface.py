@@ -1,6 +1,7 @@
 """Log-surface points, sectors, reflections, quadratic domains."""
 
 import cmath
+import json
 import math
 import re
 from fractions import Fraction
@@ -253,6 +254,28 @@ class TestQuadraticDomains:
     def test_intersect_componentwise(self):
         got = quad_intersect(QuadraticDomain(1, 1), QuadraticDomain(2, 3))
         assert got.c == 1 and got.C == 3
+
+    def test_max_arg_bounds_membership(self):
+        w = QuadraticDomain(1.0, 1.0, max_arg=4.0)
+        assert w.contains(LPoint(math.exp(-3), 4.0)) and w.contains(LPoint(math.exp(-3), -4.0))
+        assert not w.contains(LPoint(math.exp(-5), 4.5)) and not w.contains(LPoint(math.exp(-5), -4.5))
+        assert w.max_arg_at(math.exp(-3)) == 4.0 and QuadraticDomain(1.0, 1.0).max_arg_at(math.exp(-3)) == 9.0
+        with pytest.raises(ValueError, match="max_arg > 0"):
+            QuadraticDomain(1.0, 1.0, max_arg=0.0)
+
+    def test_intersect_takes_the_smaller_reach(self):
+        got = quad_intersect(QuadraticDomain(1, 1, max_arg=5.0), QuadraticDomain(2, 3, max_arg=7.0))
+        assert got.max_arg == 5.0
+        assert quad_intersect(QuadraticDomain(1, 1), QuadraticDomain(2, 3)).max_arg == math.inf
+
+    @pytest.mark.parametrize("max_arg", [None, 0.98 * 255 * math.pi])
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_json_round_trips_in_strict_json(self, max_arg, mirrored):
+        w = QuadraticDomain(2.5e-7, 6.3, mirrored, max_arg)
+        text = json.dumps(w.to_json(), allow_nan=False)
+        back = QuadraticDomain(**json.loads(text))
+        assert repr(back) == repr(w) and back.to_json() == w.to_json()
+        assert json.loads(text)["max_arg"] == max_arg
 
     def test_intersect_membership_oracle(self, rng):
         w1 = QuadraticDomain(0.8, 1.5)
